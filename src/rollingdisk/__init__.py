@@ -12,9 +12,7 @@ from .assembly import (
     GenAccel,
     constraint_accel_rows,
     euler_lagrange_lhs,
-    mass_matrix,
     oracle_lhs,
-    rhs_vector,
     solve_system,
 )
 from .constraints import (
@@ -30,7 +28,6 @@ from .dynamics import (
     circular_spin,
     closed_form_accels,
     closed_form_center_accels,
-    closed_form_multipliers,
     state_derivative,
 )
 from .energetics import (
@@ -88,7 +85,6 @@ __all__ = [
     "circular_spin",
     "closed_form_accels",
     "closed_form_center_accels",
-    "closed_form_multipliers",
     "consistent_velocity",
     "constraint_accel_rows",
     "constraint_forces",
@@ -102,10 +98,8 @@ __all__ = [
     "integrate_10dim",
     "kinetic_energy",
     "lagrangian",
-    "mass_matrix",
     "oracle_lhs",
     "potential_energy",
-    "rhs_vector",
     "rotation_vector",
     "scenario_preset",
     "skew_build",

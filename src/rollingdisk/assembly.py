@@ -12,10 +12,13 @@ which close the system at acceleration level. Collecting the seven unknowns
 
 yields a linear system M(q) x = b(q, qdot). Row and unknown ordering is
 frozen: rows are (contact-1, contact-2, c1, c2, phi, theta, psi) and the two
-multipliers lead the unknowns. Every consumer of mass_matrix, rhs_vector and
+multipliers lead the unknowns. Every consumer of assemble_system and
 solve_system relies on this layout; do not reorder.
 
-M depends on configuration only; every velocity term lives in b.
+The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
+into generalized_mass G and generalized_force f, so M depends on configuration
+only and every velocity term lives in b. det M = (15/32) m^3 r^6 cos^2(theta),
+so the cos(theta) band of the singularity guard is the exact rank test.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely by finite
 differences of the scalar lagrangian, sharing no algebra with the closed
@@ -28,14 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .constraints import Multipliers, constraint_matrix
 from .energetics import GenCoords, GenVel, Params, lagrangian
 from .singularity import SingularConfiguration, checked_cos_theta
-
-# Smallest pivot tolerated by the direct solve, relative to ||M||_inf.
-PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,50 @@ class AugmentedSystem:
     b: np.ndarray
 
 
+def generalized_mass(q: GenCoords, p: Params) -> np.ndarray:
+    """Coefficient G(q) of qddot in the Euler-Lagrange left side, shape (5, 5).
+
+    Rows and columns ordered (c1, c2, phi, theta, psi); configuration only.
+    """
+    m, r = p.m, p.r
+    st = math.sin(q.theta)
+    mr2 = m * r * r
+    return np.array(
+        [
+            [m, 0.0, 0.0, 0.0, 0.0],
+            [0.0, m, 0.0, 0.0, 0.0],
+            [0.0, 0.0, mr2 / 2.0, 0.0, -mr2 * st / 2.0],
+            [0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0],
+            [0.0, 0.0, -mr2 * st / 2.0, 0.0, mr2 * (st * st + 1.0) / 4.0],
+        ]
+    )
+
+
+def generalized_force(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
+    """Velocity and gravity part f(q, qdot) of the left side, shape (5,).
+
+    The Euler-Lagrange left side is G(q) qddot - f(q, qdot), so f collects
+    the gravity torque and the terms quadratic in the rates.
+    """
+    m, g, r = p.m, p.g, p.r
+    st, ct = math.sin(q.theta), math.cos(q.theta)
+    s2t = math.sin(2.0 * q.theta)
+    dphi, dtheta, dpsi = v.dphi, v.dtheta, v.dpsi
+    mr2 = m * r * r
+    stand_rates = 4.0 * dtheta * dtheta * s2t + 4.0 * dphi * dpsi * ct - dpsi * dpsi * s2t
+    return np.array(
+        [
+            0.0,
+            0.0,
+            mr2 * dtheta * dpsi * ct / 2.0,
+            m * g * r * st - mr2 * stand_rates / 8.0,
+            mr2 * (dphi - dpsi * st) * dtheta * ct / 2.0,
+        ]
+    )
+
+
 def euler_lagrange_lhs(q: GenCoords, v: GenVel, a: GenAccel, p: Params) -> np.ndarray:
-    """Closed-form d/dt(dL/dqdot) - dL/dq, one entry per coordinate.
+    """Closed-form d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot).
 
     Parameters
     ----------
@@ -81,74 +122,35 @@ def euler_lagrange_lhs(q: GenCoords, v: GenVel, a: GenAccel, p: Params) -> np.nd
         Rows ordered (c1, c2, phi, theta, psi). Equals the generalized
         constraint force A^T lambda on solutions of the rolling problem.
     """
-    m, g, r = p.m, p.g, p.r
-    st, ct = math.sin(q.theta), math.cos(q.theta)
-    s2t = math.sin(2.0 * q.theta)
-    dphi, dtheta, dpsi = v.dphi, v.dtheta, v.dpsi
-    return np.array(
-        [
-            m * a.ddc1,
-            m * a.ddc2,
-            0.5 * m * r * r * (a.ddphi - a.ddpsi * st - dtheta * dpsi * ct),
-            0.125
-            * m
-            * r
-            * (
-                -8.0 * g * st
-                + 8.0 * r * a.ddtheta * st * st
-                + 2.0 * r * a.ddtheta
-                + 4.0 * r * dtheta * dtheta * s2t
-                + 4.0 * r * dphi * dpsi * ct
-                - r * dpsi * dpsi * s2t
-            ),
-            0.25
-            * m
-            * r
-            * r
-            * (
-                -2.0 * a.ddphi * st
-                + a.ddpsi * st * st
-                + a.ddpsi
-                - 2.0 * dtheta * dphi * ct
-                + dtheta * dpsi * s2t
-            ),
-        ]
-    )
+    return generalized_mass(q, p) @ a.as_array() - generalized_force(q, v, p)
 
 
-def _lagrangian_arrays(qa: np.ndarray, va: np.ndarray, p: Params) -> float:
-    return lagrangian(GenCoords.from_array(qa), GenVel.from_array(va), p)
+def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Gradient of the scalar f at x by central differences of step h."""
+    grad = np.empty(5)
+    work = x.copy()
+    for i in range(5):
+        xi = x[i]
+        work[i] = xi + h
+        above = f(work)
+        work[i] = xi - h
+        below = f(work)
+        work[i] = xi
+        grad[i] = (above - below) / (2.0 * h)
+    return grad
 
 
 def _velocity_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) -> np.ndarray:
     """dL/dqdot by central differences. L is quadratic in the velocities, so
     the difference is truncation-free and h only controls roundoff."""
-    grad = np.empty(5)
-    work = va.copy()
-    for i in range(5):
-        vi = va[i]
-        work[i] = vi + h
-        above = _lagrangian_arrays(qa, work, p)
-        work[i] = vi - h
-        below = _lagrangian_arrays(qa, work, p)
-        work[i] = vi
-        grad[i] = (above - below) / (2.0 * h)
-    return grad
+    q = GenCoords.from_array(qa)
+    return _central_gradient(lambda w: lagrangian(q, GenVel.from_array(w), p), va, h)
 
 
 def _coordinate_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) -> np.ndarray:
     """dL/dq by central differences."""
-    grad = np.empty(5)
-    work = qa.copy()
-    for i in range(5):
-        qi = qa[i]
-        work[i] = qi + h
-        above = _lagrangian_arrays(work, va, p)
-        work[i] = qi - h
-        below = _lagrangian_arrays(work, va, p)
-        work[i] = qi
-        grad[i] = (above - below) / (2.0 * h)
-    return grad
+    v = GenVel.from_array(va)
+    return _central_gradient(lambda w: lagrangian(GenCoords.from_array(w), v, p), qa, h)
 
 
 def oracle_lhs(
@@ -158,7 +160,7 @@ def oracle_lhs(
     p: Params,
     h: float = 1e-6,
     h_t: float = 1e-5,
-    h_v: float = 1e-3,
+    h_v: float = 1.0,
 ) -> np.ndarray:
     """Euler-Lagrange left side from finite differences of the Lagrangian only.
 
@@ -173,10 +175,11 @@ def oracle_lhs(
     h_t : float
         Step of the outer time difference along the synthetic path.
     h_v : float
-        Step for the nested velocity gradient. Larger than h on purpose: the
-        Lagrangian is exactly quadratic in the velocities, so this difference
-        has no truncation error and a larger step suppresses the roundoff
-        that the outer division by h_t would otherwise amplify.
+        Step for the nested velocity gradient. The Lagrangian is exactly
+        quadratic in the velocities, so this central difference is exact for
+        any step; the step only scales the roundoff, which the outer division
+        by h_t then amplifies. A unit step keeps the oracle's error near 1e-8,
+        against 1e-5 for a step of 1e-3.
 
     Returns
     -------
@@ -211,74 +214,22 @@ def constraint_accel_rows(
     return constraint_matrix(q, p), resid
 
 
-def mass_matrix(q: GenCoords, p: Params) -> np.ndarray:
-    """Coefficient matrix M(q) of the augmented system, shape (7, 7).
-
-    Depends on the configuration only. Columns follow the unknown ordering
-    (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi); rows follow
-    (contact-1, contact-2, c1, c2, phi, theta, psi).
-    """
-    m, r = p.m, p.r
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
-    st, ct = math.sin(q.theta), math.cos(q.theta)
-    mr2 = m * r * r
-    return np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0, -r * sp, -r * ct * cp, r * st * sp],
-            [0.0, 0.0, 0.0, 1.0, r * cp, -r * sp * ct, -r * st * cp],
-            [-1.0, 0.0, m, 0.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, m, 0.0, 0.0, 0.0],
-            [r * sp, -r * cp, 0.0, 0.0, mr2 / 2.0, 0.0, -mr2 * st / 2.0],
-            [r * ct * cp, r * sp * ct, 0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0],
-            [-r * st * sp, r * st * cp, 0.0, 0.0, -mr2 * st / 2.0, 0.0, mr2 * (st * st + 1.0) / 4.0],
-        ]
-    )
-
-
-def rhs_vector(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    """Right-hand side b(q, qdot) of the augmented system, shape (7,)."""
-    m, g, r = p.m, p.g, p.r
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
-    st, ct = math.sin(q.theta), math.cos(q.theta)
-    s2t = math.sin(2.0 * q.theta)
-    dphi, dtheta, dpsi = v.dphi, v.dtheta, v.dpsi
-    mr2 = m * r * r
-    return np.array(
-        [
-            r
-            * (
-                -dtheta * dtheta * st * cp
-                - 2.0 * dtheta * dpsi * sp * ct
-                + dphi * dpsi * cp
-                - dpsi * dpsi * st * cp
-            ),
-            r
-            * (
-                -dtheta * dtheta * st * sp
-                + 2.0 * dtheta * dpsi * ct * cp
-                + dphi * dpsi * sp
-                - dpsi * dpsi * st * sp
-            ),
-            0.0,
-            0.0,
-            mr2 * dtheta * dpsi * ct / 2.0,
-            0.125
-            * m
-            * r
-            * (
-                8.0 * g * st
-                - 4.0 * r * dtheta * dtheta * s2t
-                - 4.0 * r * dphi * dpsi * ct
-                + r * dpsi * dpsi * s2t
-            ),
-            mr2 * (dphi - dpsi * st) * dtheta * ct / 2.0,
-        ]
-    )
+def _augmented(
+    A: np.ndarray, resid: np.ndarray, mass: np.ndarray, force: np.ndarray
+) -> AugmentedSystem:
+    """Lay out the contact rows A qddot = -resid and the motion rows
+    mass qddot - A^T lambda = force in the frozen ordering."""
+    M = np.zeros((7, 7))
+    M[0:2, 2:7] = A
+    M[2:7, 0:2] = -A.T
+    M[2:7, 2:7] = mass
+    return AugmentedSystem(M, np.concatenate([-resid, force]))
 
 
 def assemble_system(q: GenCoords, v: GenVel, p: Params) -> AugmentedSystem:
-    """Closed-form augmented system (mass_matrix, rhs_vector)."""
-    return AugmentedSystem(mass_matrix(q, p), rhs_vector(q, v, p))
+    """Closed-form augmented system from generalized_mass and generalized_force."""
+    A, resid = constraint_accel_rows(q, v, p)
+    return _augmented(A, resid, generalized_mass(q, p), generalized_force(q, v, p))
 
 
 def oracle_system(q: GenCoords, v: GenVel, p: Params) -> AugmentedSystem:
@@ -291,29 +242,19 @@ def oracle_system(q: GenCoords, v: GenVel, p: Params) -> AugmentedSystem:
     A, resid = constraint_accel_rows(q, v, p)
     base = oracle_lhs(q, v, GenAccel(0.0, 0.0, 0.0, 0.0, 0.0), p)
     columns = np.empty((5, 5))
-    for j in range(5):
-        probe = np.zeros(5)
-        probe[j] = 1.0
+    for j, probe in enumerate(np.eye(5)):
         columns[:, j] = oracle_lhs(q, v, GenAccel.from_array(probe), p) - base
-    M = np.zeros((7, 7))
-    M[0:2, 2:7] = A
-    M[2:7, 0:2] = -A.T
-    M[2:7, 2:7] = columns
-    b = np.concatenate([-resid, -base])
-    return AugmentedSystem(M, b)
+    return _augmented(A, resid, columns, -base)
 
 
-def _solve_checked(system: AugmentedSystem, theta: float) -> np.ndarray:
-    """Direct LU solve with partial pivoting, rejecting rank-deficient factors."""
-    M, b = system.M, system.b
+def _solve_checked(system: AugmentedSystem, theta: float) -> tuple[Multipliers, GenAccel]:
+    """Dense solve, unpacked. Callers check the cos(theta) band first; an exactly
+    singular M (the oracle's can be one next to the band) still raises."""
     try:
-        lu, piv = lu_factor(M)
+        x = np.linalg.solve(system.M, system.b)
     except np.linalg.LinAlgError as err:
         raise SingularConfiguration(theta) from err
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    if smallest_pivot < PIVOT_RTOL * float(np.linalg.norm(M, np.inf)):
-        raise SingularConfiguration(theta)
-    return lu_solve((lu, piv), b)
+    return Multipliers(float(x[0]), float(x[1])), GenAccel.from_array(x[2:7])
 
 
 def solve_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAccel]:
@@ -332,16 +273,13 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAc
     Raises
     ------
     SingularConfiguration
-        When the disk is numerically horizontal or the factorization meets a
-        pivot below PIVOT_RTOL * ||M||_inf.
+        When the disk is numerically horizontal, the only place M is singular.
     """
     checked_cos_theta(q.theta)
-    x = _solve_checked(assemble_system(q, v, p), q.theta)
-    return Multipliers(float(x[0]), float(x[1])), GenAccel.from_array(x[2:7])
+    return _solve_checked(assemble_system(q, v, p), q.theta)
 
 
 def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAccel]:
     """Like solve_system but on the finite-difference-assembled system."""
     checked_cos_theta(q.theta)
-    x = _solve_checked(oracle_system(q, v, p), q.theta)
-    return Multipliers(float(x[0]), float(x[1])), GenAccel.from_array(x[2:7])
+    return _solve_checked(oracle_system(q, v, p), q.theta)

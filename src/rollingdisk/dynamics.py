@@ -9,8 +9,10 @@ augmented system leaves three angle equations driven only by (theta, rates):
     ddpsi   = 2 dphi dtheta / cos(theta)
 
 together with the reconstructed center rates from the contact conditions.
-The multipliers and center accelerations have closed forms as well; they are
-kept here so the elimination can be checked against the direct linear solve.
+The center accelerations have a closed form as well, and the center rows of
+the constrained equations give the contact reactions as lambda = m * ddc; both
+are kept here so the elimination can be checked against the direct linear
+solve.
 
 Every division by cos(theta) (tan included) goes through one shared guard,
 so the flat-disk band raises SingularConfiguration instead of overflowing.
@@ -115,11 +117,7 @@ def closed_form_accels(
 def closed_form_center_accels(
     q: GenCoords, rates: tuple[float, float, float], p: Params
 ) -> tuple[float, float]:
-    """Center accelerations (ddc1, ddc2) in closed form.
-
-    Written out independently of closed_form_multipliers even though the
-    contact rows force m * ddc = lambda; tests exploit that redundancy.
-    """
+    """Center accelerations (ddc1, ddc2) in closed form."""
     dphi, dtheta, dpsi = rates
     ct = checked_cos_theta(q.theta)
     st = math.sin(q.theta)
@@ -139,38 +137,17 @@ def closed_form_center_accels(
     return ddc1, ddc2
 
 
-def closed_form_multipliers(
-    q: GenCoords, rates: tuple[float, float, float], p: Params
-) -> Multipliers:
-    """Contact reactions (lambda1, lambda2) in closed form."""
-    dphi, dtheta, dpsi = rates
-    ct = checked_cos_theta(q.theta)
-    st = math.sin(q.theta)
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
-    s2t = 2.0 * st * ct
-    m, g, r = p.m, p.g, p.r
-    common = (
-        6.0 * g * s2t
-        - 15.0 * r * dtheta * dtheta * st
-        + 18.0 * r * dphi * dpsi * st * st
-        - 3.0 * r * dphi * dpsi
-        - 15.0 * r * dpsi * dpsi * st ** 3
-    )
-    swing = 5.0 * r * dtheta * dpsi * ct
-    lambda1 = m * (common * cp - swing * sp) / 15.0
-    lambda2 = m * (common * sp + swing * cp) / 15.0
-    return Multipliers(lambda1, lambda2)
-
-
 def closed_form_solution(
     q: GenCoords, rates: tuple[float, float, float], p: Params
 ) -> tuple[Multipliers, tuple[float, float, float, float, float]]:
     """All seven eliminated unknowns, ordered like the linear solve.
 
-    Returns (Multipliers, (ddc1, ddc2, ddphi, ddtheta, ddpsi)).
+    Returns (Multipliers, (ddc1, ddc2, ddphi, ddtheta, ddpsi)). The center
+    rows of the constrained equations read m * ddc = lambda, which gives the
+    reactions.
     """
-    lam = closed_form_multipliers(q, rates, p)
     ddc1, ddc2 = closed_form_center_accels(q, rates, p)
+    lam = Multipliers(p.m * ddc1, p.m * ddc2)
     ddphi, ddtheta, ddpsi = closed_form_accels(q, rates, p)
     return lam, (ddc1, ddc2, ddphi, ddtheta, ddpsi)
 

@@ -25,7 +25,7 @@ class SingularConfiguration(Exception):
         self.cos_theta = math.cos(theta)
         super().__init__(
             f"stand angle theta={theta!r} is numerically horizontal "
-            f"(|cos theta|={abs(self.cos_theta):.3e} <= {SINGULAR_COS_THETA:g})"
+            f"(|cos theta|={abs(self.cos_theta):.3e}, cutoff {SINGULAR_COS_THETA:g})"
         )
 
 

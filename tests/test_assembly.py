@@ -8,9 +8,8 @@ from rollingdisk.assembly import (
     assemble_system,
     constraint_accel_rows,
     euler_lagrange_lhs,
-    mass_matrix,
+    generalized_mass,
     oracle_lhs,
-    rhs_vector,
     solve_oracle_system,
     solve_system,
 )
@@ -18,9 +17,10 @@ from rollingdisk.assembly import _coordinate_gradient, _velocity_gradient
 from rollingdisk.constraints import constraint_matrix
 from rollingdisk.energetics import GenCoords, GenVel, Params
 from rollingdisk.singularity import SingularConfiguration
-from rollingdisk.validation import max_rel_diff, sample_state
+from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state, solve_seven
 
 P = Params()
+REST = GenVel(0, 0, 0, 0, 0)
 
 
 def random_triple(rng):
@@ -54,6 +54,21 @@ class TestEulerLagrangeLhs:
             err = max_rel_diff(oracle_lhs(q, v, a, P), euler_lagrange_lhs(q, v, a, P))
             worst = max(worst, err)
         assert worst < 1e-5, f"closed form vs differenced Lagrangian: {worst:.3e}"
+
+    def test_mass_is_velocity_hessian_of_lagrangian(self):
+        # L is quadratic in the velocities, so unit steps of the differenced
+        # momentum dL/dqdot give the columns of G(q) up to roundoff.
+        rng = np.random.default_rng(40)
+        for _ in range(100):
+            q, v, _ = random_triple(rng)
+            qa, va = q.as_array(), v.as_array()
+            base = _velocity_gradient(qa, va, P, 1.0)
+            probed = np.column_stack(
+                [_velocity_gradient(qa, va + e, P, 1.0) - base for e in np.eye(5)]
+            )
+            G = generalized_mass(q, P)
+            assert np.array_equal(G, G.T)
+            assert np.max(np.abs(probed - G)) < 1e-12
 
 
 class TestOracleInternals:
@@ -137,12 +152,12 @@ def test_constraint_accel_rows_match_matrix_and_rhs():
         A, resid = constraint_accel_rows(q, v, P)
         assert np.array_equal(A, constraint_matrix(q, P))
         # the drift term is the sign-flipped top of the right-hand side
-        assert np.allclose(resid, -rhs_vector(q, v, P)[0:2], atol=1e-14)
+        assert np.allclose(resid, -assemble_system(q, v, P).b[0:2], atol=1e-14)
 
 
 class TestMassMatrix:
     def test_reference_entries_upright(self):
-        M = mass_matrix(GenCoords(0, 0, 0, 0.0, 0.0), P)
+        M = assemble_system(GenCoords(0, 0, 0, 0.0, 0.0), REST, P).M
         assert M[4, 4] == 2.5
         assert M[5, 5] == 1.25
         assert M[6, 6] == 1.25
@@ -167,13 +182,25 @@ class TestMassMatrix:
             if abs(math.cos(q.theta)) < 0.1:
                 continue
             checked += 1
-            assert np.linalg.det(mass_matrix(q, P)) != 0.0
+            assert np.linalg.det(assemble_system(q, REST, P).M) != 0.0
+
+    @pytest.mark.parametrize("m, r", [(5.0, 1.0), (2.0, 0.37), (100.0, 0.01), (0.01, 100.0)])
+    def test_determinant_is_cos_squared_theta(self, m, r):
+        # det M = (15/32) m^3 r^6 cos^2(theta): the cos(theta) band is the
+        # exact rank test, so the solve needs no pivot check of its own.
+        p = Params(m=m, r=r)
+        rng = np.random.default_rng(51)
+        expected = 15.0 / 32.0 * m**3 * r**6
+        for _ in range(200):
+            q, v, _ = random_triple(rng)
+            det = np.linalg.det(assemble_system(q, v, p).M) / math.cos(q.theta) ** 2
+            assert det == pytest.approx(expected, rel=1e-8)
 
     def test_factor_solve_round_trip(self):
         rng = np.random.default_rng(48)
         for _ in range(200):
             q, _ = sample_state(rng)
-            M = mass_matrix(q, P)
+            M = assemble_system(q, REST, P).M
             x0 = rng.uniform(-1.0, 1.0, 7)
             x = np.linalg.solve(M, M @ x0)
             assert np.max(np.abs(x - x0)) < 1e-10
@@ -181,11 +208,11 @@ class TestMassMatrix:
 
 class TestRhsVector:
     def test_zero_at_upright_rest(self):
-        b = rhs_vector(GenCoords(0, 0, 0, 0.0, 0.0), GenVel(0, 0, 0, 0, 0), P)
+        b = assemble_system(GenCoords(0, 0, 0, 0.0, 0.0), REST, P).b
         assert np.array_equal(b, np.zeros(7))
 
     def test_rest_tilted_loads_only_stand_row(self):
-        b = rhs_vector(GenCoords(0, 0, 0, 0.1, 0.0), GenVel(0, 0, 0, 0, 0), P)
+        b = assemble_system(GenCoords(0, 0, 0, 0.1, 0.0), REST, P).b
         assert b[5] == pytest.approx(P.m * P.g * P.r * math.sin(0.1), rel=1e-14)
         mask = np.ones(7, dtype=bool)
         mask[5] = False
@@ -232,6 +259,36 @@ class TestSolveSystem:
         theta = math.pi / 2 - 1e-4
         lam, acc = solve_system(GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1), P)
         assert all(map(math.isfinite, acc.as_array()))
+
+    def test_heavy_small_disk_solves_next_to_band(self):
+        # |cos theta| = 5e-5 is outside the 1e-6 band; a heavy, small disk
+        # scales M so that a pivot test relative to ||M|| would reject it.
+        p = Params(m=100.0, r=0.01)
+        rng = np.random.default_rng(52)
+        theta = math.acos(5e-5)
+        for sign in (1.0, -1.0):
+            for _ in range(20):
+                q, v = sample_state(rng)
+                q = GenCoords(q.c1, q.c2, q.phi, sign * theta, q.psi)
+                closed = closed_form_seven(q, v.angular_rates(), p)
+                assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-4
+
+
+def test_exactly_singular_solve_reports_measured_cos_theta(monkeypatch):
+    # The oracle's differenced matrix can be exactly singular just outside
+    # the band; the error then reports |cos theta| and the cutoff without
+    # claiming that one lies below the other.
+    def singular(M, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    theta = math.acos(4.722e-6)
+    with pytest.raises(SingularConfiguration) as info:
+        solve_system(GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1), P)
+    message = str(info.value)
+    assert "|cos theta|=4.722e-06" in message
+    assert "cutoff 1e-06" in message
+    assert "<=" not in message
 
 
 def test_oracle_assembled_system_agrees_with_direct_solve():

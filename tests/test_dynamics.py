@@ -9,8 +9,7 @@ from rollingdisk.dynamics import (
     State,
     circular_spin,
     closed_form_accels,
-    closed_form_center_accels,
-    closed_form_multipliers,
+    closed_form_solution,
     state_derivative,
 )
 from rollingdisk.energetics import GenCoords, Params, kinetic_energy, potential_energy
@@ -71,25 +70,15 @@ class TestClosedFormAccels:
 
 class TestClosedFormMultipliers:
     def test_rest_tilted_reference(self):
-        lam = closed_form_multipliers(GenCoords(0, 0, 0, 0.3, 0.0), (0.0, 0.0, 0.0), P)
+        lam, _ = closed_form_solution(GenCoords(0, 0, 0, 0.3, 0.0), (0.0, 0.0, 0.0), P)
         assert lam.lambda1 == pytest.approx(P.m * 6.0 * P.g * math.sin(0.6) / 15.0, rel=1e-14)
         assert lam.lambda2 == 0.0
-
-    def test_reactions_equal_mass_times_center_accel(self):
-        # the center rows of the constrained equations force lambda = m * ddc
-        rng = np.random.default_rng(63)
-        for _ in range(500):
-            q, v = sample_state(rng)
-            lam = closed_form_multipliers(q, v.angular_rates(), P)
-            ddc1, ddc2 = closed_form_center_accels(q, v.angular_rates(), P)
-            assert lam.lambda1 == pytest.approx(P.m * ddc1, rel=1e-12, abs=1e-12)
-            assert lam.lambda2 == pytest.approx(P.m * ddc2, rel=1e-12, abs=1e-12)
 
     def test_matches_linear_solve(self):
         rng = np.random.default_rng(64)
         for _ in range(300):
             q, v = sample_state(rng)
-            lam = closed_form_multipliers(q, v.angular_rates(), P)
+            lam, _ = closed_form_solution(q, v.angular_rates(), P)
             lam_solve, _ = solve_system(q, v, P)
             assert lam.lambda1 == pytest.approx(lam_solve.lambda1, rel=1e-10, abs=1e-11)
             assert lam.lambda2 == pytest.approx(lam_solve.lambda2, rel=1e-10, abs=1e-11)
