@@ -12,8 +12,10 @@ which close the system at acceleration level. Collecting the seven unknowns
 
 yields a linear system M(q) x = b(q, qdot). Row and unknown ordering is
 frozen: rows are (contact-1, contact-2, c1, c2, phi, theta, psi) and the two
-multipliers lead the unknowns. Every consumer of assemble_system and
-solve_system relies on this layout; do not reorder.
+multipliers lead the unknowns. assemble_system and oracle_system return the
+pair (M, b); solve_system and solve_oracle_system return x itself, a length-7
+array in exactly this order, as does dynamics.closed_form_solution. Every
+consumer relies on this layout; do not reorder.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into generalized_mass G and generalized_force f, so M depends on configuration
@@ -28,39 +30,12 @@ form, and exists to cross-check it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import Multipliers, constraint_matrix
+from .constraints import constraint_matrix
 from .energetics import GenCoords, GenVel, Params, lagrangian
 from .singularity import SingularConfiguration, checked_cos_theta
-
-
-@dataclass(frozen=True)
-class GenAccel:
-    """Generalized accelerations (ddc1, ddc2, ddphi, ddtheta, ddpsi)."""
-
-    ddc1: float
-    ddc2: float
-    ddphi: float
-    ddtheta: float
-    ddpsi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ddc1, self.ddc2, self.ddphi, self.ddtheta, self.ddpsi])
-
-    @classmethod
-    def from_array(cls, a) -> "GenAccel":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]), float(a[4]))
-
-
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """Linear system M x = b in the frozen (multipliers, accelerations) ordering."""
-
-    M: np.ndarray
-    b: np.ndarray
 
 
 def generalized_mass(q: GenCoords, p: Params) -> np.ndarray:
@@ -105,15 +80,16 @@ def generalized_force(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     )
 
 
-def euler_lagrange_lhs(q: GenCoords, v: GenVel, a: GenAccel, p: Params) -> np.ndarray:
+def euler_lagrange_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
     """Closed-form d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot).
 
     Parameters
     ----------
-    q, v, a : GenCoords, GenVel, GenAccel
-        Configuration, generalized velocity, generalized acceleration. The
-        velocity need not satisfy the rolling constraint; the expression is
-        algebraic in (q, v, a).
+    q, v : GenCoords, GenVel
+        Configuration and generalized velocity. The velocity need not satisfy
+        the rolling constraint; the expression is algebraic in (q, v, a).
+    a : sequence of 5 floats
+        Generalized acceleration (ddc1, ddc2, ddphi, ddtheta, ddpsi).
     p : Params
 
     Returns
@@ -122,7 +98,7 @@ def euler_lagrange_lhs(q: GenCoords, v: GenVel, a: GenAccel, p: Params) -> np.nd
         Rows ordered (c1, c2, phi, theta, psi). Equals the generalized
         constraint force A^T lambda on solutions of the rolling problem.
     """
-    return generalized_mass(q, p) @ a.as_array() - generalized_force(q, v, p)
+    return generalized_mass(q, p) @ np.array(a) - generalized_force(q, v, p)
 
 
 def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -143,20 +119,20 @@ def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
 def _velocity_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) -> np.ndarray:
     """dL/dqdot by central differences. L is quadratic in the velocities, so
     the difference is truncation-free and h only controls roundoff."""
-    q = GenCoords.from_array(qa)
-    return _central_gradient(lambda w: lagrangian(q, GenVel.from_array(w), p), va, h)
+    q = GenCoords(*qa.tolist())
+    return _central_gradient(lambda w: lagrangian(q, GenVel(*w.tolist()), p), va, h)
 
 
 def _coordinate_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) -> np.ndarray:
     """dL/dq by central differences."""
-    v = GenVel.from_array(va)
-    return _central_gradient(lambda w: lagrangian(GenCoords.from_array(w), v, p), qa, h)
+    v = GenVel(*va.tolist())
+    return _central_gradient(lambda w: lagrangian(GenCoords(*w.tolist()), v, p), qa, h)
 
 
 def oracle_lhs(
     q: GenCoords,
     v: GenVel,
-    a: GenAccel,
+    a,
     p: Params,
     h: float = 1e-6,
     h_t: float = 1e-5,
@@ -185,7 +161,7 @@ def oracle_lhs(
     -------
     ndarray, shape (5,)
     """
-    qa, va, aa = q.as_array(), v.as_array(), a.as_array()
+    qa, va, aa = (np.array(x, dtype=float) for x in (q, v, a))
     grad_ahead = _velocity_gradient(qa + h_t * va, va + h_t * aa, p, h_v)
     grad_behind = _velocity_gradient(qa - h_t * va, va - h_t * aa, p, h_v)
     momentum_rate = (grad_ahead - grad_behind) / (2.0 * h_t)
@@ -216,49 +192,48 @@ def constraint_accel_rows(
 
 def _augmented(
     A: np.ndarray, resid: np.ndarray, mass: np.ndarray, force: np.ndarray
-) -> AugmentedSystem:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lay out the contact rows A qddot = -resid and the motion rows
-    mass qddot - A^T lambda = force in the frozen ordering."""
+    mass qddot - A^T lambda = force in the frozen ordering; returns (M, b)."""
     M = np.zeros((7, 7))
     M[0:2, 2:7] = A
     M[2:7, 0:2] = -A.T
     M[2:7, 2:7] = mass
-    return AugmentedSystem(M, np.concatenate([-resid, force]))
+    return M, np.concatenate([-resid, force])
 
 
-def assemble_system(q: GenCoords, v: GenVel, p: Params) -> AugmentedSystem:
-    """Closed-form augmented system from generalized_mass and generalized_force."""
+def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form augmented system (M, b) from generalized_mass and generalized_force."""
     A, resid = constraint_accel_rows(q, v, p)
     return _augmented(A, resid, generalized_mass(q, p), generalized_force(q, v, p))
 
 
-def oracle_system(q: GenCoords, v: GenVel, p: Params) -> AugmentedSystem:
-    """Augmented system rebuilt from oracle_lhs and constraint_accel_rows.
+def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Augmented system (M, b) rebuilt from oracle_lhs and constraint_accel_rows.
 
     The acceleration dependence of the finite-difference left side is probed
     column by column (it is linear in qddot), so this shares no closed-form
     dynamics algebra with assemble_system. Used for cross-validation.
     """
     A, resid = constraint_accel_rows(q, v, p)
-    base = oracle_lhs(q, v, GenAccel(0.0, 0.0, 0.0, 0.0, 0.0), p)
+    base = oracle_lhs(q, v, np.zeros(5), p)
     columns = np.empty((5, 5))
     for j, probe in enumerate(np.eye(5)):
-        columns[:, j] = oracle_lhs(q, v, GenAccel.from_array(probe), p) - base
+        columns[:, j] = oracle_lhs(q, v, probe, p) - base
     return _augmented(A, resid, columns, -base)
 
 
-def _solve_checked(system: AugmentedSystem, theta: float) -> tuple[Multipliers, GenAccel]:
-    """Dense solve, unpacked. Callers check the cos(theta) band first; an exactly
+def _solve_checked(system: tuple[np.ndarray, np.ndarray], theta: float) -> np.ndarray:
+    """Dense solve. Callers check the cos(theta) band first; an exactly
     singular M (the oracle's can be one next to the band) still raises."""
     try:
-        x = np.linalg.solve(system.M, system.b)
+        return np.linalg.solve(*system)
     except np.linalg.LinAlgError as err:
         raise SingularConfiguration(theta) from err
-    return Multipliers(float(x[0]), float(x[1])), GenAccel.from_array(x[2:7])
 
 
-def solve_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAccel]:
-    """Multipliers and generalized accelerations from the augmented system.
+def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
+    """Contact multipliers and generalized accelerations from the augmented system.
 
     Parameters
     ----------
@@ -267,8 +242,9 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAc
 
     Returns
     -------
-    (Multipliers, GenAccel)
-        Contact reactions and accelerations in the frozen ordering.
+    ndarray, shape (7,)
+        (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi), the frozen
+        ordering of the unknowns.
 
     Raises
     ------
@@ -279,7 +255,7 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAc
     return _solve_checked(assemble_system(q, v, p), q.theta)
 
 
-def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[Multipliers, GenAccel]:
+def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Like solve_system but on the finite-difference-assembled system."""
     checked_cos_theta(q.theta)
     return _solve_checked(oracle_system(q, v, p), q.theta)

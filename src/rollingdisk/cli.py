@@ -140,6 +140,11 @@ def _load_config_file(path: str) -> ScenarioConfig:
         raise UsageError(f"config file {path}: {err}") from err
 
 
+def _given(ns, names) -> dict:
+    """The options among names that the command line set, by name."""
+    return {k: v for k in names if (v := getattr(ns, k)) is not None}
+
+
 def parse_args(argv) -> RunConfig:
     """Turn argv into a validated RunConfig or raise UsageError."""
     ns = _build_parser().parse_args(argv)
@@ -149,31 +154,23 @@ def parse_args(argv) -> RunConfig:
     if ns.mode == "validate":
         if ns.samples < 1:
             raise UsageError("--samples must be at least 1")
-        params = Params()
-        overrides = {k: v for k in ("m", "g", "r") if (v := getattr(ns, k)) is not None}
-        if overrides:
-            try:
-                params = replace(params, **overrides)
-            except ValueError as err:
-                raise UsageError(str(err)) from err
+        try:
+            params = replace(Params(), **_given(ns, ("m", "g", "r")))
+        except ValueError as err:
+            raise UsageError(str(err)) from err
         return RunConfig(mode="validate", samples=ns.samples, seed=ns.seed, params=params)
 
     if (ns.scenario is None) == (ns.config is None):
         raise UsageError("simulate needs exactly one of --scenario or --config")
     scenario = scenario_preset(ns.scenario) if ns.scenario else _load_config_file(ns.config)
 
+    # All overrides in one replace, so only the final configuration is validated.
+    changes = _given(ns, ("dt", "t_end"))
+    if ns.x0 is not None:
+        changes["x0"] = State.from_iterable(ns.x0)
     try:
-        overrides = {k: v for k in ("m", "g", "r") if (v := getattr(ns, k)) is not None}
-        if overrides:
-            scenario = replace(scenario, params=replace(scenario.params, **overrides))
-        if ns.x0 is not None:
-            if not all(math.isfinite(v) for v in ns.x0):
-                raise UsageError("--x0 components must be finite")
-            scenario = replace(scenario, x0=State.from_iterable(ns.x0))
-        if ns.dt is not None:
-            scenario = replace(scenario, dt=ns.dt)
-        if ns.t_end is not None:
-            scenario = replace(scenario, t_end=ns.t_end)
+        params = replace(scenario.params, **_given(ns, ("m", "g", "r")))
+        scenario = replace(scenario, params=params, **changes)
     except ValueError as err:
         raise UsageError(str(err)) from err
 

@@ -16,22 +16,10 @@ work on any velocity satisfying A qdot = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .energetics import GenCoords, GenVel, Params
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """Constraint reaction strengths (lambda1, lambda2) for the two contact rows."""
-
-    lambda1: float
-    lambda2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lambda1, self.lambda2])
 
 
 def constraint_matrix(q: GenCoords, p: Params) -> np.ndarray:
@@ -66,9 +54,10 @@ def consistent_velocity(
 
 def constraint_residual(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Slip velocity A(q) v of the contact point, shape (2,). Zero when rolling."""
-    return constraint_matrix(q, p) @ v.as_array()
+    return constraint_matrix(q, p) @ np.array(v)
 
 
-def constraint_forces(q: GenCoords, lam: Multipliers, p: Params) -> np.ndarray:
-    """Generalized constraint force A(q)^T lambda, shape (5,)."""
-    return constraint_matrix(q, p).T @ lam.as_array()
+def constraint_forces(q: GenCoords, lam, p: Params) -> np.ndarray:
+    """Generalized constraint force A(q)^T lambda, shape (5,), for the
+    reaction strengths lam = (lambda1, lambda2) of the two contact rows."""
+    return constraint_matrix(q, p).T @ np.array(lam)

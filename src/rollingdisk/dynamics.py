@@ -12,7 +12,8 @@ together with the reconstructed center rates from the contact conditions.
 The center accelerations have a closed form as well, and the center rows of
 the constrained equations give the contact reactions as lambda = m * ddc; both
 are kept here so the elimination can be checked against the direct linear
-solve.
+solve: closed_form_solution returns all seven unknowns in the order of
+assembly.solve_system.
 
 Every division by cos(theta) (tan included) goes through one shared guard,
 so the flat-disk band raises SingularConfiguration instead of overflowing.
@@ -21,15 +22,16 @@ so the flat-disk band raises SingularConfiguration instead of overflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .constraints import Multipliers, consistent_velocity
+import numpy as np
+
+from .constraints import consistent_velocity
 from .energetics import GenCoords, Params
 from .singularity import checked_cos_theta
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Reduced simulation state: positions, angles, and angle rates.
 
     The center rates (dc1, dc2) are not part of the state; the rolling
@@ -52,24 +54,14 @@ class State:
         return (self.dphi, self.dtheta, self.dpsi)
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.c1,
-            self.c2,
-            self.phi,
-            self.theta,
-            self.psi,
-            self.dphi,
-            self.dtheta,
-            self.dpsi,
-        )
+        return tuple(self)
 
     @classmethod
     def from_iterable(cls, values) -> "State":
         return cls(*(float(x) for x in values))
 
 
-@dataclass(frozen=True)
-class StateDeriv:
+class StateDeriv(NamedTuple):
     """Time derivative of State, same field order."""
 
     dc1: float
@@ -80,18 +72,6 @@ class StateDeriv:
     ddphi: float
     ddtheta: float
     ddpsi: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.dc1,
-            self.dc2,
-            self.dphi,
-            self.dtheta,
-            self.dpsi,
-            self.ddphi,
-            self.ddtheta,
-            self.ddpsi,
-        )
 
 
 def closed_form_accels(
@@ -139,17 +119,15 @@ def closed_form_center_accels(
 
 def closed_form_solution(
     q: GenCoords, rates: tuple[float, float, float], p: Params
-) -> tuple[Multipliers, tuple[float, float, float, float, float]]:
+) -> np.ndarray:
     """All seven eliminated unknowns, ordered like the linear solve.
 
-    Returns (Multipliers, (ddc1, ddc2, ddphi, ddtheta, ddpsi)). The center
-    rows of the constrained equations read m * ddc = lambda, which gives the
-    reactions.
+    Returns (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi) as a
+    length-7 array. The center rows of the constrained equations read
+    m * ddc = lambda, which gives the reactions.
     """
     ddc1, ddc2 = closed_form_center_accels(q, rates, p)
-    lam = Multipliers(p.m * ddc1, p.m * ddc2)
-    ddphi, ddtheta, ddpsi = closed_form_accels(q, rates, p)
-    return lam, (ddc1, ddc2, ddphi, ddtheta, ddpsi)
+    return np.array([p.m * ddc1, p.m * ddc2, ddc1, ddc2, *closed_form_accels(q, rates, p)])
 
 
 def state_derivative(x: State, p: Params) -> StateDeriv:

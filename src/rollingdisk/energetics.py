@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,7 @@ class Params:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GenCoords:
+class GenCoords(NamedTuple):
     """Generalized coordinates (c1, c2, phi, theta, psi)."""
 
     c1: float
@@ -59,16 +59,8 @@ class GenCoords:
     def angles(self) -> EulerAngles:
         return EulerAngles(self.phi, self.theta, self.psi)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.phi, self.theta, self.psi])
 
-    @classmethod
-    def from_array(cls, a) -> "GenCoords":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]), float(a[4]))
-
-
-@dataclass(frozen=True)
-class GenVel:
+class GenVel(NamedTuple):
     """Generalized velocities (dc1, dc2, dphi, dtheta, dpsi)."""
 
     dc1: float
@@ -79,13 +71,6 @@ class GenVel:
 
     def angular_rates(self) -> tuple[float, float, float]:
         return (self.dphi, self.dtheta, self.dpsi)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dc1, self.dc2, self.dphi, self.dtheta, self.dpsi])
-
-    @classmethod
-    def from_array(cls, a) -> "GenVel":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]), float(a[4]))
 
 
 def center_position(q: GenCoords, p: Params) -> np.ndarray:

@@ -22,13 +22,12 @@ the rotation vector
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """Attitude angles in radians: spin phi, stand theta, heading psi."""
 
     phi: float

@@ -45,17 +45,25 @@ class ScenarioConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ValueError(f"x0 components must be finite, got {tuple(self.x0)!r}")
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt!r} exceeds t_end={self.t_end!r}")
+        # The run takes n_steps() steps of dt and no partial one, so it would
+        # silently stop short of (or beyond) a horizon that is not a multiple.
+        if abs(self.n_steps() * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}"
+            )
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)
@@ -115,9 +123,7 @@ class Summary:
 
 
 def _shift(x: State, scale: float, k) -> State:
-    return State.from_iterable(
-        xi + scale * ki for xi, ki in zip(x.as_tuple(), k.as_tuple())
-    )
+    return State.from_iterable(xi + scale * ki for xi, ki in zip(x, k))
 
 
 def step_rk4(x: State, dt: float, p: Params) -> State:
@@ -131,10 +137,7 @@ def step_rk4(x: State, dt: float, p: Params) -> State:
     k4 = state_derivative(_shift(x, dt, k3), p)
     sixth = dt / 6.0
     return State.from_iterable(
-        xi + sixth * (a + 2.0 * (b + c) + d)
-        for xi, a, b, c, d in zip(
-            x.as_tuple(), k1.as_tuple(), k2.as_tuple(), k3.as_tuple(), k4.as_tuple()
-        )
+        xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
     )
 
 
@@ -146,12 +149,34 @@ def step_euler(x: State, dt: float, p: Params) -> State:
 _STEPPERS = {"rk4": step_rk4, "euler": step_euler}
 
 
-def _sample(t: float, x: State, p: Params) -> TrajectorySample:
-    q = x.coords()
-    v = consistent_velocity(q, x.rates(), p)
+def _sample(t: float, y, split, p: Params) -> TrajectorySample:
+    """Total energy and contact slip at one time; split(y, p) gives (State, q, v)."""
+    state, q, v = split(y, p)
     energy = kinetic_energy(q, v, p) + potential_energy(q, p)
     residual = float(np.max(np.abs(constraint_residual(q, v, p))))
-    return TrajectorySample(t, x, energy, residual)
+    return TrajectorySample(t, state, energy, residual)
+
+
+def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
+    """Step y with advance(y, dt, p) and sample every step. A step that hits
+    the flat-disk band ends the run; the partial trajectory carries the time
+    of the failed step in failure_time."""
+    p, dt = cfg.params, cfg.dt
+    samples = [_sample(0.0, y, split, p)]
+    failure_time = None
+    for i in range(cfg.n_steps()):
+        try:
+            y = advance(y, dt, p)
+        except SingularConfiguration:
+            failure_time = i * dt
+            break
+        samples.append(_sample((i + 1) * dt, y, split, p))
+    return Trajectory(scenario, p, dt, cfg.integrator, tuple(samples), failure_time)
+
+
+def _split_reduced(x: State, p: Params):
+    q = x.coords()
+    return x, q, consistent_velocity(q, x.rates(), p)
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:
@@ -161,45 +186,26 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     flat-disk band, integration stops and the partial trajectory carries the
     time of the failed step in failure_time.
     """
-    step = _STEPPERS[cfg.integrator]
-    p = cfg.params
-    x = cfg.x0
-    samples = [_sample(0.0, x, p)]
-    failure_time = None
-    for i in range(cfg.n_steps()):
-        try:
-            x = step(x, cfg.dt, p)
-        except SingularConfiguration:
-            failure_time = i * cfg.dt
-            break
-        samples.append(_sample((i + 1) * cfg.dt, x, p))
-    return Trajectory(
-        scenario=cfg.name,
-        params=p,
-        dt=cfg.dt,
-        integrator=cfg.integrator,
-        samples=tuple(samples),
-        failure_time=failure_time,
-    )
+    return _run(cfg, cfg.name, cfg.x0, _STEPPERS[cfg.integrator], _split_reduced)
 
 
 def _deriv_10dim(y: np.ndarray, p: Params) -> np.ndarray:
-    q = GenCoords(y[0], y[1], y[2], y[3], y[4])
-    v = GenVel(y[5], y[6], y[7], y[8], y[9])
-    _, acc = solve_system(q, v, p)
     out = np.empty(10)
     out[0:5] = y[5:10]
-    out[5:10] = acc.as_array()
+    out[5:10] = solve_system(GenCoords(*y[0:5]), GenVel(*y[5:10]), p)[2:7]
     return out
 
 
-def _sample_10dim(t: float, y: np.ndarray, p: Params) -> TrajectorySample:
-    q = GenCoords(y[0], y[1], y[2], y[3], y[4])
-    v = GenVel(y[5], y[6], y[7], y[8], y[9])
-    state = State(y[0], y[1], y[2], y[3], y[4], y[7], y[8], y[9])
-    energy = kinetic_energy(q, v, p) + potential_energy(q, p)
-    residual = float(np.max(np.abs(constraint_residual(q, v, p))))
-    return TrajectorySample(t, state, energy, residual)
+def _step_10dim(y: np.ndarray, dt: float, p: Params) -> np.ndarray:
+    k1 = _deriv_10dim(y, p)
+    k2 = _deriv_10dim(y + 0.5 * dt * k1, p)
+    k3 = _deriv_10dim(y + 0.5 * dt * k2, p)
+    k4 = _deriv_10dim(y + dt * k3, p)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _split_10dim(y: np.ndarray, p: Params):
+    return State(*y[0:5], *y[7:10]), GenCoords(*y[0:5]), GenVel(*y[5:10])
 
 
 def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
@@ -212,34 +218,9 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     """
     if cfg.integrator != "rk4":
         raise ValueError("the unreduced route is only run with the rk4 stepper")
-    p = cfg.params
     q0 = cfg.x0.coords()
-    v0 = consistent_velocity(q0, cfg.x0.rates(), p)
-    y = np.empty(10)
-    y[0:5] = q0.as_array()
-    y[5:10] = v0.as_array()
-    samples = [_sample_10dim(0.0, y, p)]
-    failure_time = None
-    dt = cfg.dt
-    for i in range(cfg.n_steps()):
-        try:
-            k1 = _deriv_10dim(y, p)
-            k2 = _deriv_10dim(y + 0.5 * dt * k1, p)
-            k3 = _deriv_10dim(y + 0.5 * dt * k2, p)
-            k4 = _deriv_10dim(y + dt * k3, p)
-        except SingularConfiguration:
-            failure_time = i * dt
-            break
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        samples.append(_sample_10dim((i + 1) * dt, y, p))
-    return Trajectory(
-        scenario=cfg.name + "-10dim",
-        params=p,
-        dt=dt,
-        integrator=cfg.integrator,
-        samples=tuple(samples),
-        failure_time=failure_time,
-    )
+    y0 = np.array([*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params)])
+    return _run(cfg, cfg.name + "-10dim", y0, _step_10dim, _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

@@ -46,18 +46,15 @@ def max_rel_diff(a, b) -> float:
 
 def closed_form_seven(q: GenCoords, rates, p: Params) -> np.ndarray:
     """Closed-form (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi)."""
-    lam, acc = dynamics.closed_form_solution(q, rates, p)
-    return np.array([lam.lambda1, lam.lambda2, *acc])
+    return dynamics.closed_form_solution(q, rates, p)
 
 
 def solve_seven(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    lam, acc = assembly.solve_system(q, v, p)
-    return np.concatenate([lam.as_array(), acc.as_array()])
+    return assembly.solve_system(q, v, p)
 
 
 def oracle_seven(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    lam, acc = assembly.solve_oracle_system(q, v, p)
-    return np.concatenate([lam.as_array(), acc.as_array()])
+    return assembly.solve_oracle_system(q, v, p)
 
 
 @dataclass(frozen=True)

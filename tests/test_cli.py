@@ -149,6 +149,25 @@ def test_config_flag_overrides_file(tmp_path):
     assert float(lines[2].split(",")[0]) == pytest.approx(0.05, abs=1e-12)
 
 
+def test_overrides_are_validated_together(tmp_path):
+    # --dt 0.5 alone exceeds the file's t_end 0.1; with --t-end 1.0 the pair is valid.
+    config = {
+        "m": 5.0,
+        "g": 9.81,
+        "r": 1.0,
+        "x0": [0.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0],
+        "t_end": 0.1,
+        "dt": 0.01,
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "c.csv"
+    argv = ["simulate", "--config", str(path), "--dt", "0.5", "--t-end", "1.0", "--out", str(out)]
+    assert main(argv) == 0
+    # 2 steps of 0.5: rows at indices 0 and 2
+    assert [float(ln.split(",")[0]) for ln in out.read_text().splitlines()[1:]] == [0.0, 1.0]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -157,6 +176,10 @@ def test_config_flag_overrides_file(tmp_path):
         lambda c: c.update(x0=[1.0, 2.0]),
         lambda c: c.update(m=-1.0),
         lambda c: c.update(dt=0.0),
+        # json reads NaN; the run would write an all-NaN CSV
+        lambda c: c.update(x0=[2.0, 0.0, 0.0, float("nan"), 0.0, 2.5, 0.0, 0.0]),
+        # 1.0 is no whole number of 0.3 s steps; the run would stop at t=0.9
+        lambda c: c.update(t_end=1.0, dt=0.3),
     ],
 )
 def test_config_file_errors(tmp_path, mutate):
@@ -171,7 +194,9 @@ def test_config_file_errors(tmp_path, mutate):
     mutate(config)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(path)]) == 1
+    out = tmp_path / "bad.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_config_file_not_json(tmp_path):

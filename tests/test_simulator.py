@@ -77,6 +77,10 @@ class TestScenarioConfig:
             ScenarioConfig("bad", P, x0, t_end=1.0, dt=2.0)
         with pytest.raises(ValueError):
             ScenarioConfig("bad", P, x0, t_end=1.0, dt=1e-3, integrator="rk45")
+        with pytest.raises(ValueError, match="whole number of steps"):
+            ScenarioConfig("bad", P, x0, t_end=1.0, dt=0.3)
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig("bad", P, x0._replace(theta=math.nan), t_end=1.0, dt=1e-3)
 
     def test_presets_carry_standard_constants(self):
         for name in PRESET_NAMES:
@@ -151,6 +155,14 @@ class TestIntegrate10Dim:
         cfg = replace(scenario_preset("precession"), t_end=0.5)
         traj = integrate_10dim(cfg)
         assert max(s.residual for s in traj.samples) < 1e-9
+
+    def test_singular_start_returns_partial_trajectory(self):
+        x0 = State(0.0, 0.0, 0.0, math.pi / 2 - 1e-9, 0.0, 1.0, 1.0, 1.0)
+        traj = integrate_10dim(ScenarioConfig("doomed", P, x0, t_end=1.0, dt=1e-3))
+        assert traj.scenario == "doomed-10dim"
+        assert traj.failed
+        assert traj.failure_time == 0.0
+        assert len(traj.samples) == 1
 
     def test_rejects_euler(self):
         cfg = replace(scenario_preset("precession"), t_end=0.1, integrator="euler")
