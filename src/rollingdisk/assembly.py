@@ -47,14 +47,12 @@ def generalized_mass(q: GenCoords, p: Params) -> np.ndarray:
     st = math.sin(q.theta)
     mr2 = m * r * r
     return np.array(
-        [
-            [m, 0.0, 0.0, 0.0, 0.0],
-            [0.0, m, 0.0, 0.0, 0.0],
-            [0.0, 0.0, mr2 / 2.0, 0.0, -mr2 * st / 2.0],
-            [0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0],
-            [0.0, 0.0, -mr2 * st / 2.0, 0.0, mr2 * (st * st + 1.0) / 4.0],
-        ]
-    )
+        [m, 0.0, 0.0, 0.0, 0.0,
+         0.0, m, 0.0, 0.0, 0.0,
+         0.0, 0.0, mr2 / 2.0, 0.0, -mr2 * st / 2.0,
+         0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0,
+         0.0, 0.0, -mr2 * st / 2.0, 0.0, mr2 * (st * st + 1.0) / 4.0]
+    ).reshape(5, 5)
 
 
 def generalized_force(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:

@@ -28,11 +28,9 @@ def constraint_matrix(q: GenCoords, p: Params) -> np.ndarray:
     st, ct = math.sin(q.theta), math.cos(q.theta)
     r = p.r
     return np.array(
-        [
-            [1.0, 0.0, -r * sp, -r * cp * ct, r * sp * st],
-            [0.0, 1.0, r * cp, -r * sp * ct, -r * cp * st],
-        ]
-    )
+        [1.0, 0.0, -r * sp, -r * cp * ct, r * sp * st,
+         0.0, 1.0, r * cp, -r * sp * ct, -r * cp * st]
+    ).reshape(2, 5)
 
 
 def consistent_velocity(
@@ -54,6 +52,7 @@ def consistent_velocity(
 
 def constraint_residual(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Slip velocity A(q) v of the contact point, shape (2,). Zero when rolling."""
+    # Keep numpy's product: scalar sums round differently, and residuals sit at rounding.
     return constraint_matrix(q, p) @ np.array(v)
 
 

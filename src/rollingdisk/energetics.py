@@ -23,6 +23,7 @@ and expanding E_kin - E_pot gives the closed-form Lagrangian
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,10 +84,13 @@ def center_velocity(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     return np.array([v.dc1, v.dc2, -p.r * math.sin(q.theta) * v.dtheta])
 
 
+@functools.lru_cache(maxsize=32)
 def inertia_matrix(p: Params) -> np.ndarray:
-    """Principal body inertia diag(m r^2/2, m r^2/4, m r^2/4), axial moment first."""
+    """Principal body inertia diag(m r^2/2, m r^2/4, m r^2/4), axial first; shared, read-only."""
     mr2 = p.m * p.r * p.r
-    return np.diag([mr2 / 2.0, mr2 / 4.0, mr2 / 4.0])
+    inertia = np.diag([mr2 / 2.0, mr2 / 4.0, mr2 / 4.0])
+    inertia.flags.writeable = False
+    return inertia
 
 
 def potential_energy(q: GenCoords, p: Params) -> float:
@@ -102,9 +106,9 @@ def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
     definitional on purpose: it cross-checks the closed-form lagrangian.
     """
     w = rotation_vector(q.angles(), v.angular_rates())
-    inertia = inertia_matrix(p)
     dc = center_velocity(q, v, p)
-    return 0.5 * float(w @ inertia @ w) + 0.5 * p.m * float(dc @ dc)
+    # Keep numpy's products: scalar sums round differently, so energies would move.
+    return 0.5 * float(w @ inertia_matrix(p) @ w) + 0.5 * p.m * float(dc @ dc)
 
 
 def lagrangian(q: GenCoords, v: GenVel, p: Params) -> float:

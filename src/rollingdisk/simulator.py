@@ -12,6 +12,10 @@ integrates the center rates as unknowns, obtaining accelerations from the
 augmented linear solve; comparing the two routes measures how far the
 unreduced formulation drifts off the constraint surface.
 
+Both routes share one RK4 step, _rk4, on plain Python floats: a State on the
+reduced route, a list (coordinates, then generalized velocities) on the
+unreduced one; numpy stays inside the kernels and out of the samples.
+
 A trajectory records per-step diagnostics (total energy with reconstructed
 center rates, contact slip residual). On a singular configuration the partial
 trajectory is returned with the failure time set instead of raising.
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +59,8 @@ class ScenarioConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.dt > self.t_end:
             raise ValueError(f"dt={self.dt!r} exceeds t_end={self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end={self.t_end!r} / dt={self.dt!r} overflows the step count")
         # The run takes n_steps() steps of dt and no partial one, so it would
         # silently stop short of (or beyond) a horizon that is not a multiple.
         if abs(self.n_steps() * self.dt - self.t_end) > 1e-9 * self.t_end:
@@ -66,8 +74,7 @@ class ScenarioConfig:
         return round(self.t_end / self.dt)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     """State plus diagnostics at one time: total energy, contact slip norm."""
 
     t: float
@@ -122,28 +129,24 @@ class Summary:
     failure_time: float | None
 
 
-def _shift(x: State, scale: float, k) -> State:
-    return State.from_iterable(xi + scale * ki for xi, ki in zip(x, k))
+def _rk4(f, x, dt: float, p: Params, make):
+    """One classical Runge-Kutta step of f(x, p); make builds a state from its
+    components. Propagates SingularConfiguration from any of the four stages."""
+    k1 = f(x, p)
+    k2 = f(make(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)), p)
+    k3 = f(make(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)), p)
+    k4 = f(make(xi + dt * ki for xi, ki in zip(x, k3)), p)
+    return make(xi + dt / 6 * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
 
 
 def step_rk4(x: State, dt: float, p: Params) -> State:
-    """One classical Runge-Kutta step of size dt.
-
-    Propagates SingularConfiguration from any of the four stage evaluations.
-    """
-    k1 = state_derivative(x, p)
-    k2 = state_derivative(_shift(x, 0.5 * dt, k1), p)
-    k3 = state_derivative(_shift(x, 0.5 * dt, k2), p)
-    k4 = state_derivative(_shift(x, dt, k3), p)
-    sixth = dt / 6.0
-    return State.from_iterable(
-        xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    )
+    """One classical Runge-Kutta step of size dt on the reduced state."""
+    return _rk4(state_derivative, x, dt, p, State._make)
 
 
 def step_euler(x: State, dt: float, p: Params) -> State:
     """One forward Euler step. First-order; for convergence contrast only."""
-    return _shift(x, dt, state_derivative(x, p))
+    return State._make(xi + dt * ki for xi, ki in zip(x, state_derivative(x, p)))
 
 
 _STEPPERS = {"rk4": step_rk4, "euler": step_euler}
@@ -153,7 +156,7 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     """Total energy and contact slip at one time; split(y, p) gives (State, q, v)."""
     state, q, v = split(y, p)
     energy = kinetic_energy(q, v, p) + potential_energy(q, p)
-    residual = float(np.max(np.abs(constraint_residual(q, v, p))))
+    residual = float(abs(constraint_residual(q, v, p)).max())
     return TrajectorySample(t, state, energy, residual)
 
 
@@ -189,23 +192,13 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     return _run(cfg, cfg.name, cfg.x0, _STEPPERS[cfg.integrator], _split_reduced)
 
 
-def _deriv_10dim(y: np.ndarray, p: Params) -> np.ndarray:
-    out = np.empty(10)
-    out[0:5] = y[5:10]
-    out[5:10] = solve_system(GenCoords(*y[0:5]), GenVel(*y[5:10]), p)[2:7]
-    return out
+def _deriv_10dim(y: list, p: Params) -> list:
+    accels = solve_system(GenCoords._make(y[0:5]), GenVel._make(y[5:10]), p)[2:7]
+    return y[5:10] + accels.tolist()
 
 
-def _step_10dim(y: np.ndarray, dt: float, p: Params) -> np.ndarray:
-    k1 = _deriv_10dim(y, p)
-    k2 = _deriv_10dim(y + 0.5 * dt * k1, p)
-    k3 = _deriv_10dim(y + 0.5 * dt * k2, p)
-    k4 = _deriv_10dim(y + dt * k3, p)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _split_10dim(y: np.ndarray, p: Params):
-    return State(*y[0:5], *y[7:10]), GenCoords(*y[0:5]), GenVel(*y[5:10])
+def _split_10dim(y: list, p: Params):
+    return State._make(y[0:5] + y[7:10]), GenCoords._make(y[0:5]), GenVel._make(y[5:10])
 
 
 def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
@@ -219,8 +212,8 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     if cfg.integrator != "rk4":
         raise ValueError("the unreduced route is only run with the rk4 stepper")
     q0 = cfg.x0.coords()
-    y0 = np.array([*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params)])
-    return _run(cfg, cfg.name + "-10dim", y0, _step_10dim, _split_10dim)
+    y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
+    return _run(cfg, cfg.name + "-10dim", y0, partial(_rk4, _deriv_10dim, make=list), _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

@@ -226,6 +226,23 @@ def test_x0_override_and_singular_abort(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err.lower()
 
 
+def test_x0_takes_negative_numbers_in_exponent_form(tmp_path):
+    out = tmp_path / "spin.csv"
+    x0 = ["2", "0", "0", "0", "0", "0", "-1e-05", "1"]
+    argv = ["simulate", "--scenario", "spin", "--x0", *x0, "--t-end", "0.01", "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_text().splitlines()[1].split(",")
+    assert float(first[CSV_COLUMNS.index("dtheta")]) == -1e-05
+
+
+def test_overflowing_step_count_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "spin.csv"
+    argv = ["simulate", "--scenario", "spin", "--t-end", "1e300", "--dt", "1e-300", "--out", str(out)]
+    assert main(argv) == 1
+    assert "overflows the step count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emit_plot_writes_script(tmp_path):
     out = tmp_path / "circle.csv"
     code = main(

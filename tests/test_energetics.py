@@ -53,6 +53,9 @@ def test_center_velocity_vertical_component():
 def test_inertia_matrix_values():
     assert np.array_equal(inertia_matrix(P), np.diag([2.5, 1.25, 1.25]))
     assert np.array_equal(inertia_matrix(Params(m=1.0, g=9.81, r=2.0)), np.diag([2.0, 1.0, 1.0]))
+    # Shared between calls with equal Params, so it must not be writable.
+    with pytest.raises(ValueError):
+        inertia_matrix(P)[0, 0] = 1.0
 
 
 def test_potential_energy_values():

@@ -170,6 +170,14 @@ class TestIntegrate10Dim:
             integrate_10dim(cfg)
 
 
+@pytest.mark.parametrize("route", [integrate, integrate_10dim])
+def test_samples_hold_plain_floats(route):
+    traj = route(replace(scenario_preset("precession"), t_end=0.1))
+    assert len(traj.samples) == 101
+    for s in traj.samples:
+        assert all(type(v) is float for v in (*s.state, s.energy, s.residual)), s
+
+
 def test_summary_of_single_sample_trajectory():
     sample = TrajectorySample(0.0, UPRIGHT_REST, 49.05, 0.0)
     traj = Trajectory("frozen", P, 1e-3, "rk4", (sample,))
