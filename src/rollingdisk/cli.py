@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios to CSV, cross-validate the algebra.
 
 Exit codes: 0 success, 1 usage problem, 2 run aborted on a singular
-configuration, 3 validation sweep over threshold.
+configuration, 3 validation sweep over threshold, 4 run aborted on a
+non-finite state (a rate or an energy that overflowed).
 
 CSV output is deterministic byte for byte for a given configuration: fixed
 column order, every float at 17 significant digits, no locale involvement.
@@ -11,6 +12,7 @@ Plot emission writes a gnuplot script next to the CSV, never image files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -21,9 +23,11 @@ from pathlib import Path
 from . import validation
 from .dynamics import State
 from .energetics import Params, center_position
-from .kinematics import euler_rotation
+from .kinematics import EulerAngles, euler_rotation
 from .simulator import (
+    NON_FINITE,
     PRESET_NAMES,
+    SINGULAR,
     ScenarioConfig,
     Trajectory,
     diagnostics_summary,
@@ -50,6 +54,9 @@ CSV_COLUMNS = (
 EMIT_EVERY = 10
 
 CONFIG_KEYS = ("m", "g", "r", "x0", "t_end", "dt")
+
+# Exit code of a simulate run that stopped early, by Trajectory.failure_reason.
+ABORT_EXIT_CODES = {SINGULAR: 2, NON_FINITE: 4}
 
 
 class UsageError(Exception):
@@ -79,7 +86,9 @@ class RunConfig:
     params: Params = Params()
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once: parse_args keeps its results in a fresh namespace, not the parser.
     parser = _Parser(prog="rollingdisk", description="Rolling-disk dynamics simulator")
     sub = parser.add_subparsers(dest="mode", metavar="{simulate,validate}")
 
@@ -228,7 +237,7 @@ def _disk_outline(x0: State, p: Params, n_points: int = 64):
     """Top-view projection of the rim at the initial state."""
     q = x0.coords()
     center = center_position(q, p)
-    rot = euler_rotation(q.angles())
+    rot = euler_rotation(EulerAngles(*q[2:5]))
     points = []
     for k in range(n_points + 1):
         u = 2.0 * math.pi * k / n_points
@@ -260,7 +269,7 @@ def write_plot_script(path: str, csv_name: str, traj: Trajectory) -> None:
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    """Integrate, write artifacts, report; exit 2 on a singular abort."""
+    """Integrate, write artifacts, report; exit 2 or 4 on an early stop."""
     traj = integrate(cfg.scenario)
     n_rows = write_csv(cfg.out, traj)
     summary = diagnostics_summary(traj)
@@ -286,11 +295,11 @@ def run_simulate(cfg: RunConfig) -> int:
     print(wrote)
     if traj.failed:
         print(
-            f"run aborted: singular configuration at t={traj.failure_time:g} s; "
+            f"run aborted: {traj.failure_reason} at t={traj.failure_time:g} s; "
             "partial trajectory written",
             file=sys.stderr,
         )
-        return 2
+        return ABORT_EXIT_CODES[traj.failure_reason]
     return 0
 
 

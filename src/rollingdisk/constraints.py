@@ -24,8 +24,8 @@ from .energetics import GenCoords, GenVel, Params
 
 def constraint_matrix(q: GenCoords, p: Params) -> np.ndarray:
     """Velocity constraint matrix A(q), shape (2, 5), identity block on (dc1, dc2)."""
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
-    st, ct = math.sin(q.theta), math.cos(q.theta)
+    sp, cp = math.sin(q[4]), math.cos(q[4])
+    st, ct = math.sin(q[3]), math.cos(q[3])
     r = p.r
     return np.array(
         [1.0, 0.0, -r * sp, -r * cp * ct, r * sp * st,
@@ -42,18 +42,18 @@ def consistent_velocity(
     satisfying A(q) qdot = 0.
     """
     dphi, dtheta, dpsi = rates
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
-    st, ct = math.sin(q.theta), math.cos(q.theta)
     r = p.r
-    dc1 = r * sp * dphi + r * cp * ct * dtheta - r * sp * st * dpsi
-    dc2 = -r * cp * dphi + r * sp * ct * dtheta + r * cp * st * dpsi
-    return GenVel(dc1, dc2, dphi, dtheta, dpsi)
+    rsp, rcp = r * math.sin(q[4]), r * math.cos(q[4])
+    st, ct = math.sin(q[3]), math.cos(q[3])
+    dc1 = rsp * dphi + rcp * ct * dtheta - rsp * st * dpsi
+    dc2 = -rcp * dphi + rsp * ct * dtheta + rcp * st * dpsi
+    return tuple.__new__(GenVel, (dc1, dc2, dphi, dtheta, dpsi))  # skips GenVel's Python __new__
 
 
 def constraint_residual(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Slip velocity A(q) v of the contact point, shape (2,). Zero when rolling."""
-    # Keep numpy's product: scalar sums round differently, and residuals sit at rounding.
-    return constraint_matrix(q, p) @ np.array(v)
+    # numpy's gemv, not a scalar sum (it rounds differently); .dot and a plain v[:] cost less.
+    return constraint_matrix(q, p).dot(np.array(v[:]))
 
 
 def constraint_forces(q: GenCoords, lam, p: Params) -> np.ndarray:

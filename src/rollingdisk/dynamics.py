@@ -28,7 +28,7 @@ import numpy as np
 
 from .constraints import consistent_velocity
 from .energetics import GenCoords, Params
-from .singularity import checked_cos_theta
+from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
 
 
 class State(NamedTuple):
@@ -82,8 +82,10 @@ def closed_form_accels(
     Raises SingularConfiguration when the disk is numerically horizontal.
     """
     dphi, dtheta, dpsi = rates
-    ct = checked_cos_theta(q.theta)
-    st = math.sin(q.theta)
+    ct = math.cos(q[3])
+    if abs(ct) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
+        raise SingularConfiguration(q[3])
+    st = math.sin(q[3])
     ddpsi = 2.0 * dphi * dtheta / ct
     ddphi = 2.0 * dphi * dtheta * (st / ct) + (5.0 / 3.0) * dtheta * dpsi * ct
     ddtheta = (
@@ -133,14 +135,14 @@ def closed_form_solution(
 def state_derivative(x: State, p: Params) -> StateDeriv:
     """Right-hand side of the reduced 8-dimensional state equation.
 
+    x is a State or any sequence of its eight numbers in the same order.
     Center rates come from the rolling contact, angle accelerations from the
     closed forms. Raises SingularConfiguration in the flat-disk band.
     """
-    q = x.coords()
-    rates = x.rates()
-    ddphi, ddtheta, ddpsi = closed_form_accels(q, rates, p)
+    q, rates = x[:5], x[5:]
+    accels = closed_form_accels(q, rates, p)
     v = consistent_velocity(q, rates, p)
-    return StateDeriv(v.dc1, v.dc2, x.dphi, x.dtheta, x.dpsi, ddphi, ddtheta, ddpsi)
+    return tuple.__new__(StateDeriv, (v[0], v[1], *rates, *accels))
 
 
 def circular_spin(theta: float, dpsi: float, p: Params) -> float:

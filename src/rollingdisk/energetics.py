@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import EulerAngles, rotation_vector
+from .kinematics import rotation_vector
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,6 @@ class GenCoords(NamedTuple):
     theta: float
     psi: float
 
-    def angles(self) -> EulerAngles:
-        return EulerAngles(self.phi, self.theta, self.psi)
-
 
 class GenVel(NamedTuple):
     """Generalized velocities (dc1, dc2, dphi, dtheta, dpsi)."""
@@ -81,7 +78,7 @@ def center_position(q: GenCoords, p: Params) -> np.ndarray:
 
 def center_velocity(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Velocity of the disk center; the vertical part is -r sin(theta) dtheta."""
-    return np.array([v.dc1, v.dc2, -p.r * math.sin(q.theta) * v.dtheta])
+    return np.array([v[0], v[1], -p.r * math.sin(q[3]) * v[3]])
 
 
 @functools.lru_cache(maxsize=32)
@@ -95,7 +92,7 @@ def inertia_matrix(p: Params) -> np.ndarray:
 
 def potential_energy(q: GenCoords, p: Params) -> float:
     """Gravitational energy m g r cos(theta), zero level at the plane."""
-    return p.m * p.g * p.r * math.cos(q.theta)
+    return p.m * p.g * p.r * math.cos(q[3])
 
 
 def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
@@ -105,10 +102,10 @@ def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
     rotation_vector and the center velocity from center_velocity. Kept
     definitional on purpose: it cross-checks the closed-form lagrangian.
     """
-    w = rotation_vector(q.angles(), v.angular_rates())
+    w = rotation_vector(q[2:5], v[2:5])
     dc = center_velocity(q, v, p)
-    # Keep numpy's products: scalar sums round differently, so energies would move.
-    return 0.5 * float(w @ inertia_matrix(p) @ w) + 0.5 * p.m * float(dc @ dc)
+    # numpy's products, not scalar sums (they round differently); .dot costs less than @.
+    return 0.5 * float(w.dot(inertia_matrix(p)).dot(w)) + 0.5 * p.m * float(dc.dot(dc))
 
 
 def lagrangian(q: GenCoords, v: GenVel, p: Params) -> float:

@@ -83,7 +83,7 @@ def rotation_vector(angles: EulerAngles, rates: tuple[float, float, float]) -> n
 
     Parameters
     ----------
-    angles : EulerAngles
+    angles : EulerAngles or any (phi, theta, psi) sequence
     rates : tuple of float
         (dphi, dtheta, dpsi), time derivatives of the angles.
 
@@ -93,8 +93,8 @@ def rotation_vector(angles: EulerAngles, rates: tuple[float, float, float]) -> n
         Angular velocity omega expressed in body axes.
     """
     dphi, dtheta, dpsi = rates
-    sf, cf = math.sin(angles.phi), math.cos(angles.phi)
-    st, ct = math.sin(angles.theta), math.cos(angles.theta)
+    sf, cf = math.sin(angles[0]), math.cos(angles[0])
+    st, ct = math.sin(angles[1]), math.cos(angles[1])
     return np.array(
         [
             dphi - dpsi * st,

@@ -12,13 +12,16 @@ integrates the center rates as unknowns, obtaining accelerations from the
 augmented linear solve; comparing the two routes measures how far the
 unreduced formulation drifts off the constraint surface.
 
-Both routes share one RK4 step, _rk4, on plain Python floats: a State on the
-reduced route, a list (coordinates, then generalized velocities) on the
-unreduced one; numpy stays inside the kernels and out of the samples.
+Both routes share one RK4 step, _rk4, on plain Python floats. Each step
+starts from and returns a State on the reduced route, a list (coordinates,
+then generalized velocities) on the unreduced one; the three inner stages are
+plain lists on both, so the derivative functions read their arguments by
+index. numpy stays inside the kernels and out of the samples.
 
 A trajectory records per-step diagnostics (total energy with reconstructed
-center rates, contact slip residual). On a singular configuration the partial
-trajectory is returned with the failure time set instead of raising.
+center rates, contact slip residual). On a singular configuration, or a step
+that leaves a non-finite state, the partial trajectory is returned with the
+failure time and reason set instead of raising.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ from .assembly import solve_system
 from .singularity import SingularConfiguration
 
 PRESET_NAMES = ("precession", "circle", "straight", "spin")
+
+# Why a run stopped early, as Trajectory.failure_reason records it.
+SINGULAR = "singular configuration"
+NON_FINITE = "non-finite state"
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,8 @@ class TrajectorySample(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Immutable result of a run. failure_time is None iff the run completed."""
+    """Immutable result of a run. failure_time is None iff the run completed;
+    failure_reason is then None too, else SINGULAR or NON_FINITE."""
 
     scenario: str
     params: Params
@@ -93,6 +101,7 @@ class Trajectory:
     integrator: str
     samples: tuple[TrajectorySample, ...]
     failure_time: float | None = None
+    failure_reason: str | None = None
 
     @property
     def failed(self) -> bool:
@@ -130,13 +139,14 @@ class Summary:
 
 
 def _rk4(f, x, dt: float, p: Params, make):
-    """One classical Runge-Kutta step of f(x, p); make builds a state from its
-    components. Propagates SingularConfiguration from any of the four stages."""
+    """One classical Runge-Kutta step of f(x, p) through plain-list stages; make
+    builds the result. Propagates SingularConfiguration from any stage."""
+    half, sixth = 0.5 * dt, dt / 6  # same bits: 0.5 * dt * k is (0.5 * dt) * k
     k1 = f(x, p)
-    k2 = f(make(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)), p)
-    k3 = f(make(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)), p)
-    k4 = f(make(xi + dt * ki for xi, ki in zip(x, k3)), p)
-    return make(xi + dt / 6 * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
+    k2 = f([xi + half * ki for xi, ki in zip(x, k1)], p)
+    k3 = f([xi + half * ki for xi, ki in zip(x, k2)], p)
+    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)], p)
+    return make([xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
 
 
 def step_rk4(x: State, dt: float, p: Params) -> State:
@@ -146,7 +156,7 @@ def step_rk4(x: State, dt: float, p: Params) -> State:
 
 def step_euler(x: State, dt: float, p: Params) -> State:
     """One forward Euler step. First-order; for convergence contrast only."""
-    return State._make(xi + dt * ki for xi, ki in zip(x, state_derivative(x, p)))
+    return State._make([xi + dt * ki for xi, ki in zip(x, state_derivative(x, p))])
 
 
 _STEPPERS = {"rk4": step_rk4, "euler": step_euler}
@@ -156,30 +166,39 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     """Total energy and contact slip at one time; split(y, p) gives (State, q, v)."""
     state, q, v = split(y, p)
     energy = kinetic_energy(q, v, p) + potential_energy(q, p)
-    residual = float(abs(constraint_residual(q, v, p)).max())
-    return TrajectorySample(t, state, energy, residual)
+    r1, r2 = constraint_residual(q, v, p).tolist()
+    return tuple.__new__(TrajectorySample, (t, state, energy, max(abs(r1), abs(r2))))
 
 
 def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
     """Step y with advance(y, dt, p) and sample every step. A step that hits
-    the flat-disk band ends the run; the partial trajectory carries the time
-    of the failed step in failure_time."""
+    the flat-disk band, or whose state, energy or residual is not finite, ends
+    the run; the partial trajectory carries the time of the failed step and
+    the reason."""
     p, dt = cfg.params, cfg.dt
     samples = [_sample(0.0, y, split, p)]
-    failure_time = None
+    failure_time = reason = None
     for i in range(cfg.n_steps()):
         try:
             y = advance(y, dt, p)
-        except SingularConfiguration:
+            sample = _sample((i + 1) * dt, y, split, p)
+            if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
+                reason = NON_FINITE
+        except SingularConfiguration as err:
+            # The 7x7 solve also fails on a NaN stand angle, which is no flat disk.
+            reason = SINGULAR if math.isfinite(err.theta) else NON_FINITE
+        except ValueError:  # math.sin/cos of an infinite angle
+            reason = NON_FINITE
+        if reason is not None:
             failure_time = i * dt
             break
-        samples.append(_sample((i + 1) * dt, y, split, p))
-    return Trajectory(scenario, p, dt, cfg.integrator, tuple(samples), failure_time)
+        samples.append(sample)
+    return Trajectory(scenario, p, dt, cfg.integrator, tuple(samples), failure_time, reason)
 
 
 def _split_reduced(x: State, p: Params):
-    q = x.coords()
-    return x, q, consistent_velocity(q, x.rates(), p)
+    q = x[:5]
+    return x, q, consistent_velocity(q, x[5:], p)
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:

@@ -11,6 +11,7 @@ import pytest
 import rollingdisk.dynamics
 from rollingdisk import cli
 from rollingdisk.cli import CSV_COLUMNS, UsageError, main, parse_args
+from rollingdisk.simulator import scenario_preset
 
 
 def test_parse_simulate_preset():
@@ -224,6 +225,28 @@ def test_x0_override_and_singular_abort(tmp_path, capsys):
     assert len(lines) == 2
     assert float(lines[1].split(",")[5]) == 1.5707963
     assert "singular" in capsys.readouterr().err.lower()
+
+
+def test_overflowing_rates_exit_4_with_partial_csv(tmp_path, capsys):
+    out = tmp_path / "huge.csv"
+    x0 = ["2", "0", "0", "0.1", "0", "0", "0", "1e100"]
+    argv = ["simulate", "--scenario", "spin", "--x0", *x0, "--t-end", "0.002", "--out", str(out)]
+    assert main(argv) == 4
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert float(lines[1].split(",")[CSV_COLUMNS.index("dpsi")]) == 1e100
+    assert "run aborted: non-finite state at t=0 s" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_options():
+    x0 = ["1", "2", "0", "0.1", "0", "0", "0", "3"]
+    plain = parse_args(["simulate", "--scenario", "spin"])
+    given = parse_args(["simulate", "--scenario", "spin", "--x0", *x0])
+    again = parse_args(["simulate", "--scenario", "spin"])
+    preset = scenario_preset("spin").x0
+    assert plain.scenario.x0 == again.scenario.x0 == preset
+    assert given.scenario.x0 == tuple(float(v) for v in x0)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_x0_takes_negative_numbers_in_exponent_form(tmp_path):

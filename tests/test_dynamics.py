@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ def random_state(rng) -> State:
         rng.uniform(-math.pi, math.pi),
         *rng.uniform(-3.0, 3.0, 3),
     )
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
 
 
 def total_energy(x: State, p: Params) -> float:
@@ -108,6 +113,18 @@ class TestStateDerivative:
             x = State(0, 0, 0, theta, 0, 1.0, 1.0, 1.0)
             with pytest.raises(SingularConfiguration):
                 state_derivative(x, P)
+
+    def test_plain_sequences_give_the_same_bits(self):
+        # The inner RK4 stages are plain lists, not State/GenCoords.
+        rng = np.random.default_rng(68)
+        for _ in range(50):
+            x = random_state(rng)
+            q, rates = x.coords(), x.rates()
+            for seq in (tuple(x), list(x)):
+                assert bits(state_derivative(seq, P)) == bits(state_derivative(x, P))
+            for qs, rs in ((tuple(q), tuple(rates)), (list(q), list(rates))):
+                assert bits(closed_form_accels(qs, rs, P)) == bits(closed_form_accels(q, rates, P))
+                assert bits(consistent_velocity(qs, rs, P)) == bits(consistent_velocity(q, rates, P))
 
     def test_energy_is_flat_along_the_field(self):
         # directional derivative of the total energy along the state equation

@@ -1,13 +1,16 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rollingdisk.dynamics import State
+from rollingdisk.dynamics import State, state_derivative
 from rollingdisk.energetics import Params
 from rollingdisk.simulator import (
+    NON_FINITE,
     PRESET_NAMES,
+    SINGULAR,
     ScenarioConfig,
     Trajectory,
     TrajectorySample,
@@ -53,6 +56,28 @@ class TestSteppers:
 
         ratio = defect(1e-3) / defect(5e-4)
         assert 2.0 <= ratio <= 50.0, f"step-halving defect ratio {ratio:.2f}"
+
+    @pytest.mark.parametrize("x0", [
+        scenario_preset("precession").x0,
+        scenario_preset("circle").x0,
+        State(0.5, -1.0, 0.3, 1.2, -0.7, 1.5, 0.4, -0.8),
+    ])
+    def test_rk4_matches_textbook_rk4_bitwise(self, x0):
+        # Textbook RK4 with State stages; no numpy on this path, so any BLAS agrees.
+        def textbook(x, dt):
+            k1 = state_derivative(x, P)
+            k2 = state_derivative(State._make(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)), P)
+            k3 = state_derivative(State._make(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)), P)
+            k4 = state_derivative(State._make(xi + dt * ki for xi, ki in zip(x, k3)), P)
+            return State._make(
+                xi + dt / 6 * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+            )
+
+        x = y = x0
+        for _ in range(50):
+            x, y = step_rk4(x, 1e-3, P), textbook(y, 1e-3)
+            assert type(x) is State
+            assert struct.pack("8d", *x) == struct.pack("8d", *y)
 
     def test_euler_is_first_order(self):
         cfg = replace(scenario_preset("precession"), t_end=0.5)
@@ -129,6 +154,7 @@ class TestIntegrate:
         assert summary.max_energy_drift < 1e-9
         assert summary.max_residual < 1e-12
         assert summary.failure_time is None
+        assert traj.failure_reason is None
         assert summary.n_samples == len(traj.samples)
 
     def test_singular_start_returns_partial_trajectory(self):
@@ -137,6 +163,7 @@ class TestIntegrate:
         traj = integrate(cfg)
         assert traj.failed
         assert traj.failure_time == 0.0
+        assert traj.failure_reason == SINGULAR
         assert len(traj.samples) == 1
         summary = diagnostics_summary(traj)
         assert summary.failure_time == 0.0
@@ -162,6 +189,7 @@ class TestIntegrate10Dim:
         assert traj.scenario == "doomed-10dim"
         assert traj.failed
         assert traj.failure_time == 0.0
+        assert traj.failure_reason == SINGULAR
         assert len(traj.samples) == 1
 
     def test_rejects_euler(self):
@@ -176,6 +204,22 @@ def test_samples_hold_plain_floats(route):
     assert len(traj.samples) == 101
     for s in traj.samples:
         assert all(type(v) is float for v in (*s.state, s.energy, s.residual)), s
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("route", [integrate, integrate_10dim])
+@pytest.mark.parametrize("rates", [
+    (0.0, 0.0, 1e100),  # a stage overflows to an infinite angle
+    (0.0, 1e200, 0.0),  # the energy overflows
+    (1e160, 0.0, 1e160),
+])
+def test_overflowing_rates_stop_with_non_finite_state(route, rates):
+    x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, *rates)
+    traj = route(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
+    assert traj.failed
+    assert traj.failure_reason == NON_FINITE
+    assert traj.failure_time == 0.0
+    assert [s.state for s in traj.samples] == [x0]
 
 
 def test_summary_of_single_sample_trajectory():
