@@ -12,15 +12,17 @@ which close the system at acceleration level. Collecting the seven unknowns
 
 yields a linear system M(q) x = b(q, qdot). Row and unknown ordering is
 frozen: rows are (contact-1, contact-2, c1, c2, phi, theta, psi) and the two
-multipliers lead the unknowns. assemble_system and oracle_system return the
-pair (M, b); solve_system and solve_oracle_system return x itself, a length-7
-array in exactly this order, as does dynamics.closed_form_solution. Every
-consumer relies on this layout; do not reorder.
+multipliers lead the unknowns. One function, _augmented, lays out (M, b) from
+flat sequences of entries for both assemble_system and oracle_system;
+solve_system and solve_oracle_system return x itself, a length-7 array in
+exactly this order, as does dynamics.closed_form_solution. Do not reorder.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into generalized_mass G and generalized_force f, so M depends on configuration
-only and every velocity term lives in b. det M = (15/32) m^3 r^6 cos^2(theta),
-so the cos(theta) band of the singularity guard is the exact rank test.
+only and every velocity term lives in b. Each entry is written once, in a
+helper returning plain floats; assemble_system builds M and b from those in
+one numpy call each. det M = (15/32) m^3 r^6 cos^2(theta), so the cos(theta)
+band of the singularity guard is the exact rank test.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely by finite
 differences of the scalar lagrangian, sharing no algebra with the closed
@@ -33,9 +35,38 @@ import math
 
 import numpy as np
 
-from .constraints import constraint_matrix
+from .constraints import _constraint_entries, constraint_matrix
 from .energetics import GenCoords, GenVel, Params, lagrangian
-from .singularity import SingularConfiguration, checked_cos_theta
+from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
+
+
+def _mass_entries(p: Params, st: float) -> tuple:
+    """The 25 entries of G(q), row by row, from sin(theta)."""
+    m, mr2 = p.m, p.m * p.r * p.r
+    coupling = -mr2 * st / 2.0
+    return (m, 0.0, 0.0, 0.0, 0.0,
+            0.0, m, 0.0, 0.0, 0.0,
+            0.0, 0.0, mr2 / 2.0, 0.0, coupling,
+            0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0,
+            0.0, 0.0, coupling, 0.0, mr2 * (st * st + 1.0) / 4.0)
+
+
+def _force_entries(p: Params, st: float, ct: float, s2t: float, v) -> tuple:
+    """The 5 entries of f(q, qdot) from sin, cos and sin(2 theta) and the rates in v."""
+    m, g, r = p.m, p.g, p.r
+    dphi, dtheta, dpsi = v[2], v[3], v[4]
+    mr2 = m * r * r
+    stand_rates = 4.0 * dtheta * dtheta * s2t + 4.0 * dphi * dpsi * ct - dpsi * dpsi * s2t
+    return (0.0, 0.0, mr2 * dtheta * dpsi * ct / 2.0, m * g * r * st - mr2 * stand_rates / 8.0,
+            mr2 * (dphi - dpsi * st) * dtheta * ct / 2.0)
+
+
+def _drift_entries(r: float, st: float, ct: float, sp: float, cp: float, v) -> tuple:
+    """The 2 entries of the contact drift (dA/dq qdot) qdot."""
+    dphi, dtheta, dpsi = v[2], v[3], v[4]
+    sq_rates = dtheta * dtheta + dpsi * dpsi
+    return (r * (-cp * dphi * dpsi + 2.0 * sp * ct * dtheta * dpsi + cp * st * sq_rates),
+            r * (-sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates))
 
 
 def generalized_mass(q: GenCoords, p: Params) -> np.ndarray:
@@ -43,16 +74,7 @@ def generalized_mass(q: GenCoords, p: Params) -> np.ndarray:
 
     Rows and columns ordered (c1, c2, phi, theta, psi); configuration only.
     """
-    m, r = p.m, p.r
-    st = math.sin(q.theta)
-    mr2 = m * r * r
-    return np.array(
-        [m, 0.0, 0.0, 0.0, 0.0,
-         0.0, m, 0.0, 0.0, 0.0,
-         0.0, 0.0, mr2 / 2.0, 0.0, -mr2 * st / 2.0,
-         0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0,
-         0.0, 0.0, -mr2 * st / 2.0, 0.0, mr2 * (st * st + 1.0) / 4.0]
-    ).reshape(5, 5)
+    return np.array(_mass_entries(p, math.sin(q[3]))).reshape(5, 5)
 
 
 def generalized_force(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
@@ -61,21 +83,8 @@ def generalized_force(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     The Euler-Lagrange left side is G(q) qddot - f(q, qdot), so f collects
     the gravity torque and the terms quadratic in the rates.
     """
-    m, g, r = p.m, p.g, p.r
-    st, ct = math.sin(q.theta), math.cos(q.theta)
-    s2t = math.sin(2.0 * q.theta)
-    dphi, dtheta, dpsi = v.dphi, v.dtheta, v.dpsi
-    mr2 = m * r * r
-    stand_rates = 4.0 * dtheta * dtheta * s2t + 4.0 * dphi * dpsi * ct - dpsi * dpsi * s2t
-    return np.array(
-        [
-            0.0,
-            0.0,
-            mr2 * dtheta * dpsi * ct / 2.0,
-            m * g * r * st - mr2 * stand_rates / 8.0,
-            mr2 * (dphi - dpsi * st) * dtheta * ct / 2.0,
-        ]
-    )
+    theta = q[3]
+    return np.array(_force_entries(p, math.sin(theta), math.cos(theta), math.sin(2.0 * theta), v))
 
 
 def euler_lagrange_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
@@ -174,36 +183,40 @@ def constraint_accel_rows(
     Differentiating A(q) qdot = 0 in time gives A(q) qddot + resid = 0 with
     resid = (dA/dq qdot) qdot. Returns (A, resid), shapes (2, 5) and (2,).
     """
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
-    st, ct = math.sin(q.theta), math.cos(q.theta)
-    r = p.r
-    dphi, dtheta, dpsi = v.dphi, v.dtheta, v.dpsi
-    sq_rates = dtheta * dtheta + dpsi * dpsi
-    resid = np.array(
-        [
-            r * (-cp * dphi * dpsi + 2.0 * sp * ct * dtheta * dpsi + cp * st * sq_rates),
-            r * (-sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates),
-        ]
-    )
-    return constraint_matrix(q, p), resid
+    theta, psi = q[3], q[4]
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
+    return constraint_matrix(q, p), np.array(_drift_entries(p.r, st, ct, sp, cp, v))
 
 
-def _augmented(
-    A: np.ndarray, resid: np.ndarray, mass: np.ndarray, force: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lay out the contact rows A qddot = -resid and the motion rows
-    mass qddot - A^T lambda = force in the frozen ordering; returns (M, b)."""
-    M = np.zeros((7, 7))
-    M[0:2, 2:7] = A
-    M[2:7, 0:2] = -A.T
-    M[2:7, 2:7] = mass
-    return M, np.concatenate([-resid, force])
+def _augmented(a, drift, mass, force) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out the contact rows A qddot = -drift and the motion rows
+    mass qddot - A^T lambda = force in the frozen ordering; returns (M, b).
+    a (2 x 5) and mass (5 x 5) come flat, row by row."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = a
+    M = np.array((
+        0.0, 0.0, a0, a1, a2, a3, a4,
+        0.0, 0.0, a5, a6, a7, a8, a9,
+        -a0, -a5, *mass[0:5],
+        -a1, -a6, *mass[5:10],
+        -a2, -a7, *mass[10:15],
+        -a3, -a8, *mass[15:20],
+        -a4, -a9, *mass[20:25],
+    ))
+    return M.reshape(7, 7), np.array((-drift[0], -drift[1], *force))
 
 
 def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form augmented system (M, b) from generalized_mass and generalized_force."""
-    A, resid = constraint_accel_rows(q, v, p)
-    return _augmented(A, resid, generalized_mass(q, p), generalized_force(q, v, p))
+    """Closed-form augmented system (M, b): the entries of generalized_mass,
+    generalized_force and constraint_accel_rows, with each sine and cosine
+    taken once."""
+    theta, psi = q[3], q[4]
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
+    return _augmented(
+        _constraint_entries(p.r, st, ct, sp, cp),
+        _drift_entries(p.r, st, ct, sp, cp, v),
+        _mass_entries(p, st),
+        _force_entries(p, st, ct, math.sin(2.0 * theta), v),
+    )
 
 
 def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -218,15 +231,18 @@ def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.nd
     columns = np.empty((5, 5))
     for j, probe in enumerate(np.eye(5)):
         columns[:, j] = oracle_lhs(q, v, probe, p) - base
-    return _augmented(A, resid, columns, -base)
+    return _augmented(A.ravel(), resid, columns.ravel(), -base)
 
 
 def _solve_checked(system: tuple[np.ndarray, np.ndarray], theta: float) -> np.ndarray:
     """Dense solve. Callers check the cos(theta) band first; an exactly
-    singular M (the oracle's can be one next to the band) still raises."""
+    singular M (the oracle's can be one next to the band) still raises
+    SingularConfiguration, and a system holding inf or NaN raises ValueError."""
     try:
         return np.linalg.solve(*system)
     except np.linalg.LinAlgError as err:
+        if not all(np.isfinite(part).all() for part in system):
+            raise ValueError(f"non-finite augmented system at theta={theta!r}") from err
         raise SingularConfiguration(theta) from err
 
 
@@ -235,7 +251,7 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
 
     Parameters
     ----------
-    q, v : GenCoords, GenVel
+    q, v : GenCoords, GenVel, or sequences of the same five numbers each
     p : Params
 
     Returns
@@ -248,12 +264,16 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     ------
     SingularConfiguration
         When the disk is numerically horizontal, the only place M is singular.
+    ValueError
+        When the system holds inf or NaN and the solve fails on it.
     """
-    checked_cos_theta(q.theta)
-    return _solve_checked(assemble_system(q, v, p), q.theta)
+    theta = q[3]
+    if abs(math.cos(theta)) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
+        raise SingularConfiguration(theta)
+    return _solve_checked(assemble_system(q, v, p), theta)
 
 
 def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Like solve_system but on the finite-difference-assembled system."""
-    checked_cos_theta(q.theta)
-    return _solve_checked(oracle_system(q, v, p), q.theta)
+    checked_cos_theta(q[3])
+    return _solve_checked(oracle_system(q, v, p), q[3])

@@ -22,15 +22,16 @@ import numpy as np
 from .energetics import GenCoords, GenVel, Params
 
 
+def _constraint_entries(r: float, st: float, ct: float, sp: float, cp: float) -> tuple:
+    """The ten entries of A(q), row by row, from r and sin, cos of theta and psi."""
+    return (1.0, 0.0, -r * sp, -r * cp * ct, r * sp * st,
+            0.0, 1.0, r * cp, -r * sp * ct, -r * cp * st)
+
+
 def constraint_matrix(q: GenCoords, p: Params) -> np.ndarray:
     """Velocity constraint matrix A(q), shape (2, 5), identity block on (dc1, dc2)."""
-    sp, cp = math.sin(q[4]), math.cos(q[4])
-    st, ct = math.sin(q[3]), math.cos(q[3])
-    r = p.r
-    return np.array(
-        [1.0, 0.0, -r * sp, -r * cp * ct, r * sp * st,
-         0.0, 1.0, r * cp, -r * sp * ct, -r * cp * st]
-    ).reshape(2, 5)
+    entries = _constraint_entries(p.r, math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]))
+    return np.array(entries).reshape(2, 5)
 
 
 def consistent_velocity(

@@ -16,7 +16,8 @@ Both routes share one RK4 step, _rk4, on plain Python floats. Each step
 starts from and returns a State on the reduced route, a list (coordinates,
 then generalized velocities) on the unreduced one; the three inner stages are
 plain lists on both, so the derivative functions read their arguments by
-index. numpy stays inside the kernels and out of the samples.
+index, and the unreduced route passes list slices straight into solve_system.
+numpy stays inside the kernels and out of the samples.
 
 A trajectory records per-step diagnostics (total energy with reconstructed
 center rates, contact slip residual). On a singular configuration, or a step
@@ -35,7 +36,7 @@ import numpy as np
 
 from .constraints import consistent_velocity, constraint_residual
 from .dynamics import State, circular_spin, state_derivative
-from .energetics import GenCoords, GenVel, Params, kinetic_energy, potential_energy
+from .energetics import Params, kinetic_energy, potential_energy
 from .assembly import solve_system
 from .singularity import SingularConfiguration
 
@@ -184,10 +185,9 @@ def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
             sample = _sample((i + 1) * dt, y, split, p)
             if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
                 reason = NON_FINITE
-        except SingularConfiguration as err:
-            # The 7x7 solve also fails on a NaN stand angle, which is no flat disk.
-            reason = SINGULAR if math.isfinite(err.theta) else NON_FINITE
-        except ValueError:  # math.sin/cos of an infinite angle
+        except SingularConfiguration:
+            reason = SINGULAR
+        except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
             reason = NON_FINITE
         if reason is not None:
             failure_time = i * dt
@@ -212,12 +212,11 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
 
 
 def _deriv_10dim(y: list, p: Params) -> list:
-    accels = solve_system(GenCoords._make(y[0:5]), GenVel._make(y[5:10]), p)[2:7]
-    return y[5:10] + accels.tolist()
+    return y[5:10] + solve_system(y[0:5], y[5:10], p)[2:7].tolist()
 
 
 def _split_10dim(y: list, p: Params):
-    return State._make(y[0:5] + y[7:10]), GenCoords._make(y[0:5]), GenVel._make(y[5:10])
+    return State._make(y[0:5] + y[7:10]), y[0:5], y[5:10]
 
 
 def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:

@@ -7,8 +7,10 @@ from rollingdisk.assembly import (
     assemble_system,
     constraint_accel_rows,
     euler_lagrange_lhs,
+    generalized_force,
     generalized_mass,
     oracle_lhs,
+    oracle_system,
     solve_oracle_system,
     solve_system,
 )
@@ -300,3 +302,52 @@ def test_oracle_assembled_system_agrees_with_direct_solve():
         rebuilt = solve_oracle_system(q, v, P)
         worst = max(worst, max_rel_diff(rebuilt, direct))
     assert worst < 1e-5, f"fd-assembled vs closed-form system: {worst:.3e}"
+
+
+def test_non_finite_system_raises_value_error_not_singular():
+    # A NaN stand angle is no flat disk: the failed solve reports the NaN.
+    q = GenCoords(0, 0, 0, math.nan, 0)
+    for solve in (solve_system, solve_oracle_system):
+        with pytest.raises(ValueError, match="non-finite") as info:
+            solve(q, GenVel(0, 0, 1, 0, 0), P)
+        assert not isinstance(info.value, SingularConfiguration)
+
+
+def test_assembled_system_is_the_frozen_block_layout():
+    # Byte equality, signed zeros included, against the documented blocks,
+    # on random states with theta of both signs and two just outside the band.
+    rng = np.random.default_rng(53)
+    states = [sample_state(rng) for _ in range(200)]
+    for sign, (q, v) in zip((1.0, -1.0), states[-2:]):
+        states.append((GenCoords(q.c1, q.c2, q.phi, sign * math.acos(5e-6), q.psi), v))
+    assert min(q.theta for q, _ in states) < 0.0 < max(q.theta for q, _ in states)
+    for q, v in states:
+        A, resid = constraint_accel_rows(q, v, P)
+        want_M = np.zeros((7, 7))
+        want_M[0:2, 2:7] = A
+        want_M[2:7, 0:2] = -A.T
+        want_M[2:7, 2:7] = generalized_mass(q, P)
+        want_b = np.concatenate([-resid, generalized_force(q, v, P)])
+        M, b = assemble_system(q, v, P)
+        assert M.shape == (7, 7) and b.shape == (7,)
+        assert M.tobytes() == want_M.tobytes()
+        assert b.tobytes() == want_b.tobytes()
+        oracle_M, oracle_b = oracle_system(q, v, P)
+        assert oracle_M[0:2].tobytes() == M[0:2].tobytes()
+        assert oracle_M[2:7, 0:2].tobytes() == M[2:7, 0:2].tobytes()
+        assert oracle_b[0:2].tobytes() == b[0:2].tobytes()
+
+
+def test_plain_sequences_give_the_same_bits():
+    # The unreduced route hands solve_system list slices, not GenCoords/GenVel.
+    rng = np.random.default_rng(54)
+    for _ in range(50):
+        q, v = sample_state(rng)
+        qs, vs = list(q), list(v)
+        assert solve_system(qs, vs, P).tobytes() == solve_system(q, v, P).tobytes()
+        assert solve_oracle_system(qs, vs, P).tobytes() == solve_oracle_system(q, v, P).tobytes()
+        for got, want in zip(assemble_system(qs, vs, P), assemble_system(q, v, P)):
+            assert got.tobytes() == want.tobytes()
+        assert generalized_mass(qs, P).tobytes() == generalized_mass(q, P).tobytes()
+        assert generalized_force(qs, vs, P).tobytes() == generalized_force(q, v, P).tobytes()
+        assert constraint_matrix(qs, P).tobytes() == constraint_matrix(q, P).tobytes()

@@ -203,6 +203,7 @@ def test_samples_hold_plain_floats(route):
     traj = route(replace(scenario_preset("precession"), t_end=0.1))
     assert len(traj.samples) == 101
     for s in traj.samples:
+        assert type(s.state) is State
         assert all(type(v) is float for v in (*s.state, s.energy, s.residual)), s
 
 
