@@ -24,6 +24,16 @@ helper returning plain floats; assemble_system builds M and b from those in
 one numpy call each. det M = (15/32) m^3 r^6 cos^2(theta), so the cos(theta)
 band of the singularity guard is the exact rank test.
 
+solve_system hands (M, b) straight to LAPACK's gesv through the gufunc that
+np.linalg.solve itself runs, _umath_linalg.solve1, and so gets the same bits
+without the wrapper's argument conversion and errstate. The direct call is
+made only where M is known to be regular in floating point: finite theta and
+psi, and m and r within [1e-50, 1e50]. M depends on nothing else, its LU
+pivots scale like m r^2 cos^2(theta) / 4, and outside the band that stays
+far above the underflow threshold, so LAPACK meets no zero pivot, raises no
+floating-point flag and numpy emits no warning. Every other system, and any
+non-finite result, goes through np.linalg.solve with its checks.
+
 oracle_lhs recomputes the Euler-Lagrange left side purely by finite
 differences of the scalar lagrangian, sharing no algebra with the closed
 form, and exists to cross-check it.
@@ -34,10 +44,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .constraints import _constraint_entries, constraint_matrix
 from .energetics import GenCoords, GenVel, Params, lagrangian
 from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
+
+# The LAPACK gesv gufunc behind np.linalg.solve for a (n, n) matrix and a (n,) vector.
+_gesv = _umath_linalg.solve1
+# Range of m and r in which M, outside the cos(theta) band, has its smallest
+# LU pivot above 2e-163 and its largest entry below 2e150.
+_DIRECT_SCALE_MIN, _DIRECT_SCALE_MAX = 1e-50, 1e50
 
 
 def _mass_entries(p: Params, st: float) -> tuple:
@@ -249,6 +266,10 @@ def _solve_checked(system: tuple[np.ndarray, np.ndarray], theta: float) -> np.nd
 def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Contact multipliers and generalized accelerations from the augmented system.
 
+    LAPACK's gesv is called directly where M cannot have a zero pivot (finite
+    theta and psi, m and r in [1e-50, 1e50]; see the module docstring), with
+    the bits np.linalg.solve gives; np.linalg.solve handles everything else.
+
     Parameters
     ----------
     q, v : GenCoords, GenVel, or sequences of the same five numbers each
@@ -270,7 +291,16 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     theta = q[3]
     if abs(math.cos(theta)) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
         raise SingularConfiguration(theta)
-    return _solve_checked(assemble_system(q, v, p), theta)
+    system = assemble_system(q, v, p)
+    if (
+        math.isfinite(theta) and math.isfinite(q[4])
+        and _DIRECT_SCALE_MIN <= p.m <= _DIRECT_SCALE_MAX
+        and _DIRECT_SCALE_MIN <= p.r <= _DIRECT_SCALE_MAX
+    ):
+        x = _gesv(*system, signature="dd->d")
+        if math.isfinite(sum(x.tolist())):  # an overflowing sum only costs the fallback
+            return x
+    return _solve_checked(system, theta)
 
 
 def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line front end: run scenarios to CSV, cross-validate the algebra.
 
 Exit codes: 0 success, 1 usage problem, 2 run aborted on a singular
-configuration, 3 validation sweep over threshold, 4 run aborted on a
-non-finite state (a rate or an energy that overflowed).
+configuration, 3 validation sweep over threshold (an error that is not finite
+reads inf) or parameters at which the model cannot be evaluated (the reason
+in one line on stderr, no traceback), 4 run aborted on a non-finite state (a rate or an
+energy that overflowed).
 
 CSV output is deterministic byte for byte for a given configuration: fixed
 column order, every float at 17 significant digits, no locale involvement.
@@ -20,10 +22,13 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import validation
 from .dynamics import State
 from .energetics import Params, center_position
 from .kinematics import EulerAngles, euler_rotation
+from .singularity import SingularConfiguration
 from .simulator import (
     NON_FINITE,
     PRESET_NAMES,
@@ -31,6 +36,7 @@ from .simulator import (
     ScenarioConfig,
     Trajectory,
     diagnostics_summary,
+    initial_sample,
     integrate,
     scenario_preset,
 )
@@ -269,8 +275,19 @@ def write_plot_script(path: str, csv_name: str, traj: Trajectory) -> None:
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    """Integrate, write artifacts, report; exit 2 or 4 on an early stop."""
-    traj = integrate(cfg.scenario)
+    """Integrate, write artifacts, report; exit 2 or 4 on an early stop.
+
+    Raises UsageError, before the run and without writing, when x0 gives a
+    non-finite energy or contact residual.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        first = initial_sample(cfg.scenario)
+    if not (math.isfinite(first.energy) and math.isfinite(first.residual)):
+        raise UsageError(
+            f"x0 gives initial energy {first.energy:g} and contact residual "
+            f"{first.residual:g}; both must be finite"
+        )
+    traj = integrate(cfg.scenario, first)
     n_rows = write_csv(cfg.out, traj)
     summary = diagnostics_summary(traj)
     wrote = f"wrote {cfg.out} ({n_rows} rows)"
@@ -304,8 +321,21 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_validate(cfg: RunConfig) -> int:
-    """Random-state cross-check sweep; exit 3 when a threshold is exceeded."""
-    report = validation.validation_sweep(cfg.params, cfg.samples, cfg.seed)
+    """Random-state cross-check sweep; exit 3 when an error is over its
+    threshold, or when the model cannot be evaluated at the parameters."""
+    p = cfg.params
+    try:
+        report = validation.validation_sweep(p, cfg.samples, cfg.seed)
+    except (SingularConfiguration, ArithmeticError, ValueError) as err:
+        # Samples keep |cos theta| >= 0.36, so a singular M is no flat disk.
+        reason = (
+            f"the 7x7 system is exactly singular at |cos theta|={abs(err.cos_theta):.3e}, "
+            "far outside the flat band: its entries under- or overflow"
+            if isinstance(err, SingularConfiguration) else f"{type(err).__name__}: {err}"
+        )
+        print(f"validate: cannot evaluate the model at m={p.m:g}, g={p.g:g}, r={p.r:g}: {reason}",
+              file=sys.stderr)
+        return 3
     print(f"validate: {report.n_samples} samples, seed {report.seed}")
     print(
         f"  closed form vs linear solve: max rel err {report.max_err_solve:.3e} "
@@ -330,12 +360,12 @@ def run_validate(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv if argv is not None else sys.argv[1:])
+        if cfg.mode == "simulate":
+            return run_simulate(cfg)
+        return run_validate(cfg)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    if cfg.mode == "simulate":
-        return run_simulate(cfg)
-    return run_validate(cfg)
 
 
 def entry() -> None:

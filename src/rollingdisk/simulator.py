@@ -171,13 +171,13 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     return tuple.__new__(TrajectorySample, (t, state, energy, max(abs(r1), abs(r2))))
 
 
-def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
-    """Step y with advance(y, dt, p) and sample every step. A step that hits
-    the flat-disk band, or whose state, energy or residual is not finite, ends
-    the run; the partial trajectory carries the time of the failed step and
-    the reason."""
+def _run(cfg: ScenarioConfig, scenario: str, y, advance, split, first=None) -> Trajectory:
+    """Step y with advance(y, dt, p) and sample every step, starting from the
+    sample first when given. A step that hits the flat-disk band, or whose
+    state, energy or residual is not finite, ends the run; the partial
+    trajectory carries the time of the failed step and the reason."""
     p, dt = cfg.params, cfg.dt
-    samples = [_sample(0.0, y, split, p)]
+    samples = [_sample(0.0, y, split, p) if first is None else first]
     failure_time = reason = None
     for i in range(cfg.n_steps()):
         try:
@@ -201,14 +201,20 @@ def _split_reduced(x: State, p: Params):
     return x, q, consistent_velocity(q, x[5:], p)
 
 
-def integrate(cfg: ScenarioConfig) -> Trajectory:
+def initial_sample(cfg: ScenarioConfig) -> TrajectorySample:
+    """Energy and contact slip at cfg.x0: the first sample integrate records."""
+    return _sample(0.0, cfg.x0, _split_reduced, cfg.params)
+
+
+def integrate(cfg: ScenarioConfig, first: TrajectorySample | None = None) -> Trajectory:
     """Run the reduced-state simulation described by cfg.
 
     Returns the full trajectory sampled at every step. If a step hits the
     flat-disk band, integration stops and the partial trajectory carries the
-    time of the failed step in failure_time.
+    time of the failed step in failure_time. A caller that has already taken
+    initial_sample(cfg) passes it as first, and it is not computed again.
     """
-    return _run(cfg, cfg.name, cfg.x0, _STEPPERS[cfg.integrator], _split_reduced)
+    return _run(cfg, cfg.name, cfg.x0, _STEPPERS[cfg.integrator], _split_reduced, first)
 
 
 def _deriv_10dim(y: list, p: Params) -> list:

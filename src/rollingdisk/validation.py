@@ -33,14 +33,17 @@ def sample_state(rng: np.random.Generator) -> tuple[GenCoords, GenVel]:
         rng.uniform(-1.2, 1.2),
         rng.uniform(-math.pi, math.pi),
     )
-    v = GenVel(*rng.uniform(-3.0, 3.0, size=5))
+    v = GenVel(*rng.uniform(-3.0, 3.0, size=5).tolist())
     return q, v
 
 
 def max_rel_diff(a, b) -> float:
-    """Normwise relative difference max|a-b| / max(1, max|b|)."""
+    """Normwise relative difference max|a-b| / max(1, max|b|); inf when
+    either side holds inf or NaN, so an unmeasurable error fails every bar."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf
     return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
 
 
@@ -82,7 +85,10 @@ def validation_sweep(p: Params, n_samples: int, seed: int) -> SweepReport:
     Route one: the direct LU solve of the closed-form augmented system.
     Route two: the solve of the system rebuilt from finite differences of
     the Lagrangian. Calls through the dynamics module namespace so a fault
-    injected there is caught.
+    injected there is caught. A route that over- or underflows to inf or NaN
+    has an infinite error. Parameters at which the model cannot be evaluated
+    at all raise: SingularConfiguration when M is exactly singular in
+    floating point, ArithmeticError or ValueError on overflow.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

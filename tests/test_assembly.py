@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from rollingdisk.assembly import (
 )
 from rollingdisk.assembly import _coordinate_gradient, _velocity_gradient
 from rollingdisk.constraints import constraint_matrix
+from rollingdisk.dynamics import State
 from rollingdisk.energetics import GenCoords, GenVel, Params
+from rollingdisk.simulator import NON_FINITE, ScenarioConfig, integrate_10dim
 from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state, solve_seven
 
@@ -276,21 +279,68 @@ class TestSolveSystem:
                 assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-4
 
 
-def test_exactly_singular_solve_reports_measured_cos_theta(monkeypatch):
-    # The oracle's differenced matrix can be exactly singular just outside
-    # the band; the error then reports |cos theta| and the cutoff without
-    # claiming that one lies below the other.
-    def singular(M, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
+def test_exactly_singular_solve_reports_measured_cos_theta():
+    # An M that is exactly singular outside the band (here m r^2 underflows
+    # to zero; the oracle's differenced M can be one next to the band) makes
+    # the error report |cos theta| and the cutoff without claiming that one
+    # lies below the other.
     theta = math.acos(4.722e-6)
-    with pytest.raises(SingularConfiguration) as info:
-        solve_system(GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1), P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularConfiguration) as info:
+            solve_system(GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1), Params(r=1e-170))
     message = str(info.value)
     assert "|cos theta|=4.722e-06" in message
     assert "cutoff 1e-06" in message
     assert "<=" not in message
+
+
+def _direct_solve_states(rng):
+    """(q, v, p) on random states: random (m, r), theta of both signs, the two
+    states at theta = +-acos(5e-6), the heavy small disk and the corners of
+    the range in which the solve calls LAPACK directly."""
+    cases = []
+    for _ in range(2000):
+        q, v = sample_state(rng)
+        m, r = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        cases.append((q, v, Params(m=m, r=r)))
+    q, v = sample_state(rng)
+    for sign in (1.0, -1.0):
+        edge = GenCoords(q.c1, q.c2, q.phi, sign * math.acos(5e-6), q.psi)
+        cases.append((edge, v, P))
+        for p in (Params(m=100.0, r=0.01), *(Params(m=m, r=r) for m in (1e-50, 1e50) for r in (1e-50, 1e50))):
+            cases.append((edge, v, p))
+            cases.append((q, v, p))
+    return cases
+
+
+def test_direct_solve_gives_the_bits_of_numpy_solve():
+    cases = _direct_solve_states(np.random.default_rng(55))
+    assert min(q.theta for q, _, _ in cases) < 0.0 < max(q.theta for q, _, _ in cases)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, v, p in cases:
+            x = solve_system(q, v, p)
+            assert x.tobytes() == np.linalg.solve(*assemble_system(q, v, p)).tobytes(), (q, v, p)
+
+
+def test_failed_solves_raise_without_warnings():
+    # The guard keeps LAPACK away from NaN and singular systems, so the
+    # errors come from the checked solve and no numpy warning precedes them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite") as info:
+            solve_system(GenCoords(0, 0, 0, math.nan, 0), GenVel(0, 0, 1, 0, 0), P)
+        assert not isinstance(info.value, SingularConfiguration)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_system(GenCoords(0, 0, 0, 0.1, math.nan), GenVel(0, 0, 1, 0, 0), P)
+        for p in (Params(r=1e-170), Params(m=1e-200, r=1e-100)):
+            with pytest.raises(SingularConfiguration):
+                solve_system(GenCoords(0, 0, 0, 0.5, 0), GenVel(0, 0, 1, 1, 1), p)
+        x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100)
+        traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
+    assert traj.failure_reason == NON_FINITE == "non-finite state"
+    assert traj.failure_time == 0.0
 
 
 def test_oracle_assembled_system_agrees_with_direct_solve():

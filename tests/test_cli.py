@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,21 @@ def test_overflowing_rates_exit_4_with_partial_csv(tmp_path, capsys):
     assert "run aborted: non-finite state at t=0 s" in capsys.readouterr().err
 
 
+def test_overflowing_initial_energy_is_a_usage_error(tmp_path, capsys):
+    # The rates are finite but the energy at x0 is not: rejected before the
+    # run, with no CSV and no numpy warning.
+    out = tmp_path / "huge.csv"
+    x0 = ["2", "0", "0", "0.1", "0", "1e160", "0", "1e160"]
+    argv = ["simulate", "--scenario", "spin", "--x0", *x0, "--t-end", "0.01", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: x0 gives initial energy inf")
+    assert not out.exists()
+
+
 def test_parser_is_built_once_and_keeps_no_options():
     x0 = ["1", "2", "0", "0.1", "0", "0", "0", "3"]
     plain = parse_args(["simulate", "--scenario", "spin"])
@@ -299,6 +315,34 @@ def test_validate_oracle_has_margin_on_hard_seeds(seed, capsys):
     # 1.03e-5 and 1.55e-5 against its 1e-5 bar.
     assert main(["validate", "--samples", "25", "--seed", seed]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_validate_fails_on_a_non_finite_error(capsys):
+    # g = 1e308 overflows both routes; an error that cannot be measured fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--samples", "3", "--g", "1e308", "--r", "1e10"]) == 3
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "max rel err inf" in captured.out
+    assert "FAIL vs linear solve at q=GenCoords(" in captured.err
+    assert "v=GenVel(" in captured.err
+
+
+@pytest.mark.parametrize("params, reason", [
+    (["--r", "1e-170"], "the 7x7 system is exactly singular at |cos theta|=8.899e-01"),
+    (["--m", "1e-200", "--r", "1e-100"], "exactly singular"),
+    (["--r", "1e200"], "OverflowError"),
+])
+def test_validate_reports_degenerate_parameters_in_one_line(params, reason, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--samples", "3", *params]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("validate: cannot evaluate the model at m=")
+    assert reason in err
+    assert "horizontal" not in err
 
 
 def test_cli_imports_without_scipy():
