@@ -12,17 +12,23 @@ which close the system at acceleration level. Collecting the seven unknowns
 
 yields a linear system M(q) x = b(q, qdot). Row and unknown ordering is
 frozen: rows are (contact-1, contact-2, c1, c2, phi, theta, psi) and the two
-multipliers lead the unknowns. One function, _augmented, lays out (M, b) from
-flat sequences of entries for both assemble_system and oracle_system;
-solve_system and solve_oracle_system return x itself, a length-7 array in
-exactly this order, as does dynamics.closed_form_solution. Do not reorder.
+multipliers lead the unknowns. One table, _LAYOUT, holds the flat position in
+M of every entry of A, of -A^T and of G; _augmented writes all of them for
+oracle_system. solve_system and solve_oracle_system return x itself, a
+length-7 array in exactly this order, as does dynamics.closed_form_solution.
+Do not reorder.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into generalized_mass G and generalized_force f, so M depends on configuration
 only and every velocity term lives in b. Each entry is written once, in a
-helper returning plain floats; assemble_system builds M and b from those in
-one numpy call each. det M = (15/32) m^3 r^6 cos^2(theta), so the cos(theta)
-band of the singularity guard is the exact rank test.
+helper returning plain floats. 30 of M's 49 entries never change: the 2 x 2
+zero block, the identity columns of A and their negation in -A^T, and the
+zeros of G. assemble_system copies them from _TEMPLATE, which _augmented lays
+out once at import, and puts the other 19 into the copy in one call; b is one
+numpy call. Negating A's zeros gives -0.0 at M[2, 1] and M[3, 0], and the
+template keeps those signs, so M keeps its bits. det M =
+(15/32) m^3 r^6 cos^2(theta), so the cos(theta) band of the singularity guard
+is the exact rank test.
 
 solve_system hands (M, b) straight to LAPACK's gesv through the gufunc that
 np.linalg.solve itself runs, _umath_linalg.solve1, and so gets the same bits
@@ -42,6 +48,7 @@ form, and exists to cross-check it.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -55,6 +62,11 @@ _gesv = _umath_linalg.solve1
 # Range of m and r in which M, outside the cos(theta) band, has its smallest
 # LU pivot above 2e-163 and its largest entry below 2e150.
 _DIRECT_SCALE_MIN, _DIRECT_SCALE_MAX = 1e-50, 1e50
+# Flat positions in M of the entries of A (row by row), of the same entries
+# negated in -A^T, and of G (row by row); the 2 x 2 block of zeros is left out.
+_LAYOUT = np.array([7 * (k // 5) + 2 + k % 5 for k in range(10)]
+                   + [7 * (2 + k % 5) + k // 5 for k in range(10)]
+                   + [16 + 7 * (j // 5) + j % 5 for j in range(25)])
 
 
 def _mass_entries(p: Params, st: float) -> tuple:
@@ -209,17 +221,20 @@ def _augmented(a, drift, mass, force) -> tuple[np.ndarray, np.ndarray]:
     """Lay out the contact rows A qddot = -drift and the motion rows
     mass qddot - A^T lambda = force in the frozen ordering; returns (M, b).
     a (2 x 5) and mass (5 x 5) come flat, row by row."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = a
-    M = np.array((
-        0.0, 0.0, a0, a1, a2, a3, a4,
-        0.0, 0.0, a5, a6, a7, a8, a9,
-        -a0, -a5, *mass[0:5],
-        -a1, -a6, *mass[5:10],
-        -a2, -a7, *mass[10:15],
-        -a3, -a8, *mass[15:20],
-        -a4, -a9, *mass[20:25],
-    ))
-    return M.reshape(7, 7), np.array((-drift[0], -drift[1], *force))
+    M = np.zeros((7, 7))
+    M.put(_LAYOUT, (*a, *[-x for x in a], *mass))
+    return M, np.array((-drift[0], -drift[1], *force))
+
+
+# The entries of A that depend on (q, p), their negatives in -A^T, and the
+# nonzero entries of G, as positions in M. _TEMPLATE holds the other 30, laid
+# out by _augmented from the helpers at one state (the 19 are overwritten).
+_VARYING_A, _NONZERO_G = (2, 3, 4, 7, 8, 9), (0, 6, 12, 14, 18, 22, 24)
+_VARYING = _LAYOUT[[*_VARYING_A, *(10 + k for k in _VARYING_A), *(20 + j for j in _NONZERO_G)]]
+_varying_a, _nonzero_g = itemgetter(*_VARYING_A), itemgetter(*_NONZERO_G)
+_TEMPLATE = _augmented(_constraint_entries(1.0, 0.0, 1.0, 0.0, 1.0), (0.0, 0.0),
+                       _mass_entries(Params(), 0.0), (0.0,) * 5)[0]
+_TEMPLATE.flags.writeable = False
 
 
 def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -228,12 +243,11 @@ def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.
     taken once."""
     theta, psi = q[3], q[4]
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
-    return _augmented(
-        _constraint_entries(p.r, st, ct, sp, cp),
-        _drift_entries(p.r, st, ct, sp, cp, v),
-        _mass_entries(p, st),
-        _force_entries(p, st, ct, math.sin(2.0 * theta), v),
-    )
+    a2, a3, a4, a7, a8, a9 = a = _varying_a(_constraint_entries(p.r, st, ct, sp, cp))
+    M = _TEMPLATE.copy()
+    M.put(_VARYING, (*a, -a2, -a3, -a4, -a7, -a8, -a9, *_nonzero_g(_mass_entries(p, st))))
+    drift = _drift_entries(p.r, st, ct, sp, cp, v)
+    return M, np.array((-drift[0], -drift[1], *_force_entries(p, st, ct, math.sin(2.0 * theta), v)))
 
 
 def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -291,16 +305,16 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     theta = q[3]
     if abs(math.cos(theta)) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
         raise SingularConfiguration(theta)
-    system = assemble_system(q, v, p)
+    M, b = assemble_system(q, v, p)
     if (
         math.isfinite(theta) and math.isfinite(q[4])
         and _DIRECT_SCALE_MIN <= p.m <= _DIRECT_SCALE_MAX
         and _DIRECT_SCALE_MIN <= p.r <= _DIRECT_SCALE_MAX
     ):
-        x = _gesv(*system, signature="dd->d")
+        x = _gesv(M, b, signature="dd->d")
         if math.isfinite(sum(x.tolist())):  # an overflowing sum only costs the fallback
             return x
-    return _solve_checked(system, theta)
+    return _solve_checked((M, b), theta)
 
 
 def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:

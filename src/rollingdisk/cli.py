@@ -1,10 +1,12 @@
 """Command-line front end: run scenarios to CSV, cross-validate the algebra.
 
-Exit codes: 0 success, 1 usage problem, 2 run aborted on a singular
-configuration, 3 validation sweep over threshold (an error that is not finite
-reads inf) or parameters at which the model cannot be evaluated (the reason
-in one line on stderr, no traceback), 4 run aborted on a non-finite state (a rate or an
-energy that overflowed).
+Exit codes: 0 success, 1 usage problem, or a CSV or plot script that simulate
+cannot write (after the run; "cannot write <path>: <reason>" on stderr, no
+traceback), 2 run aborted on a singular configuration, 3 validation sweep
+over threshold (an error that is not finite reads inf) or parameters at which
+the model cannot be evaluated (the reason in one line on stderr, no
+traceback), 4 run aborted on a non-finite state (a rate or an energy that
+overflowed).
 
 CSV output is deterministic byte for byte for a given configuration: fixed
 column order, every float at 17 significant digits, no locale involvement.
@@ -175,6 +177,8 @@ def parse_args(argv) -> RunConfig:
     if ns.mode == "validate":
         if ns.samples < 1:
             raise UsageError("--samples must be at least 1")
+        if ns.seed < 0:
+            raise UsageError("--seed must be non-negative")
         try:
             params = replace(Params(), **_given(ns, ("m", "g", "r")))
         except ValueError as err:
@@ -275,7 +279,8 @@ def write_plot_script(path: str, csv_name: str, traj: Trajectory) -> None:
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    """Integrate, write artifacts, report; exit 2 or 4 on an early stop.
+    """Integrate, write artifacts, report; exit 2 or 4 on an early stop, 1
+    when an artifact cannot be written.
 
     Raises UsageError, before the run and without writing, when x0 gives a
     non-finite energy or contact residual.
@@ -288,13 +293,17 @@ def run_simulate(cfg: RunConfig) -> int:
             f"{first.residual:g}; both must be finite"
         )
     traj = integrate(cfg.scenario, first)
-    n_rows = write_csv(cfg.out, traj)
+    path = cfg.out
+    try:
+        wrote = f"wrote {path} ({write_csv(path, traj)} rows)"
+        if cfg.emit_plot:
+            path = str(Path(cfg.out).with_suffix(".gp"))
+            write_plot_script(path, Path(cfg.out).name, traj)
+            wrote += f" and {path}"
+    except OSError as err:
+        print(f"cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return 1
     summary = diagnostics_summary(traj)
-    wrote = f"wrote {cfg.out} ({n_rows} rows)"
-    if cfg.emit_plot:
-        plot_path = str(Path(cfg.out).with_suffix(".gp"))
-        write_plot_script(plot_path, Path(cfg.out).name, traj)
-        wrote += f" and {plot_path}"
     print(
         f"scenario {summary.scenario}: {summary.n_samples} samples to "
         f"t={summary.t_final:g} s, dt={traj.dt:g}, {summary.integrator}"

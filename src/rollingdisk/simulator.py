@@ -218,7 +218,7 @@ def integrate(cfg: ScenarioConfig, first: TrajectorySample | None = None) -> Tra
 
 
 def _deriv_10dim(y: list, p: Params) -> list:
-    return y[5:10] + solve_system(y[0:5], y[5:10], p)[2:7].tolist()
+    return y[5:10] + solve_system(y[0:5], y[5:10], p).tolist()[2:7]
 
 
 def _split_10dim(y: list, p: Params):

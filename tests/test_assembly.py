@@ -365,27 +365,40 @@ def test_non_finite_system_raises_value_error_not_singular():
 
 def test_assembled_system_is_the_frozen_block_layout():
     # Byte equality, signed zeros included, against the documented blocks,
-    # on random states with theta of both signs and two just outside the band.
+    # on random states with theta of both signs and two just outside the band,
+    # at several (m, r): M is filled into a template built once at import.
     rng = np.random.default_rng(53)
     states = [sample_state(rng) for _ in range(200)]
     for sign, (q, v) in zip((1.0, -1.0), states[-2:]):
         states.append((GenCoords(q.c1, q.c2, q.phi, sign * math.acos(5e-6), q.psi), v))
     assert min(q.theta for q, _ in states) < 0.0 < max(q.theta for q, _ in states)
-    for q, v in states:
-        A, resid = constraint_accel_rows(q, v, P)
-        want_M = np.zeros((7, 7))
-        want_M[0:2, 2:7] = A
-        want_M[2:7, 0:2] = -A.T
-        want_M[2:7, 2:7] = generalized_mass(q, P)
-        want_b = np.concatenate([-resid, generalized_force(q, v, P)])
-        M, b = assemble_system(q, v, P)
-        assert M.shape == (7, 7) and b.shape == (7,)
-        assert M.tobytes() == want_M.tobytes()
-        assert b.tobytes() == want_b.tobytes()
-        oracle_M, oracle_b = oracle_system(q, v, P)
-        assert oracle_M[0:2].tobytes() == M[0:2].tobytes()
-        assert oracle_M[2:7, 0:2].tobytes() == M[2:7, 0:2].tobytes()
-        assert oracle_b[0:2].tobytes() == b[0:2].tobytes()
+    for p in (P, Params(m=100.0, r=0.01), Params(m=0.01, r=100.0), Params(m=2.0, r=0.37)):
+        for q, v in states:
+            A, resid = constraint_accel_rows(q, v, p)
+            want_M = np.zeros((7, 7))
+            want_M[0:2, 2:7] = A
+            want_M[2:7, 0:2] = -A.T
+            want_M[2:7, 2:7] = generalized_mass(q, p)
+            want_b = np.concatenate([-resid, generalized_force(q, v, p)])
+            M, b = assemble_system(q, v, p)
+            assert M.shape == (7, 7) and b.shape == (7,)
+            assert M.tobytes() == want_M.tobytes(), p
+            assert b.tobytes() == want_b.tobytes(), p
+            oracle_M, oracle_b = oracle_system(q, v, p)
+            assert oracle_M[0:2].tobytes() == M[0:2].tobytes()
+            assert oracle_M[2:7, 0:2].tobytes() == M[2:7, 0:2].tobytes()
+            assert oracle_b[0:2].tobytes() == b[0:2].tobytes()
+
+
+def test_each_assembly_returns_fresh_arrays():
+    q, v = sample_state(np.random.default_rng(56))
+    first = assemble_system(q, v, P)
+    want = [part.tobytes() for part in first]
+    second = assemble_system(q, v, P)
+    assert not any(np.shares_memory(x, y) for x in first for y in second)
+    for part in first:
+        part.fill(np.nan)
+    assert [part.tobytes() for part in assemble_system(q, v, P)] == want
 
 
 def test_plain_sequences_give_the_same_bits():

@@ -40,6 +40,7 @@ def test_parse_default_out_follows_scenario():
         ["simulate", "--scenario", "spin", "--t-end", "-1"],
         ["simulate", "--scenario", "spin", "--m", "-2"],
         ["validate", "--samples", "0"],
+        ["validate", "--seed", "-1"],
     ],
 )
 def test_usage_errors(argv):
@@ -300,6 +301,25 @@ def test_emit_plot_writes_script(tmp_path):
     assert len(data_lines) == 65
     for ln in data_lines[:3]:
         assert len(ln.split(",")) == 2
+
+
+@pytest.mark.parametrize(
+    "out, emit_plot, blocked, reason",
+    [
+        ("missing/x.csv", False, "missing/x.csv", "No such file or directory"),
+        ("", False, "", "Is a directory"),
+        ("run.csv", True, "run.gp", "Is a directory"),
+    ],
+    ids=["missing-dir", "out-is-dir", "plot-is-dir"],
+)
+def test_unwritable_output_exits_1_in_one_line(tmp_path, capsys, out, emit_plot, blocked, reason):
+    # The run completes; the failed write is reported without a traceback.
+    (tmp_path / "run.gp").mkdir()
+    argv = ["simulate", "--scenario", "straight", "--t-end", "0.01", "--out", str(tmp_path / out)]
+    assert main(argv + ["--emit-plot"] * emit_plot) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {tmp_path / blocked}: {reason}\n"
 
 
 def test_validate_passes(capsys):
