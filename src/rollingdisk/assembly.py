@@ -42,7 +42,10 @@ non-finite result, goes through np.linalg.solve with its checks.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely by finite
 differences of the scalar lagrangian, sharing no algebra with the closed
-form, and exists to cross-check it.
+form, and exists to cross-check it. Its steps follow from r alone: 1.0 for
+the velocity gradient, 1e-6 * scale for the position gradient and
+1e-5 * scale for the time difference, with scale = max(1, r^(-2/3)), so the
+last two grow as the disk shrinks below r = 1 and are fixed above it.
 """
 
 from __future__ import annotations
@@ -165,38 +168,26 @@ def _coordinate_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) ->
     return _central_gradient(lambda w: lagrangian(GenCoords(*w.tolist()), v, p), qa, h)
 
 
-def oracle_lhs(
-    q: GenCoords,
-    v: GenVel,
-    a,
-    p: Params,
-    h: float = 1e-6,
-    h_t: float = 1e-5,
-    h_v: float = 1.0,
-) -> np.ndarray:
+def oracle_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
     """Euler-Lagrange left side from finite differences of the Lagrangian only.
 
     The time derivative is differenced along the synthetic path
     q(s) = q + s*v, qdot(s) = v + s*a, so d/dt(dL/dqdot) is evaluated with no
-    knowledge of the closed-form expressions.
-
-    Parameters
-    ----------
-    h : float
-        Step for the position gradient dL/dq.
-    h_t : float
-        Step of the outer time difference along the synthetic path.
-    h_v : float
-        Step for the nested velocity gradient. The Lagrangian is exactly
-        quadratic in the velocities, so this central difference is exact for
-        any step; the step only scales the roundoff, which the outer division
-        by h_t then amplifies. A unit step keeps the oracle's error near 1e-8,
-        against 1e-5 for a step of 1e-3.
+    knowledge of the closed-form expressions. The steps follow from r alone;
+    see the comment in the body.
 
     Returns
     -------
     ndarray, shape (5,)
     """
+    # L is exactly quadratic in the rates, so the nested velocity difference is
+    # exact for any step h_v; its step only scales the roundoff that the outer
+    # division by h_t amplifies, and a unit step keeps the error near 1e-8
+    # (1e-5 at a step of 1e-3). The roundoff of the differenced L grows as its
+    # m r^2 rotational part shrinks, so below r = 1 the position step h and the
+    # time step h_t grow as r^(-2/3); at r >= 1 they are 1e-6 and 1e-5.
+    scale = max(1.0, p.r ** (-2.0 / 3.0))
+    h, h_t, h_v = 1e-6 * scale, 1e-5 * scale, 1.0
     qa, va, aa = (np.array(x, dtype=float) for x in (q, v, a))
     grad_ahead = _velocity_gradient(qa + h_t * va, va + h_t * aa, p, h_v)
     grad_behind = _velocity_gradient(qa - h_t * va, va - h_t * aa, p, h_v)

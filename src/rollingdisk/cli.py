@@ -10,7 +10,12 @@ overflowed).
 
 CSV output is deterministic byte for byte for a given configuration: fixed
 column order, every float at 17 significant digits, no locale involvement.
-Plot emission writes a gnuplot script next to the CSV, never image files.
+Plot emission writes a gnuplot script next to the CSV, at the --out path with
+the suffix .gp, never image files; an --out that itself ends in .gp is a
+usage error with --emit-plot, as the script would overwrite the CSV.
+
+validate's finite-difference oracle takes its steps from --r (see
+assembly.oracle_lhs); no option sets them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .simulator import (
     ScenarioConfig,
     Trajectory,
     diagnostics_summary,
-    initial_sample,
     integrate,
     scenario_preset,
 )
@@ -200,6 +204,9 @@ def parse_args(argv) -> RunConfig:
         raise UsageError(str(err)) from err
 
     out = ns.out if ns.out is not None else f"{scenario.name}.csv"
+    if ns.emit_plot and Path(out).suffix == ".gp":
+        raise UsageError(f"--emit-plot would overwrite the CSV {out} with its script; "
+                         "--out must not end in .gp")
     return RunConfig(
         mode="simulate",
         scenario=scenario,
@@ -243,14 +250,18 @@ def write_csv(path: str, traj: Trajectory) -> int:
     return len(indices)
 
 
-def _disk_outline(x0: State, p: Params, n_points: int = 64):
+# Points on the rim outline of the plot script; the polyline closes with one more.
+OUTLINE_POINTS = 64
+
+
+def _disk_outline(x0: State, p: Params):
     """Top-view projection of the rim at the initial state."""
     q = x0.coords()
     center = center_position(q, p)
     rot = euler_rotation(EulerAngles(*q[2:5]))
     points = []
-    for k in range(n_points + 1):
-        u = 2.0 * math.pi * k / n_points
+    for k in range(OUTLINE_POINTS + 1):
+        u = 2.0 * math.pi * k / OUTLINE_POINTS
         rim_body = (0.0, p.r * math.cos(u), p.r * math.sin(u))
         wx = center[0] + rot[0, 1] * rim_body[1] + rot[0, 2] * rim_body[2]
         wy = center[1] + rot[1, 1] * rim_body[1] + rot[1, 2] * rim_body[2]
@@ -282,17 +293,17 @@ def run_simulate(cfg: RunConfig) -> int:
     """Integrate, write artifacts, report; exit 2 or 4 on an early stop, 1
     when an artifact cannot be written.
 
-    Raises UsageError, before the run and without writing, when x0 gives a
+    Raises UsageError, after the run and without writing, when x0 gives a
     non-finite energy or contact residual.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        first = initial_sample(cfg.scenario)
+        traj = integrate(cfg.scenario)
+    first = traj.samples[0]
     if not (math.isfinite(first.energy) and math.isfinite(first.residual)):
         raise UsageError(
             f"x0 gives initial energy {first.energy:g} and contact residual "
             f"{first.residual:g}; both must be finite"
         )
-    traj = integrate(cfg.scenario, first)
     path = cfg.out
     try:
         wrote = f"wrote {path} ({write_csv(path, traj)} rows)"
@@ -305,15 +316,15 @@ def run_simulate(cfg: RunConfig) -> int:
         return 1
     summary = diagnostics_summary(traj)
     print(
-        f"scenario {summary.scenario}: {summary.n_samples} samples to "
-        f"t={summary.t_final:g} s, dt={traj.dt:g}, {summary.integrator}"
+        f"scenario {traj.scenario}: {summary.n_samples} samples to "
+        f"t={summary.t_final:g} s, dt={traj.dt:g}, rk4"
     )
     print(
         f"  energy drift max {summary.max_energy_drift:.3e} "
         f"(mean {summary.mean_energy_drift:.3e}), "
         f"contact residual max {summary.max_residual:.3e}"
     )
-    fs = summary.final_state
+    fs = traj.final_state()
     print(
         f"  min |cos theta| {summary.min_abs_cos_theta:.6f}, "
         f"final (c1, c2) = ({fs.c1:.6f}, {fs.c2:.6f})"

@@ -55,9 +55,3 @@ def constraint_residual(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Slip velocity A(q) v of the contact point, shape (2,). Zero when rolling."""
     # numpy's gemv, not a scalar sum (it rounds differently); .dot and a plain v[:] cost less.
     return constraint_matrix(q, p).dot(np.array(v[:]))
-
-
-def constraint_forces(q: GenCoords, lam, p: Params) -> np.ndarray:
-    """Generalized constraint force A(q)^T lambda, shape (5,), for the
-    reaction strengths lam = (lambda1, lambda2) of the two contact rows."""
-    return constraint_matrix(q, p).T @ np.array(lam)

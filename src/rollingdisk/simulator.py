@@ -1,8 +1,9 @@
 """Fixed-step simulation of the rolling disk.
 
-The workhorse is the classical fourth-order Runge-Kutta step on the reduced
-8-dimensional state; a forward Euler step exists for convergence-order
-contrast only. Both steppers are deterministic: identical configuration in,
+Both routes below always step with the classical fourth-order Runge-Kutta
+method; no setting selects another. step_euler, a forward Euler step on the
+reduced 8-dimensional state, is only called directly, for convergence-order
+contrast. Both steppers are deterministic: identical configuration in,
 bit-identical trajectory out.
 
 Two integration routes are provided. integrate propagates the reduced state
@@ -49,14 +50,13 @@ NON_FINITE = "non-finite state"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation run: constants, initial state, horizon, step, stepper."""
+    """One simulation run: constants, initial state, horizon, step."""
 
     name: str
     params: Params
     x0: State
     t_end: float
     dt: float
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in self.x0):
@@ -75,8 +75,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}"
             )
-        if self.integrator not in ("rk4", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
@@ -99,7 +97,6 @@ class Trajectory:
     scenario: str
     params: Params
     dt: float
-    integrator: str
     samples: tuple[TrajectorySample, ...]
     failure_time: float | None = None
     failure_reason: str | None = None
@@ -124,19 +121,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Summary:
-    """Headline diagnostics of a trajectory."""
+    """Headline diagnostics of a trajectory. What the Trajectory already
+    holds (scenario, final state, failure) is read from it, not copied here."""
 
-    scenario: str
-    integrator: str
     n_samples: int
     t_final: float
-    energy_initial: float
     max_energy_drift: float
     mean_energy_drift: float
     max_residual: float
     min_abs_cos_theta: float
-    final_state: State
-    failure_time: float | None
 
 
 def _rk4(f, x, dt: float, p: Params, make):
@@ -160,9 +153,6 @@ def step_euler(x: State, dt: float, p: Params) -> State:
     return State._make([xi + dt * ki for xi, ki in zip(x, state_derivative(x, p))])
 
 
-_STEPPERS = {"rk4": step_rk4, "euler": step_euler}
-
-
 def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     """Total energy and contact slip at one time; split(y, p) gives (State, q, v)."""
     state, q, v = split(y, p)
@@ -171,13 +161,13 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     return tuple.__new__(TrajectorySample, (t, state, energy, max(abs(r1), abs(r2))))
 
 
-def _run(cfg: ScenarioConfig, scenario: str, y, advance, split, first=None) -> Trajectory:
-    """Step y with advance(y, dt, p) and sample every step, starting from the
-    sample first when given. A step that hits the flat-disk band, or whose
-    state, energy or residual is not finite, ends the run; the partial
-    trajectory carries the time of the failed step and the reason."""
+def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
+    """Step y with advance(y, dt, p) and sample every step. A step that hits
+    the flat-disk band, or whose state, energy or residual is not finite,
+    ends the run; the partial trajectory carries the time of the failed step
+    and the reason."""
     p, dt = cfg.params, cfg.dt
-    samples = [_sample(0.0, y, split, p) if first is None else first]
+    samples = [_sample(0.0, y, split, p)]
     failure_time = reason = None
     for i in range(cfg.n_steps()):
         try:
@@ -193,7 +183,7 @@ def _run(cfg: ScenarioConfig, scenario: str, y, advance, split, first=None) -> T
             failure_time = i * dt
             break
         samples.append(sample)
-    return Trajectory(scenario, p, dt, cfg.integrator, tuple(samples), failure_time, reason)
+    return Trajectory(scenario, p, dt, tuple(samples), failure_time, reason)
 
 
 def _split_reduced(x: State, p: Params):
@@ -201,20 +191,14 @@ def _split_reduced(x: State, p: Params):
     return x, q, consistent_velocity(q, x[5:], p)
 
 
-def initial_sample(cfg: ScenarioConfig) -> TrajectorySample:
-    """Energy and contact slip at cfg.x0: the first sample integrate records."""
-    return _sample(0.0, cfg.x0, _split_reduced, cfg.params)
-
-
-def integrate(cfg: ScenarioConfig, first: TrajectorySample | None = None) -> Trajectory:
-    """Run the reduced-state simulation described by cfg.
+def integrate(cfg: ScenarioConfig) -> Trajectory:
+    """Run the reduced-state simulation described by cfg with step_rk4.
 
     Returns the full trajectory sampled at every step. If a step hits the
     flat-disk band, integration stops and the partial trajectory carries the
-    time of the failed step in failure_time. A caller that has already taken
-    initial_sample(cfg) passes it as first, and it is not computed again.
+    time of the failed step in failure_time.
     """
-    return _run(cfg, cfg.name, cfg.x0, _STEPPERS[cfg.integrator], _split_reduced, first)
+    return _run(cfg, cfg.name, cfg.x0, step_rk4, _split_reduced)
 
 
 def _deriv_10dim(y: list, p: Params) -> list:
@@ -233,8 +217,6 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     linear solve. The per-sample residual now measures genuine constraint
     drift rather than holding at rounding level by construction.
     """
-    if cfg.integrator != "rk4":
-        raise ValueError("the unreduced route is only run with the rk4 stepper")
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
     return _run(cfg, cfg.name + "-10dim", y0, partial(_rk4, _deriv_10dim, make=list), _split_10dim)
@@ -273,15 +255,10 @@ def diagnostics_summary(traj: Trajectory) -> Summary:
     drift = np.abs(energies - e0) / denom
     min_cos = min(abs(math.cos(s.state.theta)) for s in traj.samples)
     return Summary(
-        scenario=traj.scenario,
-        integrator=traj.integrator,
         n_samples=len(traj.samples),
         t_final=traj.samples[-1].t,
-        energy_initial=e0,
         max_energy_drift=float(np.max(drift)),
         mean_energy_drift=float(np.mean(drift)),
         max_residual=max(s.residual for s in traj.samples),
         min_abs_cos_theta=min_cos,
-        final_state=traj.final_state(),
-        failure_time=traj.failure_time,
     )

@@ -29,9 +29,9 @@ class SingularConfiguration(Exception):
         )
 
 
-def checked_cos_theta(theta: float, cutoff: float = SINGULAR_COS_THETA) -> float:
-    """Return cos(theta), raising SingularConfiguration inside the cutoff band."""
+def checked_cos_theta(theta: float) -> float:
+    """Return cos(theta), raising SingularConfiguration inside the SINGULAR_COS_THETA band."""
     c = math.cos(theta)
-    if abs(c) <= cutoff:
+    if abs(c) <= SINGULAR_COS_THETA:
         raise SingularConfiguration(theta)
     return c

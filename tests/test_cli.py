@@ -41,6 +41,8 @@ def test_parse_default_out_follows_scenario():
         ["simulate", "--scenario", "spin", "--m", "-2"],
         ["validate", "--samples", "0"],
         ["validate", "--seed", "-1"],
+        # the plot script would take the CSV's path and overwrite it
+        ["simulate", "--scenario", "straight", "--out", "run.gp", "--emit-plot"],
     ],
 )
 def test_usage_errors(argv):
@@ -329,11 +331,16 @@ def test_validate_passes(capsys):
     assert "PASS" in out
 
 
-@pytest.mark.parametrize("seed", ["1072734275", "1310526364"])
-def test_validate_oracle_has_margin_on_hard_seeds(seed, capsys):
+@pytest.mark.parametrize("argv", [
     # These seeds draw stand angles near 1.19, where the oracle once read
     # 1.03e-5 and 1.55e-5 against its 1e-5 bar.
-    assert main(["validate", "--samples", "25", "--seed", seed]) == 0
+    ["--samples", "25", "--seed", "1072734275"],
+    ["--samples", "25", "--seed", "1310526364"],
+    # A small disk: with steps not scaled to r the oracle read 1.56e-5.
+    ["--r", "0.01"],
+], ids=["1072734275", "1310526364", "r0.01"])
+def test_validate_oracle_has_margin_on_hard_seeds(argv, capsys):
+    assert main(["validate", *argv]) == 0
     assert "PASS" in capsys.readouterr().out
 
 

@@ -4,7 +4,6 @@ import numpy as np
 
 from rollingdisk.constraints import (
     consistent_velocity,
-    constraint_forces,
     constraint_matrix,
     constraint_residual,
 )
@@ -65,31 +64,3 @@ def test_residual_sees_slip():
     sliding = GenVel(1.0, 0.0, 0.0, 0.0, 0.0)  # pure center translation, no rotation
     assert np.allclose(constraint_residual(q, sliding, P), [1.0, 0.0], atol=1e-15)
 
-
-def test_forces_are_matrix_columns():
-    rng = np.random.default_rng(33)
-    q = random_coords(rng)
-    A = constraint_matrix(q, P)
-    tau1 = constraint_forces(q, (1.0, 0.0), P)
-    tau2 = constraint_forces(q, (0.0, 1.0), P)
-    assert np.array_equal(tau1, A[0])
-    assert np.array_equal(tau2, A[1])
-    both = constraint_forces(q, (2.0, -3.0), P)
-    assert np.allclose(both, 2.0 * A[0] - 3.0 * A[1], atol=1e-15)
-
-
-def test_forces_do_no_work_on_rolling_velocities():
-    # Any admissible velocity is spanned by the reconstructed unit-rate
-    # velocities; the reaction force must be orthogonal to all of them.
-    rng = np.random.default_rng(34)
-    basis_rates = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    worst = 0.0
-    for _ in range(500):
-        q = random_coords(rng)
-        lam = rng.uniform(-3.0, 3.0, 2)
-        tau = constraint_forces(q, lam, P)
-        for rates in basis_rates:
-            v = np.array(consistent_velocity(q, rates, P))
-            scale = max(1.0, float(np.max(np.abs(tau)) * np.max(np.abs(v))))
-            worst = max(worst, abs(float(tau @ v)) / scale)
-    assert worst < 1e-12, f"constraint force does work: {worst:.3e}"
