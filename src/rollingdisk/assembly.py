@@ -19,13 +19,14 @@ length-7 array in exactly this order, as does dynamics.closed_form_solution.
 Do not reorder.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
-into generalized_mass G and generalized_force f, so M depends on configuration
-only and every velocity term lives in b. Each entry is written once, in a
-helper returning plain floats. 30 of M's 49 entries never change: the 2 x 2
-zero block, the identity columns of A and their negation in -A^T, and the
-zeros of G. assemble_system copies them from _TEMPLATE, which _augmented lays
-out once at import, and puts the other 19 into the copy in one call; b is one
-numpy call. Negating A's zeros gives -0.0 at M[2, 1] and M[3, 0], and the
+into the generalized mass G (_mass_entries) and force f (_force_entries), so M
+depends on configuration only and every velocity term lives in b; they are
+M[2:7, 2:7] and b[2:7]. Each entry is written once, in a helper returning
+plain floats. 30 of M's 49 entries never change: the 2 x 2 zero block, the
+identity columns of A and their negation in -A^T, and the zeros of G.
+assemble_system copies them from _TEMPLATE, which _augmented lays out once at
+import, and puts the other 19 into the copy in one call; b is one numpy call.
+Negating A's zeros gives -0.0 at M[2, 1] and M[3, 0], and the
 template keeps those signs, so M keeps its bits. det M =
 (15/32) m^3 r^6 cos^2(theta), so the cos(theta) band of the singularity guard
 is the exact rank test.
@@ -40,12 +41,13 @@ far above the underflow threshold, so LAPACK meets no zero pivot, raises no
 floating-point flag and numpy emits no warning. Every other system, and any
 non-finite result, goes through np.linalg.solve with its checks.
 
-oracle_lhs recomputes the Euler-Lagrange left side purely by finite
-differences of the scalar lagrangian, sharing no algebra with the closed
-form, and exists to cross-check it. Its steps follow from r alone: 1.0 for
-the velocity gradient, 1e-6 * scale for the position gradient and
-1e-5 * scale for the time difference, with scale = max(1, r^(-2/3)), so the
-last two grow as the disk shrinks below r = 1 and are fixed above it.
+oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
+lagrangian, sharing no algebra with the closed form, and exists to
+cross-check it. It differentiates L by the complex step (Squire & Trapp,
+SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003): one
+constant step h = 1e-30, no difference of nearby values and so no step to
+tune, which leaves the rebuilt (M, b) within roundoff of assemble_system's
+at every disk size.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_
 
 # The LAPACK gesv gufunc behind np.linalg.solve for a (n, n) matrix and a (n,) vector.
 _gesv = _umath_linalg.solve1
+# Step of the oracle's complex-step derivatives: Im f(x + ih) / h = f'(x) +
+# O(h^2) takes no difference of nearby values, so h can sit far below
+# roundoff, and one step serves every disk size and state.
+_COMPLEX_STEP = 1e-30
 # Range of m and r in which M, outside the cos(theta) band, has its smallest
 # LU pivot above 2e-163 and its largest entry below 2e150.
 _DIRECT_SCALE_MIN, _DIRECT_SCALE_MAX = 1e-50, 1e50
@@ -101,98 +107,34 @@ def _drift_entries(r: float, st: float, ct: float, sp: float, cp: float, v) -> t
             r * (-sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates))
 
 
-def generalized_mass(q: GenCoords, p: Params) -> np.ndarray:
-    """Coefficient G(q) of qddot in the Euler-Lagrange left side, shape (5, 5).
-
-    Rows and columns ordered (c1, c2, phi, theta, psi); configuration only.
-    """
-    return np.array(_mass_entries(p, math.sin(q[3]))).reshape(5, 5)
-
-
-def generalized_force(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    """Velocity and gravity part f(q, qdot) of the left side, shape (5,).
-
-    The Euler-Lagrange left side is G(q) qddot - f(q, qdot), so f collects
-    the gravity torque and the terms quadratic in the rates.
-    """
-    theta = q[3]
-    return np.array(_force_entries(p, math.sin(theta), math.cos(theta), math.sin(2.0 * theta), v))
-
-
-def euler_lagrange_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
-    """Closed-form d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot).
-
-    Parameters
-    ----------
-    q, v : GenCoords, GenVel
-        Configuration and generalized velocity. The velocity need not satisfy
-        the rolling constraint; the expression is algebraic in (q, v, a).
-    a : sequence of 5 floats
-        Generalized acceleration (ddc1, ddc2, ddphi, ddtheta, ddpsi).
-    p : Params
-
-    Returns
-    -------
-    ndarray, shape (5,)
-        Rows ordered (c1, c2, phi, theta, psi). Equals the generalized
-        constraint force A^T lambda on solutions of the rolling problem.
-    """
-    return generalized_mass(q, p) @ np.array(a) - generalized_force(q, v, p)
-
-
-def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    """Gradient of the scalar f at x by central differences of step h."""
-    grad = np.empty(5)
-    work = x.copy()
-    for i in range(5):
-        xi = x[i]
-        work[i] = xi + h
-        above = f(work)
-        work[i] = xi - h
-        below = f(work)
-        work[i] = xi
-        grad[i] = (above - below) / (2.0 * h)
-    return grad
-
-
-def _velocity_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) -> np.ndarray:
-    """dL/dqdot by central differences. L is quadratic in the velocities, so
-    the difference is truncation-free and h only controls roundoff."""
-    q = GenCoords(*qa.tolist())
-    return _central_gradient(lambda w: lagrangian(q, GenVel(*w.tolist()), p), va, h)
-
-
-def _coordinate_gradient(qa: np.ndarray, va: np.ndarray, p: Params, h: float) -> np.ndarray:
-    """dL/dq by central differences."""
-    v = GenVel(*va.tolist())
-    return _central_gradient(lambda w: lagrangian(GenCoords(*w.tolist()), v, p), qa, h)
-
-
 def oracle_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
-    """Euler-Lagrange left side from finite differences of the Lagrangian only.
+    """Euler-Lagrange left side from complex-step derivatives of the Lagrangian only.
 
-    The time derivative is differenced along the synthetic path
-    q(s) = q + s*v, qdot(s) = v + s*a, so d/dt(dL/dqdot) is evaluated with no
-    knowledge of the closed-form expressions. The steps follow from r alone;
-    see the comment in the body.
+    dL/dq_i is Im L(q + ih e_i, qdot) / h. The time derivative of dL/dqdot_i
+    is taken along the synthetic path q(s) = q + s*v, qdot(s) = v + s*a at
+    s = ih, as Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h):
+    L is quadratic in the rates, so the unit central difference in qdot_i is
+    exact. Nothing of the closed-form expressions is used.
 
     Returns
     -------
     ndarray, shape (5,)
     """
-    # L is exactly quadratic in the rates, so the nested velocity difference is
-    # exact for any step h_v; its step only scales the roundoff that the outer
-    # division by h_t amplifies, and a unit step keeps the error near 1e-8
-    # (1e-5 at a step of 1e-3). The roundoff of the differenced L grows as its
-    # m r^2 rotational part shrinks, so below r = 1 the position step h and the
-    # time step h_t grow as r^(-2/3); at r >= 1 they are 1e-6 and 1e-5.
-    scale = max(1.0, p.r ** (-2.0 / 3.0))
-    h, h_t, h_v = 1e-6 * scale, 1e-5 * scale, 1.0
-    qa, va, aa = (np.array(x, dtype=float) for x in (q, v, a))
-    grad_ahead = _velocity_gradient(qa + h_t * va, va + h_t * aa, p, h_v)
-    grad_behind = _velocity_gradient(qa - h_t * va, va - h_t * aa, p, h_v)
-    momentum_rate = (grad_ahead - grad_behind) / (2.0 * h_t)
-    return momentum_rate - _coordinate_gradient(qa, va, p, h)
+    def im_lagrangian(qs, vs) -> float:
+        return lagrangian(GenCoords(*qs), GenVel(*vs), p).imag / _COMPLEX_STEP
+
+    q, v = list(q), list(v)
+    path_q = [complex(x, _COMPLEX_STEP * dx) for x, dx in zip(q, v)]
+    path_v = [complex(dx, _COMPLEX_STEP * ddx) for dx, ddx in zip(v, a)]
+    lhs = np.empty(5)
+    for i in range(5):
+        ahead, behind, probe = path_v.copy(), path_v.copy(), q.copy()
+        ahead[i] += 1.0
+        behind[i] -= 1.0
+        probe[i] = complex(q[i], _COMPLEX_STEP)
+        momentum_rate = (im_lagrangian(path_q, ahead) - im_lagrangian(path_q, behind)) / 2.0
+        lhs[i] = momentum_rate - im_lagrangian(probe, v)
+    return lhs
 
 
 def constraint_accel_rows(
@@ -229,9 +171,8 @@ _TEMPLATE.flags.writeable = False
 
 
 def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form augmented system (M, b): the entries of generalized_mass,
-    generalized_force and constraint_accel_rows, with each sine and cosine
-    taken once."""
+    """Closed-form augmented system (M, b): the entries of G, f and
+    constraint_accel_rows, with each sine and cosine taken once."""
     theta, psi = q[3], q[4]
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
     a2, a3, a4, a7, a8, a9 = a = _varying_a(_constraint_entries(p.r, st, ct, sp, cp))
@@ -244,7 +185,7 @@ def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.
 def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """Augmented system (M, b) rebuilt from oracle_lhs and constraint_accel_rows.
 
-    The acceleration dependence of the finite-difference left side is probed
+    The acceleration dependence of the complex-step left side is probed
     column by column (it is linear in qddot), so this shares no closed-form
     dynamics algebra with assemble_system. Used for cross-validation.
     """
@@ -258,7 +199,7 @@ def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.nd
 
 def _solve_checked(system: tuple[np.ndarray, np.ndarray], theta: float) -> np.ndarray:
     """Dense solve. Callers check the cos(theta) band first; an exactly
-    singular M (the oracle's can be one next to the band) still raises
+    singular M (one whose scale underflows) still raises
     SingularConfiguration, and a system holding inf or NaN raises ValueError."""
     try:
         return np.linalg.solve(*system)
@@ -309,6 +250,6 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
 
 
 def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    """Like solve_system but on the finite-difference-assembled system."""
+    """Like solve_system but on the system that oracle_system rebuilds."""
     checked_cos_theta(q[3])
     return _solve_checked(oracle_system(q, v, p), q[3])

@@ -14,8 +14,8 @@ Plot emission writes a gnuplot script next to the CSV, at the --out path with
 the suffix .gp, never image files; an --out that itself ends in .gp is a
 usage error with --emit-plot, as the script would overwrite the CSV.
 
-validate's finite-difference oracle takes its steps from --r (see
-assembly.oracle_lhs); no option sets them.
+validate's oracle differentiates the Lagrangian by the complex step with one
+constant step at every --m and --r (see assembly.oracle_lhs); no option sets it.
 """
 
 from __future__ import annotations

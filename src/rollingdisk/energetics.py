@@ -23,6 +23,7 @@ and expanding E_kin - E_pot gives the closed-form Lagrangian
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -116,14 +117,17 @@ def lagrangian(q: GenCoords, v: GenVel, p: Params) -> float:
     q : GenCoords
     v : GenVel
     p : Params
+        q and v may hold complex numbers, as assembly.oracle_lhs passes them;
+        a complex theta takes cmath's sine and cosine, a real one math's.
 
     Returns
     -------
-    float
+    float, or complex for complex arguments
         Lagrangian value in joules.
     """
-    st = math.sin(q.theta)
-    ct = math.cos(q.theta)
+    trig = cmath if isinstance(q.theta, complex) else math
+    st = trig.sin(q.theta)
+    ct = trig.cos(q.theta)
     relative_spin = v.dphi - st * v.dpsi
     translational = v.dc1 * v.dc1 + v.dc2 * v.dc2 + (p.r * st * v.dtheta) ** 2
     rotational = 2.0 * relative_spin * relative_spin + v.dtheta * v.dtheta + (ct * v.dpsi) ** 2

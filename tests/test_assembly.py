@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from rollingdisk.assembly import (
+    _force_entries,
+    _mass_entries,
     assemble_system,
     constraint_accel_rows,
-    euler_lagrange_lhs,
-    generalized_force,
-    generalized_mass,
     oracle_lhs,
     oracle_system,
     solve_oracle_system,
     solve_system,
 )
-from rollingdisk.assembly import _coordinate_gradient, _velocity_gradient
 from rollingdisk.constraints import constraint_matrix
 from rollingdisk.dynamics import State
 from rollingdisk.energetics import GenCoords, GenVel, Params
@@ -34,102 +32,111 @@ def random_triple(rng):
     return q, v, a
 
 
+def closed_lhs(q, v, a):
+    """The closed-form left side G(q) a - f(q, v), read from assemble_system."""
+    M, b = assemble_system(q, v, P)
+    return M[2:7, 2:7] @ np.asarray(a, dtype=float) - b[2:7]
+
+
+def hand_momentum(q, rates):
+    """dL/dqdot at the rates, derived by hand from the Lagrangian."""
+    m, r = P.m, P.r
+    dc1, dc2, dphi, dtheta, dpsi = rates
+    st = math.sin(q.theta)
+    return np.array(
+        [
+            m * dc1,
+            m * dc2,
+            0.5 * m * r * r * (dphi - st * dpsi),
+            m * r * r * dtheta * (st * st + 0.25),
+            0.25 * m * r * r * (-2.0 * st * dphi + (1.0 + st * st) * dpsi),
+        ]
+    )
+
+
+def hand_coordinate_gradient(q, v):
+    """dL/dq, derived by hand: only the stand angle enters L."""
+    m, g, r = P.m, P.g, P.r
+    st, ct, s2t = math.sin(q.theta), math.cos(q.theta), math.sin(2.0 * q.theta)
+    dL_dtheta = (
+        0.5 * m * r * r * v.dtheta**2 * s2t
+        - 0.5 * m * r * r * v.dphi * v.dpsi * ct
+        + 0.125 * m * r * r * v.dpsi**2 * s2t
+        + m * g * r * st
+    )
+    return np.array([0.0, 0.0, 0.0, dL_dtheta, 0.0])
+
+
 class TestEulerLagrangeLhs:
     def test_rest_gives_gravity_torque_only(self):
         q = GenCoords(1.0, -1.0, 0.4, 0.0, 2.0)
         zero_v, zero_a = GenVel(0, 0, 0, 0, 0), (0, 0, 0, 0, 0)
-        assert np.array_equal(euler_lagrange_lhs(q, zero_v, zero_a, P), np.zeros(5))
+        assert np.array_equal(closed_lhs(q, zero_v, zero_a), np.zeros(5))
         tilted = GenCoords(0.0, 0.0, 0.0, 0.3, 0.0)
-        lhs = euler_lagrange_lhs(tilted, zero_v, zero_a, P)
+        lhs = closed_lhs(tilted, zero_v, zero_a)
         # at rest only the stand-angle row is loaded, by gravity
         assert lhs[3] == pytest.approx(-P.m * P.g * P.r * math.sin(0.3), rel=1e-14)
         assert np.array_equal(lhs[[0, 1, 2, 4]], np.zeros(4))
 
     def test_unit_center_acceleration(self):
         q = GenCoords(0.4, -0.2, 1.0, 0.0, -2.0)
-        lhs = euler_lagrange_lhs(q, GenVel(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), P)
+        lhs = closed_lhs(q, GenVel(0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
         assert np.allclose(lhs, [P.m, 0, 0, 0, 0], atol=1e-15)
 
-    def test_matches_finite_difference_rebuild(self):
+    def test_matches_complex_step_rebuild(self):
         rng = np.random.default_rng(41)
         worst = 0.0
         for _ in range(300):
             q, v, a = random_triple(rng)
-            err = max_rel_diff(oracle_lhs(q, v, a, P), euler_lagrange_lhs(q, v, a, P))
+            err = max_rel_diff(oracle_lhs(q, v, a, P), closed_lhs(q, v, a))
             worst = max(worst, err)
-        assert worst < 1e-5, f"closed form vs differenced Lagrangian: {worst:.3e}"
+        assert worst < 1e-12, f"closed form vs complex-step Lagrangian: {worst:.3e}"
 
     def test_mass_is_velocity_hessian_of_lagrangian(self):
-        # L is quadratic in the velocities, so unit steps of the differenced
-        # momentum dL/dqdot give the columns of G(q) up to roundoff.
+        # L is quadratic in the velocities, so the columns the oracle probes
+        # from dL/dqdot give G(q), symmetric, up to roundoff.
         rng = np.random.default_rng(40)
         for _ in range(100):
             q, v, _ = random_triple(rng)
-            qa, va = np.array(q), np.array(v)
-            base = _velocity_gradient(qa, va, P, 1.0)
-            probed = np.column_stack(
-                [_velocity_gradient(qa, va + e, P, 1.0) - base for e in np.eye(5)]
-            )
-            G = generalized_mass(q, P)
+            G = assemble_system(q, v, P)[0][2:7, 2:7]
             assert np.array_equal(G, G.T)
-            assert np.max(np.abs(probed - G)) < 1e-12
+            assert np.max(np.abs(oracle_system(q, v, P)[0][2:7, 2:7] - G)) < 1e-12
 
 
 class TestOracleInternals:
-    # The differenced pieces are checked against derivative expressions
-    # derived by hand, independently of the production left side.
+    # oracle_lhs is checked against derivative expressions derived by hand,
+    # independently of the production left side.
 
     def test_velocity_gradient(self):
+        # The left side is G(q) a plus terms free of a, and the momentum
+        # dL/dqdot is G(q) qdot, so the a-dependent part is the momentum at a.
         rng = np.random.default_rng(42)
-        m, r = P.m, P.r
         for _ in range(50):
-            q, v, _ = random_triple(rng)
-            st, ct = math.sin(q.theta), math.cos(q.theta)
-            expected = np.array(
-                [
-                    m * v.dc1,
-                    m * v.dc2,
-                    0.5 * m * r * r * (v.dphi - st * v.dpsi),
-                    m * r * r * v.dtheta * (st * st + 0.25),
-                    0.25 * m * r * r * (-2.0 * st * v.dphi + (1.0 + st * st) * v.dpsi),
-                ]
-            )
-            got = _velocity_gradient(np.array(q), np.array(v), P, 1e-3)
-            assert np.max(np.abs(got - expected)) < 1e-9
+            q, v, a = random_triple(rng)
+            got = oracle_lhs(q, v, a, P) - oracle_lhs(q, v, np.zeros(5), P)
+            assert np.max(np.abs(got - hand_momentum(q, a))) < 1e-12
 
     def test_coordinate_gradient(self):
+        # With no stand rate G(q) stays constant along the path, so the
+        # momentum rate is G(q) a and the rest of the left side is -dL/dq.
         rng = np.random.default_rng(43)
-        m, g, r = P.m, P.g, P.r
         for _ in range(50):
-            q, v, _ = random_triple(rng)
-            st, ct = math.sin(q.theta), math.cos(q.theta)
-            s2t = math.sin(2.0 * q.theta)
-            dL_dtheta = (
-                0.5 * m * r * r * v.dtheta**2 * s2t
-                - 0.5 * m * r * r * v.dphi * v.dpsi * ct
-                + 0.125 * m * r * r * v.dpsi**2 * s2t
-                + m * g * r * st
-            )
-            expected = np.array([0.0, 0.0, 0.0, dL_dtheta, 0.0])
-            got = _coordinate_gradient(np.array(q), np.array(v), P, 1e-6)
-            assert np.max(np.abs(got - expected)) < 1e-6
+            q, v, a = random_triple(rng)
+            v = v._replace(dtheta=0.0)
+            got = hand_momentum(q, a) - oracle_lhs(q, v, a, P)
+            assert np.max(np.abs(got - hand_coordinate_gradient(q, v))) < 1e-12
 
     def test_momentum_rate_along_synthetic_path(self):
-        # d/dt of the velocity gradient along q(s) = q + s v, v(s) = v + s a
-        # must match the hand derivative of the momentum expressions.
+        # d/dt of the momentum along q(s) = q + s v, v(s) = v + s a, derived
+        # by hand, less dL/dq is the whole left side.
         rng = np.random.default_rng(44)
         m, r = P.m, P.r
-        h_t, h_v = 1e-5, 1e-3
         for _ in range(50):
             q, v, aa = random_triple(rng)
-            qa, va = np.array(q), np.array(v)
             ddc1, ddc2, ddphi, ddtheta, ddpsi = aa
-            ahead = _velocity_gradient(qa + h_t * va, va + h_t * aa, P, h_v)
-            behind = _velocity_gradient(qa - h_t * va, va - h_t * aa, P, h_v)
-            got = (ahead - behind) / (2.0 * h_t)
             st, ct = math.sin(q.theta), math.cos(q.theta)
             s2t = math.sin(2.0 * q.theta)
-            expected = np.array(
+            momentum_rate = np.array(
                 [
                     m * ddc1,
                     m * ddc2,
@@ -147,7 +154,18 @@ class TestOracleInternals:
                     ),
                 ]
             )
-            assert np.max(np.abs(got - expected)) < 1e-5
+            expected = momentum_rate - hand_coordinate_gradient(q, v)
+            assert np.max(np.abs(oracle_lhs(q, v, aa, P) - expected)) < 1e-11
+
+
+@pytest.mark.parametrize("m, r", [(5.0, 1.0), (100.0, 0.01), (0.01, 100.0), (5.0, 0.001), (5.0, 1000.0), (0.001, 1e-4)])
+def test_oracle_system_is_the_closed_form_system_to_roundoff(m, r):
+    p = Params(m=m, r=r)
+    rng = np.random.default_rng(57)
+    for _ in range(100):
+        q, v = sample_state(rng)
+        for got, want in zip(oracle_system(q, v, p), assemble_system(q, v, p)):
+            assert max_rel_diff(got, want) < 1e-12, (q, v)
 
 
 def test_constraint_accel_rows_match_matrix_and_rhs():
@@ -281,8 +299,7 @@ class TestSolveSystem:
 
 def test_exactly_singular_solve_reports_measured_cos_theta():
     # An M that is exactly singular outside the band (here m r^2 underflows
-    # to zero; the oracle's differenced M can be one next to the band) makes
-    # the error report |cos theta| and the cutoff without claiming that one
+    # to zero) makes the error report |cos theta| and the cutoff without claiming that one
     # lies below the other.
     theta = math.acos(4.722e-6)
     with warnings.catch_warnings():
@@ -351,7 +368,7 @@ def test_oracle_assembled_system_agrees_with_direct_solve():
         direct = solve_system(q, v, P)
         rebuilt = solve_oracle_system(q, v, P)
         worst = max(worst, max_rel_diff(rebuilt, direct))
-    assert worst < 1e-5, f"fd-assembled vs closed-form system: {worst:.3e}"
+    assert worst < 1e-8, f"oracle-assembled vs closed-form system: {worst:.3e}"
 
 
 def test_non_finite_system_raises_value_error_not_singular():
@@ -378,8 +395,9 @@ def test_assembled_system_is_the_frozen_block_layout():
             want_M = np.zeros((7, 7))
             want_M[0:2, 2:7] = A
             want_M[2:7, 0:2] = -A.T
-            want_M[2:7, 2:7] = generalized_mass(q, p)
-            want_b = np.concatenate([-resid, generalized_force(q, v, p)])
+            st, ct, s2t = math.sin(q.theta), math.cos(q.theta), math.sin(2.0 * q.theta)
+            want_M[2:7, 2:7] = np.reshape(_mass_entries(p, st), (5, 5))
+            want_b = np.concatenate([-resid, _force_entries(p, st, ct, s2t, v)])
             M, b = assemble_system(q, v, p)
             assert M.shape == (7, 7) and b.shape == (7,)
             assert M.tobytes() == want_M.tobytes(), p
@@ -411,6 +429,4 @@ def test_plain_sequences_give_the_same_bits():
         assert solve_oracle_system(qs, vs, P).tobytes() == solve_oracle_system(q, v, P).tobytes()
         for got, want in zip(assemble_system(qs, vs, P), assemble_system(q, v, P)):
             assert got.tobytes() == want.tobytes()
-        assert generalized_mass(qs, P).tobytes() == generalized_mass(q, P).tobytes()
-        assert generalized_force(qs, vs, P).tobytes() == generalized_force(q, v, P).tobytes()
         assert constraint_matrix(qs, P).tobytes() == constraint_matrix(q, P).tobytes()

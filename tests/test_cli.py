@@ -338,7 +338,12 @@ def test_validate_passes(capsys):
     ["--samples", "25", "--seed", "1310526364"],
     # A small disk: with steps not scaled to r the oracle read 1.56e-5.
     ["--r", "0.01"],
-], ids=["1072734275", "1310526364", "r0.01"])
+    # Disk sizes no finite-difference step rule in r fitted: 2.05e-5,
+    # 6.16e-5 and 2.6e-4 there, against 1e-5.
+    ["--r", "0.001"],
+    ["--r", "1000"],
+    ["--m", "0.001", "--r", "1e-4"],
+], ids=["1072734275", "1310526364", "r0.01", "r0.001", "r1000", "m0.001-r1e-4"])
 def test_validate_oracle_has_margin_on_hard_seeds(argv, capsys):
     assert main(["validate", *argv]) == 0
     assert "PASS" in capsys.readouterr().out

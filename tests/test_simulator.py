@@ -223,3 +223,31 @@ def test_summary_of_single_sample_trajectory():
     assert summary.max_energy_drift == 0.0
     assert summary.mean_energy_drift == 0.0
     assert traj.final_state() == UPRIGHT_REST
+
+
+def _run_for_2s(name, scale=1.0, **params):
+    cfg = scenario_preset(name)
+    x0 = cfg.x0._replace(c1=scale * cfg.x0.c1, c2=scale * cfg.x0.c2)
+    return integrate(replace(cfg, params=Params(**params), x0=x0, t_end=2.0))
+
+
+@pytest.mark.parametrize("name", ["precession", "circle"])
+def test_mass_drops_out_of_the_reduced_route(name):
+    # closed_form_accels reads only g/r and consistent_velocity only r.
+    light, heavy = _run_for_2s(name, m=5.0), _run_for_2s(name, m=50.0)
+    assert len(light.samples) == 2001
+    assert [s.state for s in light.samples] == [s.state for s in heavy.samples]
+
+
+@pytest.mark.parametrize("name", ["precession", "circle"])
+def test_doubling_g_and_r_scales_lengths_and_energy_exactly(name):
+    # The angle motion depends on g/r only; a power-of-2 scale is exact in
+    # binary floating point, so the centers double and the energy (m g r,
+    # m r^2 rates^2) quadruples bit for bit.
+    base = _run_for_2s(name, g=9.81, r=1.0)
+    scaled = _run_for_2s(name, 2.0, g=2.0 * 9.81, r=2.0)
+    assert len(base.samples) == 2001 and not base.failed
+    for s, t in zip(base.samples, scaled.samples):
+        assert t.state[2:] == s.state[2:]
+        assert (t.state.c1, t.state.c2) == (2.0 * s.state.c1, 2.0 * s.state.c2)
+        assert t.energy == 4.0 * s.energy
