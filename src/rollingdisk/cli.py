@@ -362,7 +362,7 @@ def run_validate(cfg: RunConfig) -> int:
         f"(threshold {validation.SOLVE_THRESHOLD:g})"
     )
     print(
-        f"  closed form vs fd rebuild:   max rel err {report.max_err_oracle:.3e} "
+        f"  closed form vs complex step: max rel err {report.max_err_oracle:.3e} "
         f"(threshold {validation.ORACLE_THRESHOLD:g})"
     )
     if report.passed:
@@ -373,7 +373,7 @@ def run_validate(cfg: RunConfig) -> int:
         print(f"  FAIL vs linear solve at q={q}, v={v}", file=sys.stderr)
     if report.max_err_oracle >= validation.ORACLE_THRESHOLD:
         q, v = report.worst_oracle
-        print(f"  FAIL vs fd rebuild at q={q}, v={v}", file=sys.stderr)
+        print(f"  FAIL vs complex step at q={q}, v={v}", file=sys.stderr)
     return 3
 
 

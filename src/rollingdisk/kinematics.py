@@ -35,24 +35,6 @@ class EulerAngles(NamedTuple):
     psi: float
 
 
-def spin_matrix(phi: float) -> np.ndarray:
-    """Rotation by phi about the x axis."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def stand_matrix(theta: float) -> np.ndarray:
-    """Rotation by theta about the y axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def heading_matrix(psi: float) -> np.ndarray:
-    """Rotation by psi about the z axis."""
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def euler_rotation(angles: EulerAngles) -> np.ndarray:
     """World orientation matrix R = R_heading @ R_stand @ R_spin, written out.
 
@@ -102,12 +84,6 @@ def rotation_vector(angles: EulerAngles, rates: tuple[float, float, float]) -> n
             -dtheta * sf + dpsi * ct * cf,
         ]
     )
-
-
-def skew_build(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix with axial vector v, so skew_build(v) @ u = v x u."""
-    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-    return np.array([[0.0, -v3, v2], [v3, 0.0, -v1], [-v2, v1, 0.0]])
 
 
 def skew_extract(W: np.ndarray, tol: float = 1e-8) -> np.ndarray:

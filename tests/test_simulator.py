@@ -225,10 +225,9 @@ def test_summary_of_single_sample_trajectory():
     assert traj.final_state() == UPRIGHT_REST
 
 
-def _run_for_2s(name, scale=1.0, **params):
+def _run_for_2s(name, x0=None, **params):
     cfg = scenario_preset(name)
-    x0 = cfg.x0._replace(c1=scale * cfg.x0.c1, c2=scale * cfg.x0.c2)
-    return integrate(replace(cfg, params=Params(**params), x0=x0, t_end=2.0))
+    return integrate(replace(cfg, params=Params(**params), x0=cfg.x0 if x0 is None else x0, t_end=2.0))
 
 
 @pytest.mark.parametrize("name", ["precession", "circle"])
@@ -244,10 +243,51 @@ def test_doubling_g_and_r_scales_lengths_and_energy_exactly(name):
     # The angle motion depends on g/r only; a power-of-2 scale is exact in
     # binary floating point, so the centers double and the energy (m g r,
     # m r^2 rates^2) quadruples bit for bit.
+    x0 = scenario_preset(name).x0
     base = _run_for_2s(name, g=9.81, r=1.0)
-    scaled = _run_for_2s(name, 2.0, g=2.0 * 9.81, r=2.0)
+    scaled = _run_for_2s(name, x0._replace(c1=2.0 * x0.c1, c2=2.0 * x0.c2), g=2.0 * 9.81, r=2.0)
     assert len(base.samples) == 2001 and not base.failed
     for s, t in zip(base.samples, scaled.samples):
         assert t.state[2:] == s.state[2:]
         assert (t.state.c1, t.state.c2) == (2.0 * s.state.c1, 2.0 * s.state.c2)
         assert t.energy == 4.0 * s.energy
+
+
+def _final_after_2s(name, x0):
+    traj = _run_for_2s(name, x0)
+    assert not traj.failed
+    return traj.final_state()
+
+
+def _reversed(x: State) -> State:
+    return x._replace(dphi=-x.dphi, dtheta=-x.dtheta, dpsi=-x.dpsi)
+
+
+def _turned(x: State, angle: float) -> State:
+    """x with the heading and the center turned by angle about the vertical through the origin."""
+    c, s = math.cos(angle), math.sin(angle)
+    return x._replace(c1=c * x.c1 - s * x.c2, c2=s * x.c1 + c * x.c2, psi=x.psi + angle)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_running_back_with_negated_rates_returns_to_the_start(name):
+    # The accelerations are even in the rates, so negating them reverses time.
+    x0 = scenario_preset(name).x0
+    back = _final_after_2s(name, _reversed(_final_after_2s(name, x0)))
+    assert state_dist(_reversed(back), x0) < 1e-11
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_turning_the_start_turns_the_run(name):
+    # The plane has no preferred direction: only theta and the rates enter the accelerations.
+    x0 = scenario_preset(name).x0
+    turned = _final_after_2s(name, _turned(x0, 0.7))
+    assert state_dist(turned, _turned(_final_after_2s(name, x0), 0.7)) < 1e-11
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_shifting_the_start_shifts_the_run(name):
+    x0 = scenario_preset(name).x0
+    shifted = _final_after_2s(name, x0._replace(c1=x0.c1 - 3.5, c2=x0.c2 + 1.25))
+    final = _final_after_2s(name, x0)
+    assert state_dist(shifted, final._replace(c1=final.c1 - 3.5, c2=final.c2 + 1.25)) < 1e-11

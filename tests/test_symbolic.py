@@ -1,0 +1,253 @@
+"""The paper's own route: the rolling disk derived once with sympy.
+
+The module fixture builds the model from its definitions alone, in this
+order:
+
+- R = Rz(psi) Ry(theta) Rx(phi), and omega as the axial vector of R^T dR/dt;
+- L = 1/2 omega . I omega + 1/2 m |dc/dt|^2 - m g r cos(theta), with
+  I = diag(m r^2/2, m r^2/4, m r^2/4) and c = (c1, c2, r cos(theta));
+- the contact rows A from no slip: the rim point touching the plane lies at
+  rho = -r (e_z - n_z n) / cos(theta) from the center, n = R e_x, and its
+  velocity dc/dt + (R omega) x rho is zero;
+- the drift (dA/dt) qdot, then G and f from the Euler-Lagrange equations
+  d/dt(dL/dqdot) - dL/dq = G qddot - f, and the 7 x 7 matrix M.
+
+Each sine and cosine is a symbol of its own, differentiated by the chain
+rule, so every derived quantity is a rational function of them. An identity
+holds exactly when the numerator of the difference reduces to zero modulo
+sin^2 + cos^2 = 1 of each angle; that reduction is a normal form, and it is
+the test of every exact assertion below. The package's entry helpers are
+plain arithmetic, so they are called with the symbols themselves, and their
+float coefficients are read as the exact binary fractions they are. The
+functions that call math are compared with the lambdified derivation at
+sample_state draws instead.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from rollingdisk.assembly import _drift_entries, _force_entries, _mass_entries, oracle_lhs
+from rollingdisk.constraints import _constraint_entries, consistent_velocity
+from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_center_accels
+from rollingdisk.energetics import Params, lagrangian
+from rollingdisk.kinematics import EulerAngles, euler_rotation, rotation_vector
+from rollingdisk.validation import sample_state
+
+m, g, r = PARAMS = sp.symbols("m g r", positive=True)
+c1, c2, phi, theta, psi = Q = sp.symbols("c1 c2 phi theta psi", real=True)
+DQ = sp.symbols("dc1 dc2 dphi dtheta dpsi", real=True)
+DDQ = sp.symbols("ddc1 ddc2 ddphi ddtheta ddpsi", real=True)
+TRIG = {angle: sp.symbols(f"s_{angle} c_{angle}", real=True) for angle in (phi, theta, psi)}
+(s_phi, c_phi), (s_th, c_th), (s_psi, c_psi) = TRIG.values()
+# Lexicographic order with the cosines first makes cos^2 the leading term of
+# each identity, so reduction replaces it by 1 - sin^2.
+GENERATORS = (c_phi, c_th, c_psi, s_phi, s_th, s_psi)
+PYTHAGORAS = [s * s + c * c - 1 for s, c in TRIG.values()]
+UNTRIG = {x: f(angle) for angle, pair in TRIG.items() for x, f in zip(pair, (sp.sin, sp.cos))}
+
+# Bar for the functions that call math, relative to the largest derived value
+# over the draws.
+LAMBDIFIED_BAR = 1e-13
+
+
+def canonical(expr):
+    """Normal form of a polynomial in the sines and cosines."""
+    return sp.reduced(sp.expand(expr), PYTHAGORAS, *GENERATORS)[1]
+
+
+def vanishes(expr) -> bool:
+    """True when expr is exactly zero wherever its denominator is nonzero."""
+    numerator, _ = sp.fraction(sp.together(expr))
+    return canonical(numerator) == 0
+
+
+def cleared(expr):
+    """expr with cos(theta)^k cleared from its denominator, using
+    1 / cos^k = cos^k / (1 - sin^2)^k; a polynomial wherever expr equals one."""
+    numerator, denominator = sp.fraction(sp.together(expr))
+    k = sp.degree(denominator, c_th)
+    return sp.cancel(canonical(numerator * c_th**k) / (denominator / c_th**k * (1 - s_th**2) ** k))
+
+
+def exact(value):
+    """A helper's output with every float read as the binary fraction it holds."""
+    return sp.sympify(value).replace(lambda e: e.is_Float, sp.Rational)
+
+
+def partial(expr, x):
+    """d expr / dx for a coordinate x; an angle enters only through its sine and cosine."""
+    if x in TRIG:
+        s, c = TRIG[x]
+        return sp.diff(expr, s) * c - sp.diff(expr, c) * s
+    return sp.diff(expr, x)
+
+
+def rate(expr):
+    """Time derivative of expr(q, qdot) along (qdot, qddot)."""
+    return (sum(partial(expr, x) * dx for x, dx in zip(Q, DQ))
+            + sum(sp.diff(expr, dx) * ddx for dx, ddx in zip(DQ, DDQ)))
+
+
+@pytest.fixture(scope="module")
+def model():
+    rx = sp.Matrix([[1, 0, 0], [0, c_phi, -s_phi], [0, s_phi, c_phi]])
+    ry = sp.Matrix([[c_th, 0, s_th], [0, 1, 0], [-s_th, 0, c_th]])
+    rz = sp.Matrix([[c_psi, -s_psi, 0], [s_psi, c_psi, 0], [0, 0, 1]])
+    R = rz * ry * rx
+    W = (R.T * R.applyfunc(rate)).applyfunc(canonical)
+    omega = sp.Matrix([W[2, 1], W[0, 2], W[1, 0]])
+
+    inertia = sp.diag(m * r**2 / 2, m * r**2 / 4, m * r**2 / 4)
+    center_rate = sp.Matrix([c1, c2, r * c_th]).applyfunc(rate)
+    L = canonical((omega.T * inertia * omega)[0] / 2
+                  + m * center_rate.dot(center_rate) / 2 - m * g * r * c_th)
+
+    n = R[:, 0]
+    rho = -r * (sp.Matrix([0, 0, 1]) - n[2] * n) / c_th
+    slip = center_rate + (R * omega).cross(rho)
+    A = sp.Matrix(2, 5, lambda i, j: cleared(sp.diff(slip[i], DQ[j])))
+    drift = sp.Matrix([sum(rate(A[i, j]) * DQ[j] for j in range(5)) for i in range(2)]).applyfunc(canonical)
+
+    lhs = sp.Matrix([rate(sp.diff(L, dx)) - partial(L, x) for x, dx in zip(Q, DQ)])
+    G = lhs.jacobian(DDQ)
+    f = -lhs.subs(dict.fromkeys(DDQ, 0))
+
+    M = sp.zeros(7, 7)
+    M[0:2, 2:7] = A
+    M[2:7, 0:2] = -A.T
+    M[2:7, 2:7] = G
+    b = sp.Matrix([-drift[0], -drift[1], *f])
+    center_rates = A[:, :2].LUsolve(-A[:, 2:] * sp.Matrix(DQ[2:]))
+    return SimpleNamespace(R=R, W=W, omega=omega, L=L, slip=slip, A=A, drift=drift,
+                           lhs=lhs, G=G, f=f, M=M, b=b, center_rates=center_rates)
+
+
+def residual(model, accels, rates) -> sp.Matrix:
+    """M x - b on rolling velocities, for x holding the angle accelerations
+    accels and the multipliers and center accelerations that the contact and
+    center rows give them; zero exactly when accels solve the system."""
+    center_rates = model.center_rates.xreplace(dict(zip(DQ[2:], rates)))
+    v = dict(zip(DQ, (*center_rates, *rates)))
+    accels = sp.Matrix(accels)
+    A_center, A_angles = model.A[:, :2], model.A[:, 2:]
+    center_accels = A_center.LUsolve(-model.drift.xreplace(v) - A_angles * accels)
+    multipliers = A_center.T.LUsolve(
+        model.G[:2, :2] * center_accels + model.G[:2, 2:] * accels - model.f[:2, :].xreplace(v)
+    )
+    return model.M * sp.Matrix([*multipliers, *center_accels, *accels]) - model.b.xreplace(v)
+
+
+def circular_rates(spin=None):
+    """(dphi, 0, dpsi): no stand rate, and the spin rate of the steady circle
+    from the docstring of dynamics.circular_spin unless spin is given."""
+    dpsi = DQ[4]
+    if spin is None:
+        spin = 2 * g * (s_th / c_th) / (3 * r * dpsi) + sp.Rational(5, 6) * dpsi * s_th
+    return (spin, 0, dpsi)
+
+
+def test_rotation_rate_is_skew_and_contact_stays_on_the_plane(model):
+    assert all(vanishes(x) for x in model.W + model.W.T)
+    # c3 = r cos(theta) is the height at which the rolling rim point has no vertical velocity.
+    assert vanishes(model.slip[2])
+
+
+def test_constraint_entries_are_the_no_slip_rows(model):
+    entries = _constraint_entries(r, s_th, c_th, s_psi, c_psi)
+    assert all(vanishes(exact(x) - a) for x, a in zip(entries, model.A))
+
+
+def test_drift_entries_are_the_rate_of_the_contact_rows(model):
+    entries = _drift_entries(r, s_th, c_th, s_psi, c_psi, DQ)
+    assert all(vanishes(exact(x) - d) for x, d in zip(entries, model.drift))
+
+
+def test_mass_entries_are_the_mass_of_the_euler_lagrange_equations(model):
+    entries = _mass_entries(SimpleNamespace(m=m, g=g, r=r), s_th)
+    assert all(vanishes(exact(x) - e) for x, e in zip(entries, model.G))
+
+
+def test_force_entries_are_the_force_of_the_euler_lagrange_equations(model):
+    # The helper takes sin(2 theta) as an argument of its own.
+    entries = _force_entries(SimpleNamespace(m=m, g=g, r=r), s_th, c_th, 2 * s_th * c_th, DQ)
+    assert all(vanishes(exact(x) - e) for x, e in zip(entries, model.f))
+
+
+def test_determinant_of_the_augmented_matrix(model):
+    # M is polynomial in the sines and cosines (A's denominators are cleared),
+    # so its determinant reduces as it stands.
+    det = model.M.det(method="berkowitz")
+    assert canonical(det - sp.Rational(15, 32) * m**3 * r**6 * c_th**2) == 0
+
+
+def test_closed_forms_of_the_dynamics_docstring_solve_the_derived_system(model):
+    dphi, dtheta, dpsi = DQ[2:]
+    accels = (
+        2 * dphi * dtheta * s_th / c_th + sp.Rational(5, 3) * dtheta * dpsi * c_th,
+        sp.Rational(4, 5) * g * s_th / r - sp.Rational(6, 5) * dphi * dpsi * c_th
+        + dpsi**2 * s_th * c_th,
+        2 * dphi * dtheta / c_th,
+    )
+    assert all(vanishes(x) for x in residual(model, accels, DQ[2:]))
+
+
+def test_circular_spin_keeps_the_stand_angle_steady(model):
+    # No angle accelerates at the spin of dynamics.circular_spin: det M is
+    # nonzero, so that is the solution, and theta stays put.
+    assert all(vanishes(x) for x in residual(model, (0, 0, 0), circular_rates()))
+
+
+@pytest.fixture(scope="module")
+def lambdified_errors(model):
+    """Largest difference between each math-calling function and its
+    lambdified derivation over sample_state draws at two disks, relative to
+    the largest derived value."""
+    def numeric(args, expr):
+        return sp.lambdify(args, expr.xreplace(UNTRIG), "numpy")
+
+    # The spin at which nothing accelerates, with no stand rate, solved from the theta row.
+    stand_row = residual(model, (0, 0, 0), circular_rates(DQ[2]))[5]
+    (spin,) = sp.solve(canonical(sp.fraction(sp.together(stand_row))[0]), DQ[2])
+    rotation = numeric([Q[2:]], model.R)
+    omega = numeric([Q[2:], DQ[2:]], model.omega)
+    L = numeric([Q, DQ, PARAMS], model.L)
+    center_rates = numeric([Q, DQ[2:], PARAMS], model.center_rates)
+    lhs = numeric([Q, DQ, DDQ, PARAMS], model.lhs)
+    steady_spin = numeric([theta, DQ[4], PARAMS], spin)
+    matrix, vector = numeric([Q, PARAMS], model.M), numeric([Q, DQ, PARAMS], model.b)
+
+    def pairs(q, v, a, p):
+        params, angles, rates = (p.m, p.g, p.r), q[2:], v[2:]
+        solution = np.linalg.solve(matrix(q, params), np.ravel(vector(q, v, params)))
+        return {
+            "euler_rotation": (euler_rotation(EulerAngles(*angles)), rotation(angles)),
+            "rotation_vector": (rotation_vector(angles, rates), omega(angles, rates)),
+            "lagrangian": (lagrangian(q, v, p), L(q, v, params)),
+            "consistent_velocity": (consistent_velocity(q, rates, p)[:2], center_rates(q, rates, params)),
+            "closed_form_accels": (closed_form_accels(q, rates, p), solution[4:7]),
+            "closed_form_center_accels": (closed_form_center_accels(q, rates, p), solution[2:4]),
+            "circular_spin": (circular_spin(q.theta, v.dpsi, p), steady_spin(q.theta, v.dpsi, params)),
+            "oracle_lhs": (oracle_lhs(q, v, a, p), lhs(q, v, a, params)),
+        }
+
+    rng = np.random.default_rng(2311)
+    got, want = {}, {}
+    for p in (Params(), Params(m=2.0, r=0.37)):
+        for _ in range(200):
+            q, v = sample_state(rng)
+            for name, (x, y) in pairs(q, v, rng.uniform(-3.0, 3.0, 5), p).items():
+                got.setdefault(name, []).append(np.ravel(np.asarray(x, dtype=float)))
+                want.setdefault(name, []).append(np.ravel(np.asarray(y, dtype=float)))
+    return {name: float(np.max(np.abs(np.subtract(got[name], want[name])))
+                        / np.max(np.abs(want[name]))) for name in got}
+
+
+@pytest.mark.parametrize("name", [
+    "lagrangian", "rotation_vector", "euler_rotation", "consistent_velocity",
+    "closed_form_accels", "closed_form_center_accels", "circular_spin", "oracle_lhs",
+])
+def test_math_calling_function_matches_the_lambdified_derivation(lambdified_errors, name):
+    assert lambdified_errors[name] <= LAMBDIFIED_BAR, f"{name}: {lambdified_errors[name]:.3e}"
