@@ -153,17 +153,14 @@ def _load_config_file(path: str) -> ScenarioConfig:
     x0 = raw["x0"]
     if not (isinstance(x0, list) and len(x0) == 8):
         raise UsageError("config key 'x0' must be a list of 8 numbers")
+    for key, value in raw.items():  # float() below would take "5", and True is an int
+        if not all(type(v) in (int, float) for v in (value if key == "x0" else [value])):
+            raise UsageError(f"config key {key!r} must hold numbers, got {value!r}")
     try:
         params = Params(m=float(raw["m"]), g=float(raw["g"]), r=float(raw["r"]))
-        state = State.from_iterable(x0)
-        return ScenarioConfig(
-            name=Path(path).stem,
-            params=params,
-            x0=state,
-            t_end=float(raw["t_end"]),
-            dt=float(raw["dt"]),
-        )
-    except (TypeError, ValueError) as err:
+        return ScenarioConfig(Path(path).stem, params, State.from_iterable(x0),
+                              t_end=float(raw["t_end"]), dt=float(raw["dt"]))
+    except (OverflowError, ValueError) as err:  # OverflowError: an int too large for a float
         raise UsageError(f"config file {path}: {err}") from err
 
 
@@ -226,26 +223,13 @@ def _emitted_indices(n: int):
 def write_csv(path: str, traj: Trajectory) -> int:
     """Write the thinned trajectory; returns the number of data rows."""
     r = traj.params.r
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS))  # "%.17g" % v is format(v, ".17g")
     lines = [",".join(CSV_COLUMNS)]
     indices = _emitted_indices(len(traj.samples))
     for i in indices:
-        s = traj.samples[i]
-        x = s.state
-        values = (
-            s.t,
-            x.c1,
-            x.c2,
-            r * math.cos(x.theta),
-            x.phi,
-            x.theta,
-            x.psi,
-            x.dphi,
-            x.dtheta,
-            x.dpsi,
-            s.energy,
-            s.residual,
-        )
-        lines.append(",".join(format(v, ".17g") for v in values))
+        t, (c1, c2, phi, theta, psi, dphi, dtheta, dpsi), energy, residual = traj.samples[i]
+        lines.append(row % (t, c1, c2, r * math.cos(theta), phi, theta, psi, dphi, dtheta, dpsi,
+                            energy, residual))
     Path(path).write_text("\n".join(lines) + "\n")
     return len(indices)
 
@@ -390,3 +374,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,10 +1,10 @@
 """Fixed-step simulation of the rolling disk.
 
 Both routes below always step with the classical fourth-order Runge-Kutta
-method; no setting selects another. step_euler, a forward Euler step on the
-reduced 8-dimensional state, is only called directly, for convergence-order
-contrast. Both steppers are deterministic: identical configuration in,
-bit-identical trajectory out.
+method, on plain Python floats; no setting selects another. step_euler, a
+forward Euler step on the reduced 8-dimensional state, is only called
+directly, for convergence-order contrast. Both steppers are deterministic:
+identical configuration in, bit-identical trajectory out.
 
 Two integration routes are provided. integrate propagates the reduced state
 and reconstructs the center rates from the contact at every evaluation, so
@@ -13,12 +13,9 @@ integrates the center rates as unknowns, obtaining accelerations from the
 augmented linear solve; comparing the two routes measures how far the
 unreduced formulation drifts off the constraint surface.
 
-Both routes share one RK4 step, _rk4, on plain Python floats. Each step
-starts from and returns a State on the reduced route, a list (coordinates,
-then generalized velocities) on the unreduced one; the three inner stages are
-plain lists on both, so the derivative functions read their arguments by
-index, and the unreduced route passes list slices straight into solve_system.
-numpy stays inside the kernels and out of the samples.
+step_rk4 writes the reduced route's stages out over its eight floats and
+returns a State; the unreduced route steps a list of ten through _rk4, in the
+same operation order. numpy stays inside the kernels, out of the samples.
 
 A trajectory records per-step diagnostics (total energy with reconstructed
 center rates, contact slip residual). On a singular configuration, or a step
@@ -132,20 +129,38 @@ class Summary:
     min_abs_cos_theta: float
 
 
-def _rk4(f, x, dt: float, p: Params, make):
-    """One classical Runge-Kutta step of f(x, p) through plain-list stages; make
-    builds the result. Propagates SingularConfiguration from any stage."""
+def _rk4(f, x, dt: float, p: Params) -> list:
+    """One classical Runge-Kutta step of f(x, p) through plain-list stages, as a
+    list. Propagates SingularConfiguration from any stage."""
     half, sixth = 0.5 * dt, dt / 6  # same bits: 0.5 * dt * k is (0.5 * dt) * k
     k1 = f(x, p)
     k2 = f([xi + half * ki for xi, ki in zip(x, k1)], p)
     k3 = f([xi + half * ki for xi, ki in zip(x, k2)], p)
     k4 = f([xi + dt * ki for xi, ki in zip(x, k3)], p)
-    return make([xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
+    return [xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
 def step_rk4(x: State, dt: float, p: Params) -> State:
-    """One classical Runge-Kutta step of size dt on the reduced state."""
-    return _rk4(state_derivative, x, dt, p, State._make)
+    """One classical Runge-Kutta step of size dt on the reduced state, written
+    out over its eight floats in _rk4's operation order (so with its bits).
+    state_derivative is looked up here at each call, where a tracer patches it."""
+    half, sixth = 0.5 * dt, dt / 6
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    a0, a1, a2, a3, a4, a5, a6, a7 = state_derivative(x, p)
+    b0, b1, b2, b3, b4, b5, b6, b7 = state_derivative([
+        x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
+        x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7], p)
+    c0, c1, c2, c3, c4, c5, c6, c7 = state_derivative([
+        x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
+        x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7], p)
+    d0, d1, d2, d3, d4, d5, d6, d7 = state_derivative([
+        x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
+        x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, x7 + dt * c7], p)
+    return tuple.__new__(State, (
+        x0 + sixth * (a0 + 2.0 * (b0 + c0) + d0), x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
+        x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2), x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3),
+        x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4), x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5),
+        x6 + sixth * (a6 + 2.0 * (b6 + c6) + d6), x7 + sixth * (a7 + 2.0 * (b7 + c7) + d7)))
 
 
 def step_euler(x: State, dt: float, p: Params) -> State:
@@ -219,7 +234,7 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     """
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
-    return _run(cfg, cfg.name + "-10dim", y0, partial(_rk4, _deriv_10dim, make=list), _split_10dim)
+    return _run(cfg, cfg.name + "-10dim", y0, partial(_rk4, _deriv_10dim), _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

@@ -185,6 +185,19 @@ def test_overrides_are_validated_together(tmp_path):
         lambda c: c.update(x0=[2.0, 0.0, 0.0, float("nan"), 0.0, 2.5, 0.0, 0.0]),
         # 1.0 is no whole number of 0.3 s steps; the run would stop at t=0.9
         lambda c: c.update(t_end=1.0, dt=0.3),
+        # float() would take each of these and run
+        lambda c: c.update(m=True),
+        lambda c: c.update(m="5"),
+        lambda c: c.update(g="9.81"),
+        lambda c: c.update(r=True),
+        lambda c: c.update(t_end="0.1"),
+        lambda c: c.update(dt="0.01"),
+        lambda c: c.update(x0=[2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, True]),
+        lambda c: c.update(x0=[2.0, 0.0, 0.0, 0.1, 0.0, "2.5", 0.0, 0.0]),
+        # null, which float() refuses too
+        lambda c: c.update(g=None),
+        # an int no float holds
+        lambda c: c.update(m=10**400),
     ],
 )
 def test_config_file_errors(tmp_path, mutate):
@@ -377,13 +390,27 @@ def test_validate_reports_degenerate_parameters_in_one_line(params, reason, caps
     assert "horizontal" not in err
 
 
-def test_cli_imports_without_scipy():
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(rollingdisk.dynamics.__file__).parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_imports_without_scipy():
     code = "import sys, rollingdisk.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    out = tmp_path / "m.csv"
+    proc = _python("-m", "rollingdisk.cli", "simulate", "--scenario", "straight",
+                   "--t-end", "0.01", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert f"wrote {out} (2 rows)" in proc.stdout
+    assert out.read_text().startswith(",".join(CSV_COLUMNS) + "\n")
 
 
 def test_validate_catches_injected_fault(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rollingdisk import dynamics, simulator
 from rollingdisk.dynamics import State, state_derivative
 from rollingdisk.energetics import Params
 from rollingdisk.simulator import (
@@ -155,6 +156,35 @@ class TestIntegrate:
         assert traj.failure_time is None
         assert traj.failure_reason is None
         assert summary.n_samples == len(traj.samples)
+
+    def test_call_graph_goes_through_the_module_names(self, monkeypatch):
+        # A tracer counts these calls by patching the names below; a step that
+        # bound one early, or inlined it, would run unseen and fail this count.
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(simulator, "state_derivative")
+        count(dynamics, "closed_form_accels")
+        count(dynamics, "consistent_velocity")  # from state_derivative, 4 per step
+        count(simulator, "consistent_velocity")  # from the sampler, 1 per sample
+        count(simulator, "kinetic_energy")
+        n = 12
+        traj = integrate(replace(scenario_preset("precession"), t_end=n * 1e-3))
+        assert len(traj.samples) == n + 1
+        assert calls == {
+            "state_derivative": 4 * n,
+            "closed_form_accels": 4 * n,
+            "consistent_velocity": 5 * n + 1,
+            "kinetic_energy": n + 1,
+        }
 
     def test_singular_start_returns_partial_trajectory(self):
         x0 = State(0.0, 0.0, 0.0, math.pi / 2 - 1e-9, 0.0, 1.0, 1.0, 1.0)
