@@ -33,8 +33,8 @@ import numpy as np
 
 from . import validation
 from .dynamics import State
-from .energetics import Params, center_position
-from .kinematics import EulerAngles, euler_rotation
+from .energetics import Params
+from .kinematics import euler_rotation
 from .singularity import SingularConfiguration
 from .simulator import (
     NON_FINITE,
@@ -240,15 +240,13 @@ OUTLINE_POINTS = 64
 
 def _disk_outline(x0: State, p: Params):
     """Top-view projection of the rim at the initial state."""
-    q = x0.coords()
-    center = center_position(q, p)
-    rot = euler_rotation(EulerAngles(*q[2:5]))
+    rot = euler_rotation(x0[2:5])
     points = []
     for k in range(OUTLINE_POINTS + 1):
         u = 2.0 * math.pi * k / OUTLINE_POINTS
         rim_body = (0.0, p.r * math.cos(u), p.r * math.sin(u))
-        wx = center[0] + rot[0, 1] * rim_body[1] + rot[0, 2] * rim_body[2]
-        wy = center[1] + rot[1, 1] * rim_body[1] + rot[1, 2] * rim_body[2]
+        wx = x0.c1 + rot[0, 1] * rim_body[1] + rot[0, 2] * rim_body[2]
+        wy = x0.c2 + rot[1, 1] * rim_body[1] + rot[1, 2] * rim_body[2]
         points.append((wx, wy))
     return points
 
@@ -300,8 +298,8 @@ def run_simulate(cfg: RunConfig) -> int:
         return 1
     summary = diagnostics_summary(traj)
     print(
-        f"scenario {traj.scenario}: {summary.n_samples} samples to "
-        f"t={summary.t_final:g} s, dt={traj.dt:g}, rk4"
+        f"scenario {traj.scenario}: {len(traj.samples)} samples to "
+        f"t={traj.samples[-1].t:g} s, dt={traj.dt:g}, rk4"
     )
     print(
         f"  energy drift max {summary.max_energy_drift:.3e} "
@@ -340,7 +338,7 @@ def run_validate(cfg: RunConfig) -> int:
         print(f"validate: cannot evaluate the model at m={p.m:g}, g={p.g:g}, r={p.r:g}: {reason}",
               file=sys.stderr)
         return 3
-    print(f"validate: {report.n_samples} samples, seed {report.seed}")
+    print(f"validate: {cfg.samples} samples, seed {cfg.seed}")
     print(
         f"  closed form vs linear solve: max rel err {report.max_err_solve:.3e} "
         f"(threshold {validation.SOLVE_THRESHOLD:g})"

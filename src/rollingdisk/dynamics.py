@@ -61,19 +61,6 @@ class State(NamedTuple):
         return cls(*(float(x) for x in values))
 
 
-class StateDeriv(NamedTuple):
-    """Time derivative of State, same field order."""
-
-    dc1: float
-    dc2: float
-    dphi: float
-    dtheta: float
-    dpsi: float
-    ddphi: float
-    ddtheta: float
-    ddpsi: float
-
-
 def closed_form_accels(
     q: GenCoords, rates: tuple[float, float, float], p: Params
 ) -> tuple[float, float, float]:
@@ -132,17 +119,18 @@ def closed_form_solution(
     return np.array([p.m * ddc1, p.m * ddc2, ddc1, ddc2, *closed_form_accels(q, rates, p)])
 
 
-def state_derivative(x: State, p: Params) -> StateDeriv:
+def state_derivative(x: State, p: Params) -> tuple[float, ...]:
     """Right-hand side of the reduced 8-dimensional state equation.
 
-    x is a State or any sequence of its eight numbers in the same order.
-    Center rates come from the rolling contact, angle accelerations from the
-    closed forms. Raises SingularConfiguration in the flat-disk band.
+    x is a State or any sequence of its eight numbers in the same order; the
+    derivative comes back as a plain 8-tuple in State's field order. Center
+    rates come from the rolling contact, angle accelerations from the closed
+    forms. Raises SingularConfiguration in the flat-disk band.
     """
     q, rates = x[:5], x[5:]
     accels = closed_form_accels(q, rates, p)
     v = consistent_velocity(q, rates, p)
-    return tuple.__new__(StateDeriv, (v[0], v[1], *rates, *accels))
+    return (v[0], v[1], *rates, *accels)
 
 
 def circular_spin(theta: float, dpsi: float, p: Params) -> float:

@@ -68,19 +68,6 @@ class GenVel(NamedTuple):
     dtheta: float
     dpsi: float
 
-    def angular_rates(self) -> tuple[float, float, float]:
-        return (self.dphi, self.dtheta, self.dpsi)
-
-
-def center_position(q: GenCoords, p: Params) -> np.ndarray:
-    """Disk center in world coordinates, height slaved to the stand angle."""
-    return np.array([q.c1, q.c2, p.r * math.cos(q.theta)])
-
-
-def center_velocity(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    """Velocity of the disk center; the vertical part is -r sin(theta) dtheta."""
-    return np.array([v[0], v[1], -p.r * math.sin(q[3]) * v[3]])
-
 
 @functools.lru_cache(maxsize=32)
 def inertia_matrix(p: Params) -> np.ndarray:
@@ -100,11 +87,11 @@ def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
     """Rotational plus translational kinetic energy, built from definitions.
 
     Evaluates 1/2 omega . I omega + 1/2 m |dc/dt|^2 with omega from
-    rotation_vector and the center velocity from center_velocity. Kept
+    rotation_vector and dc/dt = (dc1, dc2, -r sin(theta) dtheta). Kept
     definitional on purpose: it cross-checks the closed-form lagrangian.
     """
     w = rotation_vector(q[2:5], v[2:5])
-    dc = center_velocity(q, v, p)
+    dc = np.array([v[0], v[1], -p.r * math.sin(q[3]) * v[3]])
     # numpy's products, not scalar sums (they round differently); .dot costs less than @.
     return 0.5 * float(w.dot(inertia_matrix(p)).dot(w)) + 0.5 * p.m * float(dc.dot(dc))
 

@@ -22,25 +22,16 @@ the rotation vector
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 
-class EulerAngles(NamedTuple):
-    """Attitude angles in radians: spin phi, stand theta, heading psi."""
-
-    phi: float
-    theta: float
-    psi: float
-
-
-def euler_rotation(angles: EulerAngles) -> np.ndarray:
+def euler_rotation(angles) -> np.ndarray:
     """World orientation matrix R = R_heading @ R_stand @ R_spin, written out.
 
     Parameters
     ----------
-    angles : EulerAngles
+    angles : (phi, theta, psi)
         Spin, stand, heading angles in radians.
 
     Returns
@@ -48,9 +39,9 @@ def euler_rotation(angles: EulerAngles) -> np.ndarray:
     ndarray, shape (3, 3)
         Proper orthogonal matrix mapping body coordinates to world coordinates.
     """
-    sf, cf = math.sin(angles.phi), math.cos(angles.phi)
-    st, ct = math.sin(angles.theta), math.cos(angles.theta)
-    sp, cp = math.sin(angles.psi), math.cos(angles.psi)
+    sf, cf = math.sin(angles[0]), math.cos(angles[0])
+    st, ct = math.sin(angles[1]), math.cos(angles[1])
+    sp, cp = math.sin(angles[2]), math.cos(angles[2])
     return np.array(
         [
             [ct * cp, -cf * sp + st * cp * sf, sp * sf + st * cp * cf],
@@ -60,12 +51,12 @@ def euler_rotation(angles: EulerAngles) -> np.ndarray:
     )
 
 
-def rotation_vector(angles: EulerAngles, rates: tuple[float, float, float]) -> np.ndarray:
+def rotation_vector(angles, rates: tuple[float, float, float]) -> np.ndarray:
     """Body-frame angular velocity for given angles and angle rates.
 
     Parameters
     ----------
-    angles : EulerAngles or any (phi, theta, psi) sequence
+    angles : (phi, theta, psi) sequence, in radians
     rates : tuple of float
         (dphi, dtheta, dpsi), time derivatives of the angles.
 

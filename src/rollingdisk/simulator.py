@@ -109,20 +109,15 @@ class Trajectory:
         """Center path (c1, c2) as an (n, 2) array."""
         return np.array([[s.state.c1, s.state.c2] for s in self.samples])
 
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
-
     def final_state(self) -> State:
         return self.samples[-1].state
 
 
 @dataclass(frozen=True)
 class Summary:
-    """Headline diagnostics of a trajectory. What the Trajectory already
-    holds (scenario, final state, failure) is read from it, not copied here."""
+    """Headline diagnostics of a trajectory. What the Trajectory holds
+    (samples, scenario, final state, failure) is read from it, not copied."""
 
-    n_samples: int
-    t_final: float
     max_energy_drift: float
     mean_energy_drift: float
     max_residual: float
@@ -264,14 +259,12 @@ def scenario_preset(name: str) -> ScenarioConfig:
 
 def diagnostics_summary(traj: Trajectory) -> Summary:
     """Aggregate per-sample diagnostics into headline numbers."""
-    energies = traj.energies()
+    energies = np.array([s.energy for s in traj.samples])
     e0 = float(energies[0])
     denom = abs(e0) if e0 != 0.0 else 1.0
     drift = np.abs(energies - e0) / denom
     min_cos = min(abs(math.cos(s.state.theta)) for s in traj.samples)
     return Summary(
-        n_samples=len(traj.samples),
-        t_final=traj.samples[-1].t,
         max_energy_drift=float(np.max(drift)),
         mean_energy_drift=float(np.mean(drift)),
         max_residual=max(s.residual for s in traj.samples),

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from rollingdisk.assembly import (
+    _drift_entries,
     _force_entries,
     _mass_entries,
     assemble_system,
-    constraint_accel_rows,
     oracle_lhs,
     oracle_system,
     solve_oracle_system,
@@ -19,7 +19,7 @@ from rollingdisk.dynamics import State
 from rollingdisk.energetics import GenCoords, GenVel, Params
 from rollingdisk.simulator import NON_FINITE, ScenarioConfig, integrate_10dim
 from rollingdisk.singularity import SingularConfiguration
-from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state, solve_seven
+from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state, solve_seven, validation_sweep
 
 P = Params()
 REST = GenVel(0, 0, 0, 0, 0)
@@ -88,15 +88,18 @@ def test_oracle_system_is_the_closed_form_system_to_roundoff(m, r):
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), (q, v)
 
 
-def test_constraint_accel_rows_match_matrix_and_rhs():
+def drift(q, v, p):
+    return np.array(_drift_entries(p.r, math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]), v))
+
+
+def test_contact_rows_match_matrix_and_drift():
     rng = np.random.default_rng(45)
     for _ in range(200):
         q, v = sample_state(rng)
-        A, resid = constraint_accel_rows(q, v, P)
-        assert np.array_equal(A, constraint_matrix(q, P))
-        # the drift term is the sign-flipped top of the right-hand side
-        _, b = assemble_system(q, v, P)
-        assert np.allclose(resid, -b[0:2], atol=1e-14)
+        # both systems carry A on top, and the drift sign-flipped at the top of b
+        for M, b in (assemble_system(q, v, P), oracle_system(q, v, P)):
+            assert np.array_equal(M[0:2, 2:7], constraint_matrix(q, P))
+            assert np.array_equal(b[0:2], -drift(q, v, P))
 
 
 class TestMassMatrix:
@@ -213,7 +216,7 @@ class TestSolveSystem:
             for _ in range(20):
                 q, v = sample_state(rng)
                 q = GenCoords(q.c1, q.c2, q.phi, sign * theta, q.psi)
-                closed = closed_form_seven(q, v.angular_rates(), p)
+                closed = closed_form_seven(q, v[2:5], p)
                 assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-4
 
 
@@ -291,6 +294,15 @@ def test_oracle_assembled_system_agrees_with_direct_solve():
     assert worst < 1e-8, f"oracle-assembled vs closed-form system: {worst:.3e}"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the oracle fails its 1e-8 bar at very large disks and masses")
+@pytest.mark.parametrize("p", [Params(r=1e6), Params(m=1e16)], ids=["r1e6", "m1e16"])
+def test_validation_sweep_passes_beyond_the_measured_range(p):
+    # The oracle reads 6.5e-4 at r = 1e6 and 0.64 at m = 1e16 on these 25
+    # samples; a fix of that defect makes this pass and so must drop the mark.
+    report = validation_sweep(p, 25, 42)
+    assert report.passed, f"solve {report.max_err_solve:.3e}, oracle {report.max_err_oracle:.3e}"
+
+
 def test_non_finite_system_raises_value_error_not_singular():
     # A NaN stand angle is no flat disk: the failed solve reports the NaN.
     q = GenCoords(0, 0, 0, math.nan, 0)
@@ -311,7 +323,7 @@ def test_assembled_system_is_the_frozen_block_layout():
     assert min(q.theta for q, _ in states) < 0.0 < max(q.theta for q, _ in states)
     for p in (P, Params(m=100.0, r=0.01), Params(m=0.01, r=100.0), Params(m=2.0, r=0.37)):
         for q, v in states:
-            A, resid = constraint_accel_rows(q, v, p)
+            A, resid = constraint_matrix(q, p), drift(q, v, p)
             want_M = np.zeros((7, 7))
             want_M[0:2, 2:7] = A
             want_M[2:7, 0:2] = -A.T

@@ -68,6 +68,7 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert float(first[1]) == 2.0  # c1
     assert float(first[4]) == 0.0  # phi
     out_text = capsys.readouterr().out
+    assert out_text.startswith("scenario precession: 10001 samples to t=10 s, dt=0.001, rk4\n")
     assert "energy drift" in out_text
 
 
@@ -316,6 +317,9 @@ def test_emit_plot_writes_script(tmp_path):
     assert len(data_lines) == 65
     for ln in data_lines[:3]:
         assert len(ln.split(",")) == 2
+    # the rim outline at t = 0 is centered on the start's (c1, c2) = (2, 0)
+    points = [[float(c) for c in ln.split(",")] for ln in data_lines[:-1]]
+    assert np.allclose(np.mean(points, axis=0), [2.0, 0.0], atol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -340,7 +344,7 @@ def test_unwritable_output_exits_1_in_one_line(tmp_path, capsys, out, emit_plot,
 def test_validate_passes(capsys):
     assert main(["validate", "--samples", "50", "--seed", "7"]) == 0
     out = capsys.readouterr().out
-    assert "seed 7" in out
+    assert out.startswith("validate: 50 samples, seed 7\n")
     assert "PASS" in out
 
 

@@ -46,7 +46,7 @@ def test_consistent_velocity_straight_roll():
     v = consistent_velocity(GenCoords(0, 0, 0, 0.0, 0.0), (2.5, 0.0, 0.0), P)
     assert v.dc1 == 0.0
     assert v.dc2 == -2.5
-    assert v.angular_rates() == (2.5, 0.0, 0.0)
+    assert v[2:5] == (2.5, 0.0, 0.0)
 
 
 def test_consistent_velocity_annihilated_by_matrix():

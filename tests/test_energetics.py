@@ -7,8 +7,6 @@ from rollingdisk.energetics import (
     GenCoords,
     GenVel,
     Params,
-    center_position,
-    center_velocity,
     inertia_matrix,
     kinetic_energy,
     lagrangian,
@@ -36,18 +34,14 @@ def test_params_rejects_nonpositive(bad):
         Params(**bad)
 
 
-def test_center_position_height_follows_stand_angle():
-    assert np.allclose(center_position(GenCoords(1.0, -2.0, 0.3, 0.0, 0.1), P), [1.0, -2.0, 1.0])
-    c = center_position(GenCoords(0.0, 0.0, 0.0, 0.7, 0.0), P)
-    assert c[2] == pytest.approx(math.cos(0.7), abs=1e-15)
-
-
 def test_center_velocity_vertical_component():
+    # The center sinks at r sin(theta) dtheta as the disk tilts; at phi = 0 the
+    # stand rate turns about body axis 2 alone, with moment m r^2 / 4.
     q = GenCoords(0.0, 0.0, 0.0, 0.4, 0.0)
     v = GenVel(1.0, 2.0, 0.0, 1.5, 0.0)
-    dc = center_velocity(q, v, P)
-    assert dc[0] == 1.0 and dc[1] == 2.0
-    assert dc[2] == pytest.approx(-math.sin(0.4) * 1.5, abs=1e-15)
+    translational = 0.5 * P.m * (1.0 + 4.0 + (P.r * math.sin(0.4) * 1.5) ** 2)
+    rotational = 0.5 * (P.m * P.r**2 / 4.0) * 1.5**2
+    assert kinetic_energy(q, v, P) == pytest.approx(translational + rotational, rel=1e-14)
 
 
 def test_inertia_matrix_values():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rollingdisk import dynamics, simulator
+from rollingdisk import assembly, dynamics, energetics, simulator
 from rollingdisk.dynamics import State, state_derivative
 from rollingdisk.energetics import Params
 from rollingdisk.simulator import (
@@ -29,6 +29,26 @@ UPRIGHT_REST = State(1.0, -2.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 def state_dist(a: State, b: State) -> float:
     return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """(calls, count): count(module, name) patches module.name so that each
+    call adds one to calls[name]. A tracer counts calls by patching these
+    names; a route that bound one early, or inlined it, would run unseen and
+    fail the count."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    return calls, count
 
 
 class TestSteppers:
@@ -155,22 +175,9 @@ class TestIntegrate:
         assert summary.max_residual < 1e-12
         assert traj.failure_time is None
         assert traj.failure_reason is None
-        assert summary.n_samples == len(traj.samples)
 
-    def test_call_graph_goes_through_the_module_names(self, monkeypatch):
-        # A tracer counts these calls by patching the names below; a step that
-        # bound one early, or inlined it, would run unseen and fail this count.
-        calls = {}
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
+    def test_call_graph_goes_through_the_module_names(self, call_counts):
+        calls, count = call_counts
         count(simulator, "state_derivative")
         count(dynamics, "closed_form_accels")
         count(dynamics, "consistent_velocity")  # from state_derivative, 4 per step
@@ -219,6 +226,32 @@ class TestIntegrate10Dim:
         assert traj.failure_time == 0.0
         assert traj.failure_reason == SINGULAR
         assert len(traj.samples) == 1
+
+    def test_call_graph_goes_through_the_module_names(self, call_counts):
+        # The counts the unreduced benchmark gates: four solves per step, one
+        # contact reconstruction at the start, and the reduced field unused.
+        calls, count = call_counts
+        count(simulator, "state_derivative")
+        count(simulator, "solve_system")
+        count(assembly, "assemble_system")
+        count(simulator, "consistent_velocity")
+        count(dynamics, "consistent_velocity")
+        count(simulator, "constraint_residual")
+        count(simulator, "kinetic_energy")
+        count(simulator, "potential_energy")
+        count(energetics, "rotation_vector")
+        n = 12
+        traj = integrate_10dim(replace(scenario_preset("precession"), t_end=n * 1e-3))
+        assert len(traj.samples) == n + 1 and not traj.failed
+        assert calls == {
+            "solve_system": 4 * n,
+            "assemble_system": 4 * n,
+            "consistent_velocity": 1,
+            "constraint_residual": n + 1,
+            "kinetic_energy": n + 1,
+            "potential_energy": n + 1,
+            "rotation_vector": n + 1,
+        }
 
 
 @pytest.mark.parametrize("route", [integrate, integrate_10dim])

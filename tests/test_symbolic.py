@@ -33,7 +33,7 @@ from rollingdisk.assembly import _drift_entries, _force_entries, _mass_entries, 
 from rollingdisk.constraints import _constraint_entries, consistent_velocity
 from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_center_accels
 from rollingdisk.energetics import Params, lagrangian
-from rollingdisk.kinematics import EulerAngles, euler_rotation, rotation_vector
+from rollingdisk.kinematics import euler_rotation, rotation_vector
 from rollingdisk.validation import sample_state
 
 m, g, r = PARAMS = sp.symbols("m g r", positive=True)
@@ -223,7 +223,7 @@ def lambdified_errors(model):
         params, angles, rates = (p.m, p.g, p.r), q[2:], v[2:]
         solution = np.linalg.solve(matrix(q, params), np.ravel(vector(q, v, params)))
         return {
-            "euler_rotation": (euler_rotation(EulerAngles(*angles)), rotation(angles)),
+            "euler_rotation": (euler_rotation(angles), rotation(angles)),
             "rotation_vector": (rotation_vector(angles, rates), omega(angles, rates)),
             "lagrangian": (lagrangian(q, v, p), L(q, v, params)),
             "consistent_velocity": (consistent_velocity(q, rates, p)[:2], center_rates(q, rates, params)),
