@@ -12,11 +12,9 @@ which close the system at acceleration level. Collecting the seven unknowns
 
 yields a linear system M(q) x = b(q, qdot). Row and unknown ordering is
 frozen: rows are (contact-1, contact-2, c1, c2, phi, theta, psi) and the two
-multipliers lead the unknowns. One table, _LAYOUT, holds the flat position in
-M of every entry of A, of -A^T and of G; _augmented writes all of them for
-oracle_system. solve_system and solve_oracle_system return x itself, a
-length-7 array in exactly this order, as does dynamics.closed_form_solution.
-Do not reorder.
+multipliers lead the unknowns. solve_system and solve_oracle_system return x
+itself, a length-7 array in exactly this order, as does
+dynamics.closed_form_solution. Do not reorder.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into the generalized mass G (_mass_entries) and force f (_force_entries), so M
@@ -24,10 +22,9 @@ depends on configuration only and every velocity term lives in b; they are
 M[2:7, 2:7] and b[2:7]. Each entry is written once, in a helper returning
 plain floats. 30 of M's 49 entries never change: the 2 x 2 zero block, the
 identity columns of A and their negation in -A^T, and the zeros of G.
-assemble_system copies them from _TEMPLATE, which _augmented lays out once at
-import, and puts the other 19 into the copy in one call; b is one numpy call.
-Negating A's zeros gives -0.0 at M[2, 1] and M[3, 0], and the
-template keeps those signs, so M keeps its bits. det M =
+assemble_system copies them from _TEMPLATE and puts the other 19 into the
+copy in one call; b is one numpy call. Negating A's zeros gives -0.0 at
+M[2, 1] and M[3, 0], and the template holds those signs. det M =
 (15/32) m^3 r^6 cos^2(theta), so the cos(theta) band of the singularity guard
 is the exact rank test.
 
@@ -46,7 +43,8 @@ lagrangian, sharing no algebra with the closed form, and exists to
 cross-check it. It differentiates L by the complex step (Squire & Trapp,
 SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003): one
 constant step h = 1e-30, no difference of nearby values and so no step to
-tune, which leaves the rebuilt (M, b) within roundoff of assemble_system's.
+tune, which leaves the rebuilt G and f within roundoff of assemble_system's;
+oracle_system takes the contact rows and -A^T from assemble_system itself.
 Solved, it does not meet validate's 1e-8 bar at every disk size: at seed 42
 it passes for r in [1e-4, 1e3] at m = 5 and for m up to 1e12 at r = 1, and
 fails at r = 1e-5, r = 1e4 and m = 1e14.
@@ -60,7 +58,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .constraints import _constraint_entries, constraint_matrix
+from .constraints import _constraint_entries
 from .energetics import GenCoords, GenVel, Params, lagrangian
 from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
 
@@ -73,11 +71,6 @@ _COMPLEX_STEP = 1e-30
 # Range of m and r in which M, outside the cos(theta) band, has its smallest
 # LU pivot above 2e-163 and its largest entry below 2e150.
 _DIRECT_SCALE_MIN, _DIRECT_SCALE_MAX = 1e-50, 1e50
-# Flat positions in M of the entries of A (row by row), of the same entries
-# negated in -A^T, and of G (row by row); the 2 x 2 block of zeros is left out.
-_LAYOUT = np.array([7 * (k // 5) + 2 + k % 5 for k in range(10)]
-                   + [7 * (2 + k % 5) + k // 5 for k in range(10)]
-                   + [16 + 7 * (j // 5) + j % 5 for j in range(25)])
 
 
 def _mass_entries(p: Params, st: float) -> tuple:
@@ -139,23 +132,21 @@ def oracle_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
     return lhs
 
 
-def _augmented(a, drift, mass, force) -> tuple[np.ndarray, np.ndarray]:
-    """Lay out the contact rows A qddot = -drift and the motion rows
-    mass qddot - A^T lambda = force in the frozen ordering; returns (M, b).
-    a (2 x 5) and mass (5 x 5) come flat, row by row."""
-    M = np.zeros((7, 7))
-    M.put(_LAYOUT, (*a, *[-x for x in a], *mass))
-    return M, np.array((-drift[0], -drift[1], *force))
-
-
-# The entries of A that depend on (q, p), their negatives in -A^T, and the
-# nonzero entries of G, as positions in M. _TEMPLATE holds the other 30, laid
-# out by _augmented from the helpers at one state (the 19 are overwritten).
+# Flat positions in M of the entries of A that depend on (q, p), of their
+# negatives in -A^T and of the nonzero entries of G, both counted row by row:
+# entry k of A is M[k // 5, 2 + k % 5] and M[2 + k % 5, k // 5] in -A^T,
+# entry j of G is M[2 + j // 5, 2 + j % 5].
 _VARYING_A, _NONZERO_G = (2, 3, 4, 7, 8, 9), (0, 6, 12, 14, 18, 22, 24)
-_VARYING = _LAYOUT[[*_VARYING_A, *(10 + k for k in _VARYING_A), *(20 + j for j in _NONZERO_G)]]
+_VARYING = np.array([7 * (k // 5) + 2 + k % 5 for k in _VARYING_A]
+                    + [7 * (2 + k % 5) + k // 5 for k in _VARYING_A]
+                    + [16 + 7 * (j // 5) + j % 5 for j in _NONZERO_G])
 _varying_a, _nonzero_g = itemgetter(*_VARYING_A), itemgetter(*_NONZERO_G)
-_TEMPLATE = _augmented(_constraint_entries(1.0, 0.0, 1.0, 0.0, 1.0), (0.0, 0.0),
-                       _mass_entries(Params(), 0.0), (0.0,) * 5)[0]
+# The other 30 entries of M: A's identity columns, their negation in -A^T
+# (whose zeros are -0.0), and zeros.
+_TEMPLATE = np.zeros((7, 7))
+_TEMPLATE[0, 2] = _TEMPLATE[1, 3] = 1.0
+_TEMPLATE[2, 0] = _TEMPLATE[3, 1] = -1.0
+_TEMPLATE[2, 1] = _TEMPLATE[3, 0] = -0.0
 _TEMPLATE.flags.writeable = False
 
 
@@ -172,18 +163,20 @@ def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.
 
 
 def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented system (M, b) rebuilt from oracle_lhs and the contact rows.
+    """Augmented system (M, b) with G and f rebuilt from oracle_lhs.
 
-    The acceleration dependence of the complex-step left side is probed
-    column by column (it is linear in qddot), so this shares no closed-form
-    dynamics algebra with assemble_system. Used for cross-validation.
+    Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
+    it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7]. The acceleration
+    dependence of the complex-step left side is probed column by column (it
+    is linear in qddot), so the motion rows share no closed-form dynamics
+    algebra with assemble_system. Used for cross-validation.
     """
-    drift = _drift_entries(p.r, math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]), v)
+    M, b = assemble_system(q, v, p)
     base = oracle_lhs(q, v, np.zeros(5), p)
-    columns = np.empty((5, 5))
     for j, probe in enumerate(np.eye(5)):
-        columns[:, j] = oracle_lhs(q, v, probe, p) - base
-    return _augmented(constraint_matrix(q, p).ravel(), drift, columns.ravel(), -base)
+        M[2:7, 2 + j] = oracle_lhs(q, v, probe, p) - base
+    b[2:7] = -base
+    return M, b
 
 
 def _solve_checked(system: tuple[np.ndarray, np.ndarray], theta: float) -> np.ndarray:

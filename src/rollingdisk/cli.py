@@ -87,15 +87,16 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one CLI invocation."""
+    """Validated description of one CLI invocation: simulate sets scenario,
+    out and emit_plot, validate sets samples, seed and params."""
 
     mode: str
     scenario: ScenarioConfig | None = None
     out: str | None = None
     emit_plot: bool = False
-    samples: int = 1000
-    seed: int = 42
-    params: Params = Params()
+    samples: int | None = None
+    seed: int | None = None
+    params: Params | None = None
 
 
 @functools.cache
@@ -137,10 +138,10 @@ def _build_parser() -> _Parser:
 
 def _load_config_file(path: str) -> ScenarioConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a single object")
@@ -204,13 +205,7 @@ def parse_args(argv) -> RunConfig:
     if ns.emit_plot and Path(out).suffix == ".gp":
         raise UsageError(f"--emit-plot would overwrite the CSV {out} with its script; "
                          "--out must not end in .gp")
-    return RunConfig(
-        mode="simulate",
-        scenario=scenario,
-        out=out,
-        emit_plot=ns.emit_plot,
-        params=scenario.params,
-    )
+    return RunConfig(mode="simulate", scenario=scenario, out=out, emit_plot=ns.emit_plot)
 
 
 def _emitted_indices(n: int):
@@ -254,6 +249,7 @@ def write_plot_script(path: str, csv_name: str, traj: Trajectory) -> None:
     """Write a gnuplot script: center path from the CSV, rim outline inline."""
     outline = _disk_outline(traj.samples[0].state, traj.params)
     outline_block = "\n".join(f"{x:.6f},{y:.6f}" for x, y in outline)
+    quoted_csv = csv_name.replace("'", "''")  # gnuplot's single-quoted strings double a quote
     script = (
         "# Top view of the rolling-disk center path with the disk outline at t=0.\n"
         f"# Render with: gnuplot -persist {Path(path).name}\n"
@@ -265,7 +261,7 @@ def write_plot_script(path: str, csv_name: str, traj: Trajectory) -> None:
         "$outline << EOD\n"
         f"{outline_block}\n"
         "EOD\n"
-        f"plot '{csv_name}' using 2:3 with lines lw 2 lc rgb '#c0392b' title 'center path', \\\n"
+        f"plot '{quoted_csv}' using 2:3 with lines lw 2 lc rgb '#c0392b' title 'center path', \\\n"
         "     $outline using 1:2 with lines lw 2 lc rgb '#2980b9' title 'disk at t=0'\n"
     )
     Path(path).write_text(script)
@@ -314,7 +310,7 @@ def run_simulate(cfg: RunConfig) -> int:
     print(wrote)
     if traj.failed:
         print(
-            f"run aborted: {traj.failure_reason} at t={traj.failure_time:g} s; "
+            f"run aborted: {traj.failure_reason} at t={traj.samples[-1].t:g} s; "
             "partial trajectory written",
             file=sys.stderr,
         )

@@ -24,7 +24,6 @@ and expanding E_kin - E_pot gives the closed-form Lagrangian
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,15 +68,6 @@ class GenVel(NamedTuple):
     dpsi: float
 
 
-@functools.lru_cache(maxsize=32)
-def inertia_matrix(p: Params) -> np.ndarray:
-    """Principal body inertia diag(m r^2/2, m r^2/4, m r^2/4), axial first; shared, read-only."""
-    mr2 = p.m * p.r * p.r
-    inertia = np.diag([mr2 / 2.0, mr2 / 4.0, mr2 / 4.0])
-    inertia.flags.writeable = False
-    return inertia
-
-
 def potential_energy(q: GenCoords, p: Params) -> float:
     """Gravitational energy m g r cos(theta), zero level at the plane."""
     return p.m * p.g * p.r * math.cos(q[3])
@@ -91,9 +81,12 @@ def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
     definitional on purpose: it cross-checks the closed-form lagrangian.
     """
     w = rotation_vector(q[2:5], v[2:5])
+    w0, w1, w2 = w.tolist()
+    axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
+    spin = np.array((axial * w0, 0.5 * axial * w1, 0.5 * axial * w2))  # I omega
     dc = np.array([v[0], v[1], -p.r * math.sin(q[3]) * v[3]])
-    # numpy's products, not scalar sums (they round differently); .dot costs less than @.
-    return 0.5 * float(w.dot(inertia_matrix(p)).dot(w)) + 0.5 * p.m * float(dc.dot(dc))
+    # numpy's dot products, not scalar sums (they round differently); .dot costs less than @.
+    return 0.5 * float(w.dot(spin)) + 0.5 * p.m * float(dc.dot(dc))
 
 
 def lagrangian(q: GenCoords, v: GenVel, p: Params) -> float:

@@ -20,7 +20,7 @@ same operation order. numpy stays inside the kernels, out of the samples.
 A trajectory records per-step diagnostics (total energy with reconstructed
 center rates, contact slip residual). On a singular configuration, or a step
 that leaves a non-finite state, the partial trajectory is returned with the
-failure time and reason set instead of raising.
+failure reason set instead of raising; its last sample is the stop time.
 """
 
 from __future__ import annotations
@@ -88,19 +88,19 @@ class TrajectorySample(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Immutable result of a run. failure_time is None iff the run completed;
-    failure_reason is then None too, else SINGULAR or NON_FINITE."""
+    """Immutable result of a run. failure_reason is None iff the run
+    completed, else SINGULAR or NON_FINITE; a failed run stopped at the time
+    of its last sample, samples[-1].t."""
 
     scenario: str
     params: Params
     dt: float
     samples: tuple[TrajectorySample, ...]
-    failure_time: float | None = None
     failure_reason: str | None = None
 
     @property
     def failed(self) -> bool:
-        return self.failure_time is not None
+        return self.failure_reason is not None
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -174,11 +174,11 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
 def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
     """Step y with advance(y, dt, p) and sample every step. A step that hits
     the flat-disk band, or whose state, energy or residual is not finite,
-    ends the run; the partial trajectory carries the time of the failed step
-    and the reason."""
+    ends the run; the partial trajectory ends at the start of the failed step
+    and carries the reason."""
     p, dt = cfg.params, cfg.dt
     samples = [_sample(0.0, y, split, p)]
-    failure_time = reason = None
+    reason = None
     for i in range(cfg.n_steps()):
         try:
             y = advance(y, dt, p)
@@ -190,10 +190,9 @@ def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
         except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
             reason = NON_FINITE
         if reason is not None:
-            failure_time = i * dt
             break
         samples.append(sample)
-    return Trajectory(scenario, p, dt, tuple(samples), failure_time, reason)
+    return Trajectory(scenario, p, dt, tuple(samples), reason)
 
 
 def _split_reduced(x: State, p: Params):
@@ -205,8 +204,9 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     """Run the reduced-state simulation described by cfg with step_rk4.
 
     Returns the full trajectory sampled at every step. If a step hits the
-    flat-disk band, integration stops and the partial trajectory carries the
-    time of the failed step in failure_time.
+    flat-disk band, integration stops; the partial trajectory ends with the
+    last sample before the failed step, at its start time, and carries
+    failure_reason.
     """
     return _run(cfg, cfg.name, cfg.x0, step_rk4, _split_reduced)
 

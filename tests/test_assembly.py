@@ -280,7 +280,7 @@ def test_failed_solves_raise_without_warnings():
         x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100)
         traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
     assert traj.failure_reason == NON_FINITE == "non-finite state"
-    assert traj.failure_time == 0.0
+    assert traj.samples[-1].t == 0.0
 
 
 def test_oracle_assembled_system_agrees_with_direct_solve():

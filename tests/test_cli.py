@@ -199,9 +199,11 @@ def test_overrides_are_validated_together(tmp_path):
         lambda c: c.update(g=None),
         # an int no float holds
         lambda c: c.update(m=10**400),
+        # bytes that are not UTF-8 replace the whole file
+        lambda c: b"\xff\xfe",
     ],
 )
-def test_config_file_errors(tmp_path, mutate):
+def test_config_file_errors(tmp_path, capsys, mutate):
     config = {
         "m": 5.0,
         "g": 9.81,
@@ -210,12 +212,14 @@ def test_config_file_errors(tmp_path, mutate):
         "t_end": 0.1,
         "dt": 0.01,
     }
-    mutate(config)
+    raw = mutate(config)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
+    path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(config).encode())
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
 
 
 def test_config_file_not_json(tmp_path):
@@ -243,6 +247,17 @@ def test_x0_override_and_singular_abort(tmp_path, capsys):
     assert len(lines) == 2
     assert float(lines[1].split(",")[5]) == 1.5707963
     assert "singular" in capsys.readouterr().err.lower()
+
+
+def test_abort_reports_the_last_sample_time(tmp_path, capsys):
+    # Nearly flat and tipping on, the disk reaches the flat band in step 2639.
+    out = tmp_path / "tipping.csv"
+    x0 = ["2", "0", "0", "1.5706", "0", "0", "0.01", "0"]
+    argv = ["simulate", "--scenario", "precession", "--x0", *x0, "--t-end", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "run aborted: singular configuration at t=2.638 s; partial trajectory written\n"
+    assert float(out.read_text().splitlines()[-1].split(",")[0]) == 2638 * 1e-3
 
 
 def test_overflowing_rates_exit_4_with_partial_csv(tmp_path, capsys):
@@ -320,6 +335,15 @@ def test_emit_plot_writes_script(tmp_path):
     # the rim outline at t = 0 is centered on the start's (c1, c2) = (2, 0)
     points = [[float(c) for c in ln.split(",")] for ln in data_lines[:-1]]
     assert np.allclose(np.mean(points, axis=0), [2.0, 0.0], atol=1e-6)
+
+
+def test_plot_script_doubles_quotes_in_the_csv_name(tmp_path):
+    # gnuplot ends a single-quoted string at a lone quote; '' stands for one.
+    out = tmp_path / "it's.csv"
+    argv = ["simulate", "--scenario", "straight", "--t-end", "0.01", "--out", str(out), "--emit-plot"]
+    assert main(argv) == 0
+    plot = [ln for ln in (tmp_path / "it's.gp").read_text().splitlines() if ln.startswith("plot ")]
+    assert plot == ["plot 'it''s.csv' using 2:3 with lines lw 2 lc rgb '#c0392b' title 'center path', \\"]
 
 
 @pytest.mark.parametrize(

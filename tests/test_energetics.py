@@ -7,7 +7,6 @@ from rollingdisk.energetics import (
     GenCoords,
     GenVel,
     Params,
-    inertia_matrix,
     kinetic_energy,
     lagrangian,
     potential_energy,
@@ -42,14 +41,6 @@ def test_center_velocity_vertical_component():
     translational = 0.5 * P.m * (1.0 + 4.0 + (P.r * math.sin(0.4) * 1.5) ** 2)
     rotational = 0.5 * (P.m * P.r**2 / 4.0) * 1.5**2
     assert kinetic_energy(q, v, P) == pytest.approx(translational + rotational, rel=1e-14)
-
-
-def test_inertia_matrix_values():
-    assert np.array_equal(inertia_matrix(P), np.diag([2.5, 1.25, 1.25]))
-    assert np.array_equal(inertia_matrix(Params(m=1.0, g=9.81, r=2.0)), np.diag([2.0, 1.0, 1.0]))
-    # Shared between calls with equal Params, so it must not be writable.
-    with pytest.raises(ValueError):
-        inertia_matrix(P)[0, 0] = 1.0
 
 
 def test_potential_energy_values():

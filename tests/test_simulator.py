@@ -173,8 +173,7 @@ class TestIntegrate:
         summary = diagnostics_summary(traj)
         assert summary.max_energy_drift < 1e-9
         assert summary.max_residual < 1e-12
-        assert traj.failure_time is None
-        assert traj.failure_reason is None
+        assert traj.failure_reason is None and not traj.failed
 
     def test_call_graph_goes_through_the_module_names(self, call_counts):
         calls, count = call_counts
@@ -198,7 +197,7 @@ class TestIntegrate:
         cfg = ScenarioConfig("doomed", P, x0, t_end=1.0, dt=1e-3)
         traj = integrate(cfg)
         assert traj.failed
-        assert traj.failure_time == 0.0
+        assert traj.samples[-1].t == 0.0
         assert traj.failure_reason == SINGULAR
         assert len(traj.samples) == 1
         summary = diagnostics_summary(traj)
@@ -223,7 +222,7 @@ class TestIntegrate10Dim:
         traj = integrate_10dim(ScenarioConfig("doomed", P, x0, t_end=1.0, dt=1e-3))
         assert traj.scenario == "doomed-10dim"
         assert traj.failed
-        assert traj.failure_time == 0.0
+        assert traj.samples[-1].t == 0.0
         assert traj.failure_reason == SINGULAR
         assert len(traj.samples) == 1
 
@@ -275,7 +274,7 @@ def test_overflowing_rates_stop_with_non_finite_state(route, rates):
     traj = route(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
     assert traj.failed
     assert traj.failure_reason == NON_FINITE
-    assert traj.failure_time == 0.0
+    assert traj.samples[-1].t == 0.0
     assert [s.state for s in traj.samples] == [x0]
 
 

@@ -32,7 +32,7 @@ import sympy as sp
 from rollingdisk.assembly import _drift_entries, _force_entries, _mass_entries, oracle_lhs
 from rollingdisk.constraints import _constraint_entries, consistent_velocity
 from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_center_accels
-from rollingdisk.energetics import Params, lagrangian
+from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
 from rollingdisk.kinematics import euler_rotation, rotation_vector
 from rollingdisk.validation import sample_state
 
@@ -214,6 +214,8 @@ def lambdified_errors(model):
     rotation = numeric([Q[2:]], model.R)
     omega = numeric([Q[2:], DQ[2:]], model.omega)
     L = numeric([Q, DQ, PARAMS], model.L)
+    potential = m * g * r * c_th
+    kinetic, gravity = numeric([Q, DQ, PARAMS], model.L + potential), numeric([Q, PARAMS], potential)
     center_rates = numeric([Q, DQ[2:], PARAMS], model.center_rates)
     lhs = numeric([Q, DQ, DDQ, PARAMS], model.lhs)
     steady_spin = numeric([theta, DQ[4], PARAMS], spin)
@@ -226,6 +228,8 @@ def lambdified_errors(model):
             "euler_rotation": (euler_rotation(angles), rotation(angles)),
             "rotation_vector": (rotation_vector(angles, rates), omega(angles, rates)),
             "lagrangian": (lagrangian(q, v, p), L(q, v, params)),
+            "kinetic_energy": (kinetic_energy(q, v, p), kinetic(q, v, params)),
+            "potential_energy": (potential_energy(q, p), gravity(q, params)),
             "consistent_velocity": (consistent_velocity(q, rates, p)[:2], center_rates(q, rates, params)),
             "closed_form_accels": (closed_form_accels(q, rates, p), solution[4:7]),
             "closed_form_center_accels": (closed_form_center_accels(q, rates, p), solution[2:4]),
@@ -246,7 +250,7 @@ def lambdified_errors(model):
 
 
 @pytest.mark.parametrize("name", [
-    "lagrangian", "rotation_vector", "euler_rotation", "consistent_velocity",
+    "lagrangian", "kinetic_energy", "potential_energy", "rotation_vector", "euler_rotation", "consistent_velocity",
     "closed_form_accels", "closed_form_center_accels", "circular_spin", "oracle_lhs",
 ])
 def test_math_calling_function_matches_the_lambdified_derivation(lambdified_errors, name):
