@@ -16,6 +16,13 @@ multipliers lead the unknowns. solve_system and solve_oracle_system return x
 itself, a length-7 array in exactly this order, as does
 dynamics.closed_form_solution. Do not reorder.
 
+Both systems here are those of the unit disk. With lengths measured in r,
+L is m r^2 times the Lagrangian of a disk with m = r = 1 under gravity g/r,
+taken at the center rates dc/r and the same angles and angle rates. So M
+depends on theta and psi only, b on the angle rates and g/r only, and the
+solution y of the unit disk's system gives the disk's as lambda = m r y[0:2],
+ddc = r y[2:4] and the angle accelerations y[4:7] unchanged.
+
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into the generalized mass G (_mass_entries) and force f (_force_entries), so M
 depends on configuration only and every velocity term lives in b; they are
@@ -25,29 +32,25 @@ identity columns of A and their negation in -A^T, and the zeros of G.
 assemble_system copies them from _TEMPLATE and puts the other 19 into the
 copy in one call; b is one numpy call. Negating A's zeros gives -0.0 at
 M[2, 1] and M[3, 0], and the template holds those signs. det M =
-(15/32) m^3 r^6 cos^2(theta), so the cos(theta) band of the singularity guard
-is the exact rank test.
+(15/32) cos^2(theta), so the cos(theta) band of the singularity guard is the
+exact rank test.
 
-solve_system hands (M, b) straight to LAPACK's gesv through the gufunc that
-np.linalg.solve itself runs, _umath_linalg.solve1, and so gets the same bits
-without the wrapper's argument conversion and errstate. The direct call is
-made only where M is known to be regular in floating point: finite theta and
-psi, and m and r within [1e-50, 1e50]. M depends on nothing else, its LU
-pivots scale like m r^2 cos^2(theta) / 4, and outside the band that stays
-far above the underflow threshold, so LAPACK meets no zero pivot, raises no
-floating-point flag and numpy emits no warning. Every other system, and any
-non-finite result, goes through np.linalg.solve with its checks.
+Both solves hand (M, b) straight to LAPACK's gesv through the gufunc that
+np.linalg.solve itself runs, _umath_linalg.solve1, and so get the same bits
+without the wrapper's argument conversion and errstate. M's LU pivots are
+about cos^2(theta) / 4, at least 2.5e-13 outside the band, so for finite
+theta and psi LAPACK meets no zero pivot and numpy emits no warning; a
+non-finite theta or psi raises ValueError first. An inf or NaN in b gives a
+non-finite solution, which is returned as it is. The scaling back runs on
+Python floats, which overflow to inf without a warning.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
 lagrangian, sharing no algebra with the closed form, and exists to
 cross-check it. It differentiates L by the complex step (Squire & Trapp,
 SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003): one
 constant step h = 1e-30, no difference of nearby values and so no step to
-tune, which leaves the rebuilt G and f within roundoff of assemble_system's;
-oracle_system takes the contact rows and -A^T from assemble_system itself.
-Solved, it does not meet validate's 1e-8 bar at every disk size: at seed 42
-it passes for r in [1e-4, 1e3] at m = 5 and for m up to 1e12 at r = 1, and
-fails at r = 1e-5, r = 1e4 and m = 1e14.
+tune. oracle_system reads G from L at rest and f from oracle_lhs, both on the
+unit disk, and takes the contact rows and -A^T from assemble_system itself.
 """
 
 from __future__ import annotations
@@ -68,38 +71,33 @@ _gesv = _umath_linalg.solve1
 # O(h^2) takes no difference of nearby values, so h can sit far below
 # roundoff and needs no tuning to the state or the disk size.
 _COMPLEX_STEP = 1e-30
-# Range of m and r in which M, outside the cos(theta) band, has its smallest
-# LU pivot above 2e-163 and its largest entry below 2e150.
-_DIRECT_SCALE_MIN, _DIRECT_SCALE_MAX = 1e-50, 1e50
 
 
-def _mass_entries(p: Params, st: float) -> tuple:
-    """The 25 entries of G(q), row by row, from sin(theta)."""
-    m, mr2 = p.m, p.m * p.r * p.r
-    coupling = -mr2 * st / 2.0
-    return (m, 0.0, 0.0, 0.0, 0.0,
-            0.0, m, 0.0, 0.0, 0.0,
-            0.0, 0.0, mr2 / 2.0, 0.0, coupling,
-            0.0, 0.0, 0.0, mr2 * (st * st + 0.25), 0.0,
-            0.0, 0.0, coupling, 0.0, mr2 * (st * st + 1.0) / 4.0)
+def _mass_entries(st: float) -> tuple:
+    """The 25 entries of the unit disk's G(q), row by row, from sin(theta)."""
+    coupling = -st / 2.0
+    return (1.0, 0.0, 0.0, 0.0, 0.0,
+            0.0, 1.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.5, 0.0, coupling,
+            0.0, 0.0, 0.0, st * st + 0.25, 0.0,
+            0.0, 0.0, coupling, 0.0, (st * st + 1.0) / 4.0)
 
 
-def _force_entries(p: Params, st: float, ct: float, s2t: float, v) -> tuple:
-    """The 5 entries of f(q, qdot) from sin, cos and sin(2 theta) and the rates in v."""
-    m, g, r = p.m, p.g, p.r
+def _force_entries(g_over_r: float, st: float, ct: float, s2t: float, v) -> tuple:
+    """The 5 entries of the unit disk's f(q, qdot) under gravity g/r, from sin,
+    cos and sin(2 theta) and the rates in v."""
     dphi, dtheta, dpsi = v[2], v[3], v[4]
-    mr2 = m * r * r
     stand_rates = 4.0 * dtheta * dtheta * s2t + 4.0 * dphi * dpsi * ct - dpsi * dpsi * s2t
-    return (0.0, 0.0, mr2 * dtheta * dpsi * ct / 2.0, m * g * r * st - mr2 * stand_rates / 8.0,
-            mr2 * (dphi - dpsi * st) * dtheta * ct / 2.0)
+    return (0.0, 0.0, dtheta * dpsi * ct / 2.0, g_over_r * st - stand_rates / 8.0,
+            (dphi - dpsi * st) * dtheta * ct / 2.0)
 
 
-def _drift_entries(r: float, st: float, ct: float, sp: float, cp: float, v) -> tuple:
-    """The 2 entries of the contact drift (dA/dq qdot) qdot."""
+def _drift_entries(st: float, ct: float, sp: float, cp: float, v) -> tuple:
+    """The 2 entries of the unit disk's contact drift (dA/dq qdot) qdot."""
     dphi, dtheta, dpsi = v[2], v[3], v[4]
     sq_rates = dtheta * dtheta + dpsi * dpsi
-    return (r * (-cp * dphi * dpsi + 2.0 * sp * ct * dtheta * dpsi + cp * st * sq_rates),
-            r * (-sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates))
+    return (-cp * dphi * dpsi + 2.0 * sp * ct * dtheta * dpsi + cp * st * sq_rates,
+            -sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates)
 
 
 def oracle_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
@@ -151,52 +149,62 @@ _TEMPLATE.flags.writeable = False
 
 
 def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form augmented system (M, b): the entries of A, G, f and the
-    contact drift, with each sine and cosine taken once."""
+    """Closed-form augmented system (M, b) of the unit disk under gravity g/r:
+    the entries of A, G, f and the contact drift, with each sine and cosine
+    taken once."""
     theta, psi = q[3], q[4]
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
-    a2, a3, a4, a7, a8, a9 = a = _varying_a(_constraint_entries(p.r, st, ct, sp, cp))
+    a2, a3, a4, a7, a8, a9 = a = _varying_a(_constraint_entries(1.0, st, ct, sp, cp))
     M = _TEMPLATE.copy()
-    M.put(_VARYING, (*a, -a2, -a3, -a4, -a7, -a8, -a9, *_nonzero_g(_mass_entries(p, st))))
-    drift = _drift_entries(p.r, st, ct, sp, cp, v)
-    return M, np.array((-drift[0], -drift[1], *_force_entries(p, st, ct, math.sin(2.0 * theta), v)))
+    M.put(_VARYING, (*a, -a2, -a3, -a4, -a7, -a8, -a9, *_nonzero_g(_mass_entries(st))))
+    drift = _drift_entries(st, ct, sp, cp, v)
+    return M, np.array((-drift[0], -drift[1], *_force_entries(p.g / p.r, st, ct, math.sin(2.0 * theta), v)))
 
 
 def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented system (M, b) with G and f rebuilt from oracle_lhs.
+    """Augmented unit-disk system (M, b) with G and f rebuilt from the Lagrangian.
 
     Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
-    it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7]. The acceleration
-    dependence of the complex-step left side is probed column by column (it
-    is linear in qddot), so the motion rows share no closed-form dynamics
-    algebra with assemble_system. Used for cross-validation.
+    it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7] with values of
+    lagrangian alone, on the unit disk Params(1, g/r, 1). L is quadratic in
+    the rates, so G does not depend on them and is read at rest, with q real:
+    G_ij = Im[L(q, ih e_j + e_i) - L(q, ih e_j - e_i)] / (2h), where no term
+    holds a rate that could swamp G, and the central difference cancels any
+    term linear in the rates. f is -oracle_lhs at the unit disk's rates
+    (dc/r, angle rates) and no acceleration. Used for cross-validation.
+
+    Raises ValueError when g/r is not a positive finite float.
     """
+    g_over_r = p.g / p.r
+    if not 0.0 < g_over_r < math.inf:
+        raise ValueError(f"g/r = {p.g:g}/{p.r:g} rounds to {g_over_r!r}, not a positive finite number")
+    unit, q = Params(1.0, g_over_r, 1.0), GenCoords(*q)
     M, b = assemble_system(q, v, p)
-    base = oracle_lhs(q, v, np.zeros(5), p)
-    for j, probe in enumerate(np.eye(5)):
-        M[2:7, 2 + j] = oracle_lhs(q, v, probe, p) - base
-    b[2:7] = -base
+    for i in range(5):
+        for j in range(i, 5):
+            ahead, behind = [0.0] * 5, [0.0] * 5
+            ahead[j] = behind[j] = complex(0.0, _COMPLEX_STEP)
+            ahead[i] += 1.0
+            behind[i] -= 1.0
+            rise = lagrangian(q, GenVel(*ahead), unit).imag - lagrangian(q, GenVel(*behind), unit).imag
+            M[2 + i, 2 + j] = M[2 + j, 2 + i] = rise / (2.0 * _COMPLEX_STEP)
+    b[2:7] = -oracle_lhs(q, (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4]), (0.0,) * 5, unit)
     return M, b
 
 
-def _solve_checked(system: tuple[np.ndarray, np.ndarray], theta: float) -> np.ndarray:
-    """Dense solve. Callers check the cos(theta) band first; an exactly
-    singular M (one whose scale underflows) still raises
-    SingularConfiguration, and a system holding inf or NaN raises ValueError."""
-    try:
-        return np.linalg.solve(*system)
-    except np.linalg.LinAlgError as err:
-        if not all(np.isfinite(part).all() for part in system):
-            raise ValueError(f"non-finite augmented system at theta={theta!r}") from err
-        raise SingularConfiguration(theta) from err
+def _solve_unit(system: tuple[np.ndarray, np.ndarray], q, p: Params) -> np.ndarray:
+    """Solve a unit-disk system with gesv and scale its solution back to the
+    disk p; ValueError for a non-finite theta or psi."""
+    if not (math.isfinite(q[3]) and math.isfinite(q[4])):
+        raise ValueError(f"non-finite augmented system at theta={q[3]!r}")
+    y = _gesv(*system, signature="dd->d").tolist()
+    mr, r = p.m * p.r, p.r
+    return np.array((mr * y[0], mr * y[1], r * y[2], r * y[3], y[4], y[5], y[6]))
 
 
 def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
-    """Contact multipliers and generalized accelerations from the augmented system.
-
-    LAPACK's gesv is called directly where M cannot have a zero pivot (finite
-    theta and psi, m and r in [1e-50, 1e50]; see the module docstring), with
-    the bits np.linalg.solve gives; np.linalg.solve handles everything else.
+    """Contact multipliers and generalized accelerations from the augmented
+    system of the unit disk, scaled back to the disk p.
 
     Parameters
     ----------
@@ -214,24 +222,15 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     SingularConfiguration
         When the disk is numerically horizontal, the only place M is singular.
     ValueError
-        When the system holds inf or NaN and the solve fails on it.
+        When theta or psi is not finite.
     """
     theta = q[3]
     if abs(math.cos(theta)) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
         raise SingularConfiguration(theta)
-    M, b = assemble_system(q, v, p)
-    if (
-        math.isfinite(theta) and math.isfinite(q[4])
-        and _DIRECT_SCALE_MIN <= p.m <= _DIRECT_SCALE_MAX
-        and _DIRECT_SCALE_MIN <= p.r <= _DIRECT_SCALE_MAX
-    ):
-        x = _gesv(M, b, signature="dd->d")
-        if math.isfinite(sum(x.tolist())):  # an overflowing sum only costs the fallback
-            return x
-    return _solve_checked((M, b), theta)
+    return _solve_unit(assemble_system(q, v, p), q, p)
 
 
 def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     """Like solve_system but on the system that oracle_system rebuilds."""
     checked_cos_theta(q[3])
-    return _solve_checked(oracle_system(q, v, p), q[3])
+    return _solve_unit(oracle_system(q, v, p), q, p)

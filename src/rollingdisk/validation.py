@@ -18,11 +18,10 @@ import numpy as np
 from . import assembly, dynamics
 from .energetics import GenCoords, GenVel, Params
 
-# Max relative error allowed between the closed forms and the direct solve.
-SOLVE_THRESHOLD = 1e-9
-# Max relative error allowed against the complex-step rebuild. Its worst at
-# seed 42, 1000 samples, is 1.5e-9 (m = 0.001, r = 1e-4) and 1.3e-9 (r = 1000).
-ORACLE_THRESHOLD = 1e-8
+# Max relative error allowed between the closed forms and either route. At
+# seed 42, 1000 samples, the worst over r in [1e-8, 1e6], m up to 1e16 and
+# g = 1e300 is 9.8e-14 (oracle, m = 1e12 and 1e16).
+THRESHOLD = 1e-10
 
 
 def sample_state(rng: np.random.Generator) -> tuple[GenCoords, GenVel]:
@@ -72,10 +71,7 @@ class SweepReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_err_solve < SOLVE_THRESHOLD
-            and self.max_err_oracle < ORACLE_THRESHOLD
-        )
+        return self.max_err_solve < THRESHOLD and self.max_err_oracle < THRESHOLD
 
 
 def validation_sweep(p: Params, n_samples: int, seed: int) -> SweepReport:
@@ -86,8 +82,7 @@ def validation_sweep(p: Params, n_samples: int, seed: int) -> SweepReport:
     of the Lagrangian. Calls through the dynamics module namespace so a fault
     injected there is caught. A route that over- or underflows to inf or NaN
     has an infinite error. Parameters at which the model cannot be evaluated
-    at all raise: SingularConfiguration when M is exactly singular in
-    floating point, ArithmeticError or ValueError on overflow.
+    at all raise ValueError: a g/r that is not a positive finite float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

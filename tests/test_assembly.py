@@ -22,7 +22,15 @@ from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state, solve_seven, validation_sweep
 
 P = Params()
+# The disk whose system assemble_system and oracle_system build for P.
+UNIT = Params(m=1.0, g=P.g / P.r, r=1.0)
 REST = GenVel(0, 0, 0, 0, 0)
+
+
+def scaled_back(y, p):
+    """The disk p's (lambda, ddc, angle accelerations) from the unit disk's solution y."""
+    y = np.asarray(y).tolist()
+    return np.array([p.m * p.r * y[0], p.m * p.r * y[1], p.r * y[2], p.r * y[3], *y[4:]])
 
 
 def random_triple(rng):
@@ -33,7 +41,7 @@ def random_triple(rng):
 
 
 def closed_lhs(q, v, a):
-    """The closed-form left side G(q) a - f(q, v), read from assemble_system."""
+    """The unit disk's closed-form left side G(q) a - f(q, v), read from assemble_system."""
     M, b = assemble_system(q, v, P)
     return M[2:7, 2:7] @ np.asarray(a, dtype=float) - b[2:7]
 
@@ -45,27 +53,27 @@ class TestEulerLagrangeLhs:
         assert np.array_equal(closed_lhs(q, zero_v, zero_a), np.zeros(5))
         tilted = GenCoords(0.0, 0.0, 0.0, 0.3, 0.0)
         lhs = closed_lhs(tilted, zero_v, zero_a)
-        # at rest only the stand-angle row is loaded, by gravity
-        assert lhs[3] == pytest.approx(-P.m * P.g * P.r * math.sin(0.3), rel=1e-14)
+        # at rest only the stand-angle row is loaded, by gravity g/r
+        assert lhs[3] == pytest.approx(-P.g / P.r * math.sin(0.3), rel=1e-14)
         assert np.array_equal(lhs[[0, 1, 2, 4]], np.zeros(4))
 
     def test_unit_center_acceleration(self):
         q = GenCoords(0.4, -0.2, 1.0, 0.0, -2.0)
         lhs = closed_lhs(q, GenVel(0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
-        assert np.allclose(lhs, [P.m, 0, 0, 0, 0], atol=1e-15)
+        assert np.allclose(lhs, [1.0, 0, 0, 0, 0], atol=1e-15)
 
     def test_matches_complex_step_rebuild(self):
         rng = np.random.default_rng(41)
         worst = 0.0
         for _ in range(300):
             q, v, a = random_triple(rng)
-            err = max_rel_diff(oracle_lhs(q, v, a, P), closed_lhs(q, v, a))
+            err = max_rel_diff(oracle_lhs(q, v, a, UNIT), closed_lhs(q, v, a))
             worst = max(worst, err)
         assert worst < 1e-12, f"closed form vs complex-step Lagrangian: {worst:.3e}"
 
     def test_mass_is_velocity_hessian_of_lagrangian(self):
-        # L is quadratic in the velocities, so the columns the oracle probes
-        # from dL/dqdot give G(q), symmetric, up to roundoff.
+        # L is quadratic in the velocities, so the entries the oracle reads
+        # from L at rest give G(q), symmetric, up to roundoff.
         rng = np.random.default_rng(40)
         for _ in range(100):
             q, v, _ = random_triple(rng)
@@ -76,9 +84,9 @@ class TestEulerLagrangeLhs:
 
 @pytest.mark.parametrize("m, r", [(5.0, 1.0), (100.0, 0.01), (0.01, 100.0), (5.0, 0.001), (5.0, 1000.0), (0.001, 1e-4)])
 def test_oracle_system_is_the_closed_form_system_to_roundoff(m, r):
-    # Each block against its own scale, with no floor at 1: G's entries are
-    # about m r^2, so at (0.001, 1e-4) a floored denominator would hide any
-    # error below 1e-11 of G itself.
+    # Each block against its own scale: both systems are the unit disk's, so
+    # G's entries stay below 2 at every (m, r) while b holds g/r, about 1e5
+    # at r = 1e-4.
     p = Params(m=m, r=r)
     rng = np.random.default_rng(57)
     for _ in range(100):
@@ -88,29 +96,31 @@ def test_oracle_system_is_the_closed_form_system_to_roundoff(m, r):
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), (q, v)
 
 
-def drift(q, v, p):
-    return np.array(_drift_entries(p.r, math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]), v))
+def drift(q, v):
+    return np.array(_drift_entries(math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]), v))
 
 
 def test_contact_rows_match_matrix_and_drift():
     rng = np.random.default_rng(45)
+    p = Params(m=2.0, r=0.37)
     for _ in range(200):
         q, v = sample_state(rng)
-        # both systems carry A on top, and the drift sign-flipped at the top of b
-        for M, b in (assemble_system(q, v, P), oracle_system(q, v, P)):
-            assert np.array_equal(M[0:2, 2:7], constraint_matrix(q, P))
-            assert np.array_equal(b[0:2], -drift(q, v, P))
+        # both systems carry the unit disk's A on top, and its drift
+        # sign-flipped at the top of b
+        for M, b in (assemble_system(q, v, p), oracle_system(q, v, p)):
+            assert np.array_equal(M[0:2, 2:7], constraint_matrix(q, UNIT))
+            assert np.array_equal(b[0:2], -drift(q, v))
 
 
 class TestMassMatrix:
     def test_reference_entries_upright(self):
         M, _ = assemble_system(GenCoords(0, 0, 0, 0.0, 0.0), REST, P)
-        assert M[4, 4] == 2.5
-        assert M[5, 5] == 1.25
-        assert M[6, 6] == 1.25
+        assert M[4, 4] == 0.5
+        assert M[5, 5] == 0.25
+        assert M[6, 6] == 0.25
         assert M[4, 6] == 0.0
-        # contraction rows carry the constraint matrix
-        assert np.array_equal(M[0:2, 2:7], constraint_matrix(GenCoords(0, 0, 0, 0.0, 0.0), P))
+        # contraction rows carry the unit disk's constraint matrix
+        assert np.array_equal(M[0:2, 2:7], constraint_matrix(GenCoords(0, 0, 0, 0.0, 0.0), UNIT))
 
     def test_independent_of_velocity_bit_for_bit(self):
         rng = np.random.default_rng(46)
@@ -133,15 +143,15 @@ class TestMassMatrix:
 
     @pytest.mark.parametrize("m, r", [(5.0, 1.0), (2.0, 0.37), (100.0, 0.01), (0.01, 100.0)])
     def test_determinant_is_cos_squared_theta(self, m, r):
-        # det M = (15/32) m^3 r^6 cos^2(theta): the cos(theta) band is the
-        # exact rank test, so the solve needs no pivot check of its own.
+        # det M = (15/32) cos^2(theta) on the unit disk, whatever m and r:
+        # the cos(theta) band is the exact rank test, so the solve needs no
+        # pivot check of its own.
         p = Params(m=m, r=r)
         rng = np.random.default_rng(51)
-        expected = 15.0 / 32.0 * m**3 * r**6
         for _ in range(200):
             q, v, _ = random_triple(rng)
             det = np.linalg.det(assemble_system(q, v, p)[0]) / math.cos(q.theta) ** 2
-            assert det == pytest.approx(expected, rel=1e-8)
+            assert det == pytest.approx(15.0 / 32.0, rel=1e-8)
 
     def test_factor_solve_round_trip(self):
         rng = np.random.default_rng(48)
@@ -160,7 +170,7 @@ class TestRhsVector:
 
     def test_rest_tilted_loads_only_stand_row(self):
         _, b = assemble_system(GenCoords(0, 0, 0, 0.1, 0.0), REST, P)
-        assert b[5] == pytest.approx(P.m * P.g * P.r * math.sin(0.1), rel=1e-14)
+        assert b[5] == pytest.approx(P.g / P.r * math.sin(0.1), rel=1e-14)
         mask = np.ones(7, dtype=bool)
         mask[5] = False
         assert np.array_equal(b[mask], np.zeros(6))
@@ -190,8 +200,8 @@ class TestSolveSystem:
         for _ in range(300):
             q, v = sample_state(rng)
             M, b = assemble_system(q, v, P)
-            x = solve_system(q, v, P)
-            resid = float(np.max(np.abs(M @ x - b)))
+            y = solve_system(q, v, P) / scaled_back(np.ones(7), P)  # back on the unit disk
+            resid = float(np.max(np.abs(M @ y - b)))
             bound = 1e-9 * (1.0 + float(np.max(np.abs(b))))
             assert resid < bound, f"|Mx-b| = {resid:.3e} exceeds {bound:.3e}"
 
@@ -220,25 +230,22 @@ class TestSolveSystem:
                 assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-4
 
 
-def test_exactly_singular_solve_reports_measured_cos_theta():
-    # An M that is exactly singular outside the band (here m r^2 underflows
-    # to zero) makes the error report |cos theta| and the cutoff without claiming that one
-    # lies below the other.
-    theta = math.acos(4.722e-6)
+def test_tiny_and_light_disks_solve_next_to_band():
+    # m r^2 underflows to zero here, which once made M exactly singular; the
+    # unit disk's M is not, so both routes solve, with no numpy warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularConfiguration) as info:
-            solve_system(GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1), Params(r=1e-170))
-    message = str(info.value)
-    assert "|cos theta|=4.722e-06" in message
-    assert "cutoff 1e-06" in message
-    assert "<=" not in message
+        for p in (Params(r=1e-170), Params(m=1e-200, r=1e-100)):
+            for theta in (math.acos(4.722e-6), 0.5):
+                q, v = GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1)
+                closed = closed_form_seven(q, v[2:5], p)
+                assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-12
+                assert max_rel_diff(solve_oracle_system(q, v, p), closed) < 1e-12
 
 
 def _direct_solve_states(rng):
     """(q, v, p) on random states: random (m, r), theta of both signs, the two
-    states at theta = +-acos(5e-6), the heavy small disk and the corners of
-    the range in which the solve calls LAPACK directly."""
+    states at theta = +-acos(5e-6), the heavy small disk and extreme disks."""
     cases = []
     for _ in range(2000):
         q, v = sample_state(rng)
@@ -248,7 +255,7 @@ def _direct_solve_states(rng):
     for sign in (1.0, -1.0):
         edge = GenCoords(q.c1, q.c2, q.phi, sign * math.acos(5e-6), q.psi)
         cases.append((edge, v, P))
-        for p in (Params(m=100.0, r=0.01), *(Params(m=m, r=r) for m in (1e-50, 1e50) for r in (1e-50, 1e50))):
+        for p in (Params(m=100.0, r=0.01), *(Params(m=m, r=r) for m in (1e-100, 1e100) for r in (1e-100, 1e100))):
             cases.append((edge, v, p))
             cases.append((q, v, p))
     return cases
@@ -261,12 +268,12 @@ def test_direct_solve_gives_the_bits_of_numpy_solve():
         warnings.simplefilter("error")
         for q, v, p in cases:
             x = solve_system(q, v, p)
-            assert x.tobytes() == np.linalg.solve(*assemble_system(q, v, p)).tobytes(), (q, v, p)
+            assert x.tobytes() == scaled_back(np.linalg.solve(*assemble_system(q, v, p)), p).tobytes(), (q, v, p)
 
 
 def test_failed_solves_raise_without_warnings():
-    # The guard keeps LAPACK away from NaN and singular systems, so the
-    # errors come from the checked solve and no numpy warning precedes them.
+    # The guard keeps LAPACK away from a non-finite theta or psi, so the
+    # errors come from the guard and no numpy warning precedes them.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite") as info:
@@ -274,9 +281,6 @@ def test_failed_solves_raise_without_warnings():
         assert not isinstance(info.value, SingularConfiguration)
         with pytest.raises(ValueError, match="non-finite"):
             solve_system(GenCoords(0, 0, 0, 0.1, math.nan), GenVel(0, 0, 1, 0, 0), P)
-        for p in (Params(r=1e-170), Params(m=1e-200, r=1e-100)):
-            with pytest.raises(SingularConfiguration):
-                solve_system(GenCoords(0, 0, 0, 0.5, 0), GenVel(0, 0, 1, 1, 1), p)
         x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100)
         traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
     assert traj.failure_reason == NON_FINITE == "non-finite state"
@@ -294,11 +298,10 @@ def test_oracle_assembled_system_agrees_with_direct_solve():
     assert worst < 1e-8, f"oracle-assembled vs closed-form system: {worst:.3e}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the oracle fails its 1e-8 bar at very large disks and masses")
 @pytest.mark.parametrize("p", [Params(r=1e6), Params(m=1e16)], ids=["r1e6", "m1e16"])
 def test_validation_sweep_passes_beyond_the_measured_range(p):
-    # The oracle reads 6.5e-4 at r = 1e6 and 0.64 at m = 1e16 on these 25
-    # samples; a fix of that defect makes this pass and so must drop the mark.
+    # The oracle read 6.5e-4 at r = 1e6 and 0.64 at m = 1e16 on these 25
+    # samples while M carried m and r, and G was probed along the real rates.
     report = validation_sweep(p, 25, 42)
     assert report.passed, f"solve {report.max_err_solve:.3e}, oracle {report.max_err_oracle:.3e}"
 
@@ -313,9 +316,10 @@ def test_non_finite_system_raises_value_error_not_singular():
 
 
 def test_assembled_system_is_the_frozen_block_layout():
-    # Byte equality, signed zeros included, against the documented blocks,
-    # on random states with theta of both signs and two just outside the band,
-    # at several (m, r): M is filled into a template built once at import.
+    # Byte equality, signed zeros included, against the documented blocks of
+    # the unit disk, on random states with theta of both signs and two just
+    # outside the band, at several (m, r): M is filled into a template built
+    # once at import, and it is the same M at every (m, r).
     rng = np.random.default_rng(53)
     states = [sample_state(rng) for _ in range(200)]
     for sign, (q, v) in zip((1.0, -1.0), states[-2:]):
@@ -323,13 +327,13 @@ def test_assembled_system_is_the_frozen_block_layout():
     assert min(q.theta for q, _ in states) < 0.0 < max(q.theta for q, _ in states)
     for p in (P, Params(m=100.0, r=0.01), Params(m=0.01, r=100.0), Params(m=2.0, r=0.37)):
         for q, v in states:
-            A, resid = constraint_matrix(q, p), drift(q, v, p)
+            A, resid = constraint_matrix(q, UNIT), drift(q, v)
             want_M = np.zeros((7, 7))
             want_M[0:2, 2:7] = A
             want_M[2:7, 0:2] = -A.T
             st, ct, s2t = math.sin(q.theta), math.cos(q.theta), math.sin(2.0 * q.theta)
-            want_M[2:7, 2:7] = np.reshape(_mass_entries(p, st), (5, 5))
-            want_b = np.concatenate([-resid, _force_entries(p, st, ct, s2t, v)])
+            want_M[2:7, 2:7] = np.reshape(_mass_entries(st), (5, 5))
+            want_b = np.concatenate([-resid, _force_entries(p.g / p.r, st, ct, s2t, v)])
             M, b = assemble_system(q, v, p)
             assert M.shape == (7, 7) and b.shape == (7,)
             assert M.tobytes() == want_M.tobytes(), p

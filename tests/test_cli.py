@@ -384,7 +384,15 @@ def test_validate_passes(capsys):
     ["--r", "0.001"],
     ["--r", "1000"],
     ["--m", "0.001", "--r", "1e-4"],
-], ids=["1072734275", "1310526364", "r0.01", "r0.001", "r1000", "m0.001-r1e-4"])
+    # Both routes solve the unit disk's system, and the oracle reads G at
+    # rest: at the parent these failed, with the oracle at 1.1e-3 (r = 1e6)
+    # and 1.6e-5 (r = 1e-8), the solve at 0.10 (m = 1e16), and "exactly
+    # singular" (g = 1e300).
+    ["--r", "1e6"],
+    ["--r", "1e-8"],
+    ["--m", "1e16"],
+    ["--g", "1e300"],
+], ids=["1072734275", "1310526364", "r0.01", "r0.001", "r1000", "m0.001-r1e-4", "r1e6", "r1e-8", "m1e16", "g1e300"])
 def test_validate_oracle_has_margin_on_hard_seeds(argv, capsys):
     assert main(["validate", *argv]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -403,10 +411,9 @@ def test_validate_fails_on_a_non_finite_error(capsys):
 
 
 @pytest.mark.parametrize("params, reason", [
-    (["--r", "1e-170"], "the 7x7 system is exactly singular at |cos theta|=8.899e-01"),
-    (["--m", "1e-200", "--r", "1e-100"], "exactly singular"),
-    (["--r", "1e200"], "OverflowError"),
-])
+    (["--g", "1e300", "--r", "1e-10"], "ValueError: g/r = 1e+300/1e-10 rounds to inf, not a positive finite number"),
+    (["--g", "1e-300", "--r", "1e100"], "ValueError: g/r = 1e-300/1e+100 rounds to 0.0, not a positive finite number"),
+], ids=["g-over-r-overflows", "g-over-r-underflows"])
 def test_validate_reports_degenerate_parameters_in_one_line(params, reason, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -416,6 +423,24 @@ def test_validate_reports_degenerate_parameters_in_one_line(params, reason, caps
     assert err.startswith("validate: cannot evaluate the model at m=")
     assert reason in err
     assert "horizontal" not in err
+
+
+@pytest.mark.parametrize("params, code", [
+    (["--r", "1e200"], 0),
+    (["--m", "1e-200", "--r", "1e-100"], 0),
+    # dc/r reaches 3e170, whose square overflows inside L: the oracle reads inf.
+    (["--r", "1e-170"], 3),
+], ids=["r1e200", "m1e-200-r1e-100", "r1e-170"])
+def test_validate_evaluates_extreme_disks(params, code, capsys):
+    # These once stopped before the sweep: M was exactly singular, or L overflowed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--samples", "3", *params]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith("validate: 3 samples, seed 42\n")
+    assert ("  PASS\n" in captured.out) == (code == 0)
+    assert ("complex step: max rel err inf" in captured.out) == (code == 3)
+    assert "cannot evaluate" not in captured.err
 
 
 def _python(*args) -> subprocess.CompletedProcess:

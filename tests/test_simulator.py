@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rollingdisk import assembly, dynamics, energetics, simulator
-from rollingdisk.dynamics import State, state_derivative
+from rollingdisk.dynamics import State, circular_spin, state_derivative
 from rollingdisk.energetics import Params
 from rollingdisk.simulator import (
     NON_FINITE,
@@ -287,9 +287,9 @@ def test_summary_of_single_sample_trajectory():
     assert traj.final_state() == UPRIGHT_REST
 
 
-def _run_for_2s(name, x0=None, **params):
+def _run_for_2s(name, x0=None, route=integrate, **params):
     cfg = scenario_preset(name)
-    return integrate(replace(cfg, params=Params(**params), x0=cfg.x0 if x0 is None else x0, t_end=2.0))
+    return route(replace(cfg, params=Params(**params), x0=cfg.x0 if x0 is None else x0, t_end=2.0))
 
 
 @pytest.mark.parametrize("name", ["precession", "circle"])
@@ -298,6 +298,46 @@ def test_mass_drops_out_of_the_reduced_route(name):
     light, heavy = _run_for_2s(name, m=5.0), _run_for_2s(name, m=50.0)
     assert len(light.samples) == 2001
     assert [s.state for s in light.samples] == [s.state for s in heavy.samples]
+
+
+@pytest.mark.parametrize("name", ["precession", "circle"])
+def test_mass_drops_out_of_the_unreduced_route(name):
+    # solve_system solves the unit disk's system, in which m does not appear,
+    # and m scales only the multipliers, which the run does not integrate.
+    light = _run_for_2s(name, route=integrate_10dim, m=5.0)
+    heavy = _run_for_2s(name, route=integrate_10dim, m=50.0)
+    assert len(light.samples) == 2001 and not light.failed
+    assert [s.state for s in light.samples] == [s.state for s in heavy.samples]
+
+
+# Each preset's start, horizon and final integrate state. The final state is
+# held to 1e-9, not to its bits, which another libm may round apart.
+PRESET_PINS = {
+    "precession": (
+        State(2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0), 10.0,
+        (4.874331523927227, 4.557957189963991, 26.555001628644902, 0.2651350646517337,
+         5.261793584432106, 2.7756299610886193, -0.21954815803082373, 0.8761077295074817)),
+    "circle": (
+        State(2.0, 0.0, 0.0, 0.5, 0.0, circular_spin(0.5, 1.0, P), 0.0, 1.0), 6.0,
+        (2.1391217644580864, 0.9759743130605911, 23.83403739449321, 0.5,
+         6.000000000000338, 3.9723395657485594, 1.998401444325345e-15, 1.0)),
+    "straight": (
+        State(2.0, 0.0, 0.0, 0.0, 0.0, 2.5, 0.0, 0.0), 5.0,
+        (2.0, -12.499999999999655, 12.499999999999655, 0.0, 0.0, 2.5, 0.0, 0.0)),
+    "spin": (
+        State(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 5.0,
+        (2.0, 0.0, 0.0, 0.0, 5.000000000000004, 0.0, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_start_and_end_where_pinned(name):
+    x0, t_end, final = PRESET_PINS[name]
+    cfg = scenario_preset(name)
+    assert (cfg.x0, cfg.t_end, cfg.dt) == (x0, t_end, 1e-3)
+    traj = integrate(cfg)
+    assert not traj.failed and len(traj.samples) == round(t_end / 1e-3) + 1
+    assert traj.final_state() == pytest.approx(final, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["precession", "circle"])

@@ -160,20 +160,35 @@ def test_constraint_entries_are_the_no_slip_rows(model):
     assert all(vanishes(exact(x) - a) for x, a in zip(entries, model.A))
 
 
+# The assembly helpers build the unit disk's system; there g stands for g/r.
+UNIT_DISK = {m: 1, r: 1}
+
+
 def test_drift_entries_are_the_rate_of_the_contact_rows(model):
-    entries = _drift_entries(r, s_th, c_th, s_psi, c_psi, DQ)
-    assert all(vanishes(exact(x) - d) for x, d in zip(entries, model.drift))
+    entries = _drift_entries(s_th, c_th, s_psi, c_psi, DQ)
+    assert all(vanishes(exact(x) - d) for x, d in zip(entries, model.drift.xreplace(UNIT_DISK)))
 
 
 def test_mass_entries_are_the_mass_of_the_euler_lagrange_equations(model):
-    entries = _mass_entries(SimpleNamespace(m=m, g=g, r=r), s_th)
-    assert all(vanishes(exact(x) - e) for x, e in zip(entries, model.G))
+    entries = _mass_entries(s_th)
+    assert all(vanishes(exact(x) - e) for x, e in zip(entries, model.G.xreplace(UNIT_DISK)))
 
 
 def test_force_entries_are_the_force_of_the_euler_lagrange_equations(model):
     # The helper takes sin(2 theta) as an argument of its own.
-    entries = _force_entries(SimpleNamespace(m=m, g=g, r=r), s_th, c_th, 2 * s_th * c_th, DQ)
-    assert all(vanishes(exact(x) - e) for x, e in zip(entries, model.f))
+    entries = _force_entries(g, s_th, c_th, 2 * s_th * c_th, DQ)
+    assert all(vanishes(exact(x) - e) for x, e in zip(entries, model.f.xreplace(UNIT_DISK)))
+
+
+def test_the_disk_solves_the_unit_disks_system_scaled_back(model):
+    # The disk's M x = b is the unit disk's M1 y = b1 (m = r = 1, gravity g/r,
+    # center rates dc/r) with x = S y, lambda = m r y[0:2] and ddc = r y[2:4],
+    # and each row times r (contact), m r (center) or m r^2 (angles).
+    unit = {**UNIT_DISK, g: g / r, DQ[0]: DQ[0] / r, DQ[1]: DQ[1] / r}
+    S = sp.diag(m * r, m * r, r, r, 1, 1, 1)
+    rows = sp.diag(r, r, m * r, m * r, m * r**2, m * r**2, m * r**2)
+    assert all(vanishes(x) for x in model.M * S - rows * model.M.xreplace(unit))
+    assert all(vanishes(x) for x in model.b - rows * model.b.xreplace(unit))
 
 
 def test_determinant_of_the_augmented_matrix(model):
