@@ -161,24 +161,32 @@ def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.
     return M, np.array((-drift[0], -drift[1], *_force_entries(p.g / p.r, st, ct, math.sin(2.0 * theta), v)))
 
 
-def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented unit-disk system (M, b) with G and f rebuilt from the Lagrangian.
-
-    Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
-    it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7] with values of
-    lagrangian alone, on the unit disk Params(1, g/r, 1). L is quadratic in
-    the rates, so G does not depend on them and is read at rest, with q real:
-    G_ij = Im[L(q, ih e_j + e_i) - L(q, ih e_j - e_i)] / (2h), where no term
-    holds a rate that could swamp G, and the central difference cancels any
-    term linear in the rates. f is -oracle_lhs at the unit disk's rates
-    (dc/r, angle rates) and no acceleration. Used for cross-validation.
+def unit_disk(p: Params) -> Params:
+    """Params(1, g/r, 1): the disk whose system assemble_system builds for p.
 
     Raises ValueError when g/r is not a positive finite float.
     """
     g_over_r = p.g / p.r
     if not 0.0 < g_over_r < math.inf:
         raise ValueError(f"g/r = {p.g:g}/{p.r:g} rounds to {g_over_r!r}, not a positive finite number")
-    unit, q = Params(1.0, g_over_r, 1.0), GenCoords(*q)
+    return Params(1.0, g_over_r, 1.0)
+
+
+def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Augmented unit-disk system (M, b) with G and f rebuilt from the Lagrangian.
+
+    Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
+    it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7] with values of
+    lagrangian alone, on unit_disk(p). L is quadratic in the rates, so G does
+    not depend on them and is read at rest, with q real:
+    G_ij = Im[L(q, ih e_j + e_i) - L(q, ih e_j - e_i)] / (2h), where no term
+    holds a rate that could swamp G, and the central difference cancels any
+    term linear in the rates. f is -oracle_lhs at the unit disk's rates
+    (dc/r, angle rates) and no acceleration. Used for cross-validation.
+
+    Raises unit_disk's ValueError.
+    """
+    unit, q = unit_disk(p), GenCoords(*q)
     M, b = assemble_system(q, v, p)
     for i in range(5):
         for j in range(i, 5):

@@ -76,26 +76,3 @@ def rotation_vector(angles, rates: tuple[float, float, float]) -> np.ndarray:
         ]
     )
 
-
-def skew_extract(W: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Axial vector of a (numerically) skew-symmetric matrix.
-
-    Parameters
-    ----------
-    W : ndarray, shape (3, 3)
-    tol : float
-        Largest tolerated entry of W + W^T. Inputs further from skew symmetry
-        raise ValueError instead of being silently projected.
-
-    Returns
-    -------
-    ndarray, shape (3,)
-        Vector (-W[1,2], W[0,2], -W[0,1]).
-    """
-    W = np.asarray(W, dtype=float)
-    defect = float(np.max(np.abs(W + W.T)))
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not skew-symmetric: max |W + W^T| = {defect:.3e} > tol {tol:g}"
-        )
-    return np.array([-W[1, 2], W[0, 2], -W[0, 1]])

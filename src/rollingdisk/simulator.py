@@ -102,13 +102,6 @@ class Trajectory:
     def failed(self) -> bool:
         return self.failure_reason is not None
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def path(self) -> np.ndarray:
-        """Center path (c1, c2) as an (n, 2) array."""
-        return np.array([[s.state.c1, s.state.c2] for s in self.samples])
-
     def final_state(self) -> State:
         return self.samples[-1].state
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rollingdisk import dynamics
 from rollingdisk.assembly import (
     _drift_entries,
     _force_entries,
@@ -303,7 +304,28 @@ def test_validation_sweep_passes_beyond_the_measured_range(p):
     # The oracle read 6.5e-4 at r = 1e6 and 0.64 at m = 1e16 on these 25
     # samples while M carried m and r, and G was probed along the real rates.
     report = validation_sweep(p, 25, 42)
-    assert report.passed, f"solve {report.max_err_solve:.3e}, oracle {report.max_err_oracle:.3e}"
+    assert report.passed, report.worst
+
+
+def test_validation_sweep_is_the_same_at_every_mass():
+    # The sweep runs on the unit disk of p, which has no m.
+    reports = [validation_sweep(Params(m=m), 25, 42) for m in (1e-3, 5.0, 1e16)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_validation_sweep_sees_an_angle_fault_at_any_mass(monkeypatch):
+    # Compared in disk units, lambda = m ddc set the normwise scale: at
+    # m = 1e16 this 1000 rad/s^2 error in ddtheta read 5.3e-12 and passed.
+    true_accels = dynamics.closed_form_accels
+
+    def warped(q, rates, p):
+        ddphi, ddtheta, ddpsi = true_accels(q, rates, p)
+        return ddphi, ddtheta + 1e3, ddpsi
+
+    monkeypatch.setattr(dynamics, "closed_form_accels", warped)
+    report = validation_sweep(Params(m=1e16), 25, 42)
+    assert not report.passed
+    assert all(err > 1e-3 for err, _ in report.worst.values()), report.worst
 
 
 def test_non_finite_system_raises_value_error_not_singular():

@@ -383,30 +383,31 @@ def test_validate_passes(capsys):
     # 6.16e-5 and 2.6e-4 there, against 1e-5.
     ["--r", "0.001"],
     ["--r", "1000"],
-    ["--m", "0.001", "--r", "1e-4"],
+    ["--r", "1e-4"],
     # Both routes solve the unit disk's system, and the oracle reads G at
-    # rest: at the parent these failed, with the oracle at 1.1e-3 (r = 1e6)
-    # and 1.6e-5 (r = 1e-8), the solve at 0.10 (m = 1e16), and "exactly
-    # singular" (g = 1e300).
+    # rest: before that these failed, with the oracle at 1.1e-3 (r = 1e6)
+    # and 1.6e-5 (r = 1e-8), and "exactly singular" (g = 1e300).
     ["--r", "1e6"],
     ["--r", "1e-8"],
-    ["--m", "1e16"],
+    # The sweep runs on the unit disk, where the sampled center rates enter
+    # L unscaled: as dc/r their square overflowed and the oracle read inf.
+    ["--r", "1e-160"],
     ["--g", "1e300"],
-], ids=["1072734275", "1310526364", "r0.01", "r0.001", "r1000", "m0.001-r1e-4", "r1e6", "r1e-8", "m1e16", "g1e300"])
+], ids=["1072734275", "1310526364", "r0.01", "r0.001", "r1000", "r1e-4", "r1e6", "r1e-8", "r1e-160", "g1e300"])
 def test_validate_oracle_has_margin_on_hard_seeds(argv, capsys):
     assert main(["validate", *argv]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
 def test_validate_fails_on_a_non_finite_error(capsys):
-    # g = 1e308 overflows both routes; an error that cannot be measured fails.
+    # g/r = 1.6e308 overflows the oracle; an error that cannot be measured fails.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["validate", "--samples", "3", "--g", "1e308", "--r", "1e10"]) == 3
+        assert main(["validate", "--samples", "3", "--g", "1e308", "--r", "0.6"]) == 3
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "max rel err inf" in captured.out
-    assert "FAIL vs linear solve at q=GenCoords(" in captured.err
+    assert "FAIL vs complex step at q=GenCoords(" in captured.err
     assert "v=GenVel(" in captured.err
 
 
@@ -420,17 +421,17 @@ def test_validate_reports_degenerate_parameters_in_one_line(params, reason, caps
         assert main(["validate", "--samples", "3", *params]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("validate: cannot evaluate the model at m=")
+    assert err.startswith("validate: cannot evaluate the model at g=")
     assert reason in err
     assert "horizontal" not in err
 
 
 @pytest.mark.parametrize("params, code", [
     (["--r", "1e200"], 0),
-    (["--m", "1e-200", "--r", "1e-100"], 0),
-    # dc/r reaches 3e170, whose square overflows inside L: the oracle reads inf.
-    (["--r", "1e-170"], 3),
-], ids=["r1e200", "m1e-200-r1e-100", "r1e-170"])
+    (["--r", "1e-100"], 0),
+    # On the unit disk the center rates enter L unscaled: no overflow.
+    (["--r", "1e-170"], 0),
+], ids=["r1e200", "r1e-100", "r1e-170"])
 def test_validate_evaluates_extreme_disks(params, code, capsys):
     # These once stopped before the sweep: M was exactly singular, or L overflowed.
     with warnings.catch_warnings():
@@ -478,3 +479,28 @@ def test_validate_catches_injected_fault(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "FAIL" in err
     assert "GenCoords" in err  # offending state is reported
+
+
+def test_validate_catches_a_center_fault_on_a_tiny_disk(monkeypatch, capsys):
+    # Compared in disk units, ddc = r y[2:4] vanished beside the angle
+    # accelerations: at r = 1e-12 this 1 % error read 5.0e-14 and passed.
+    true_center = rollingdisk.dynamics.closed_form_center_accels
+
+    def warped(q, rates, p):
+        ddc1, ddc2 = true_center(q, rates, p)
+        return 1.01 * ddc1, ddc2
+
+    monkeypatch.setattr(rollingdisk.dynamics, "closed_form_center_accels", warped)
+    assert main(["validate", "--samples", "20", "--r", "1e-12"]) == 3
+    err = capsys.readouterr().err
+    assert "FAIL vs linear solve" in err
+    assert "FAIL vs complex step" in err
+
+
+def test_validate_has_no_mass_option(capsys):
+    # The sweep runs on the unit disk of g/r, where m cannot change a result.
+    assert main(["validate", "--m", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("usage error:")

@@ -1,9 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
-from rollingdisk.kinematics import euler_rotation, rotation_vector, skew_extract
+from rollingdisk.kinematics import euler_rotation, rotation_vector
 
 
 def random_angles(rng) -> tuple:
@@ -51,12 +50,3 @@ class TestRotationVector:
         ]
         assert np.allclose(w, expected, atol=1e-15)
 
-
-def test_skew_extract_rejects_non_skew():
-    # axial vector (1, 2, 3), plus a symmetric defect above the default tolerance
-    W = np.array([[1e-7, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="skew"):
-        skew_extract(W)
-    # same defect passes with a loose tolerance
-    out = skew_extract(W, tol=1e-6)
-    assert np.allclose(out, [1.0, 2.0, 3.0])

@@ -145,7 +145,7 @@ class TestIntegrate:
         cfg = replace(scenario_preset("precession"), t_end=0.05)
         traj = integrate(cfg)
         assert len(traj.samples) == 51
-        t = traj.times()
+        t = np.array([s.t for s in traj.samples])
         assert t[0] == 0.0
         spacing = np.diff(t)
         assert np.all(np.abs(spacing - cfg.dt) < 1e-15)
@@ -153,7 +153,7 @@ class TestIntegrate:
 
     def test_straight_roll_kinematics(self):
         traj = integrate(scenario_preset("straight"))
-        t = traj.times()
+        t = np.array([s.t for s in traj.samples])
         c1 = np.array([s.state.c1 for s in traj.samples])
         c2 = np.array([s.state.c2 for s in traj.samples])
         x0 = traj.samples[0].state
@@ -162,7 +162,7 @@ class TestIntegrate:
 
     def test_spin_in_place_keeps_center_and_grows_heading(self):
         traj = integrate(scenario_preset("spin"))
-        path = traj.path()
+        path = np.array([[s.state.c1, s.state.c2] for s in traj.samples])
         assert np.max(np.abs(path - path[0])) < 1e-9
         # heading accumulates without wrapping back into (-pi, pi]
         assert traj.final_state().psi == pytest.approx(5.0, abs=1e-9)
