@@ -13,7 +13,7 @@ which close the system at acceleration level. Collecting the seven unknowns
 yields a linear system M(q) x = b(q, qdot). Row and unknown ordering is
 frozen: rows are (contact-1, contact-2, c1, c2, phi, theta, psi) and the two
 multipliers lead the unknowns. solve_system and solve_oracle_system return x
-itself, a length-7 array in exactly this order, as does
+itself, a tuple of seven floats in exactly this order, as does
 dynamics.closed_form_solution. Do not reorder.
 
 Both systems here are those of the unit disk. With lengths measured in r,
@@ -42,7 +42,8 @@ about cos^2(theta) / 4, at least 2.5e-13 outside the band, so for finite
 theta and psi LAPACK meets no zero pivot and numpy emits no warning; a
 non-finite theta or psi raises ValueError first. An inf or NaN in b gives a
 non-finite solution, which is returned as it is. The scaling back runs on
-Python floats, which overflow to inf without a warning.
+Python floats, which overflow to inf without a warning, and they are what
+both solves return.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
 lagrangian, sharing no algebra with the closed form, and exists to
@@ -62,7 +63,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .constraints import _constraint_entries
-from .energetics import GenCoords, GenVel, Params, lagrangian
+from .energetics import Params, lagrangian
 from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
 
 # The LAPACK gesv gufunc behind np.linalg.solve for a (n, n) matrix and a (n,) vector.
@@ -100,33 +101,36 @@ def _drift_entries(st: float, ct: float, sp: float, cp: float, v) -> tuple:
             -sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates)
 
 
-def oracle_lhs(q: GenCoords, v: GenVel, a, p: Params) -> np.ndarray:
+def _unit_difference(q, v, i: int, p: Params) -> float:
+    """Im[L(q, v + e_i) - L(q, v - e_i)] / (2h). L is quadratic in the rates,
+    so this unit central difference in v_i is exact; the imaginary parts are
+    differenced before the division, so a term common to both, however large,
+    cancels instead of overflowing."""
+    ahead, behind = list(v), list(v)
+    ahead[i] += 1.0
+    behind[i] -= 1.0
+    return (lagrangian(q, ahead, p).imag - lagrangian(q, behind, p).imag) / (2.0 * _COMPLEX_STEP)
+
+
+def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
     """Euler-Lagrange left side from complex-step derivatives of the Lagrangian only.
 
     dL/dq_i is Im L(q + ih e_i, qdot) / h. The time derivative of dL/dqdot_i
     is taken along the synthetic path q(s) = q + s*v, qdot(s) = v + s*a at
-    s = ih, as Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h):
-    L is quadratic in the rates, so the unit central difference in qdot_i is
-    exact. Nothing of the closed-form expressions is used.
+    s = ih, as Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h)
+    by _unit_difference. Nothing of the closed-form expressions is used.
 
     Returns
     -------
     ndarray, shape (5,)
     """
-    def im_lagrangian(qs, vs) -> float:
-        return lagrangian(GenCoords(*qs), GenVel(*vs), p).imag / _COMPLEX_STEP
-
-    q, v = list(q), list(v)
     path_q = [complex(x, _COMPLEX_STEP * dx) for x, dx in zip(q, v)]
     path_v = [complex(dx, _COMPLEX_STEP * ddx) for dx, ddx in zip(v, a)]
     lhs = np.empty(5)
     for i in range(5):
-        ahead, behind, probe = path_v.copy(), path_v.copy(), q.copy()
-        ahead[i] += 1.0
-        behind[i] -= 1.0
+        probe = list(q)
         probe[i] = complex(q[i], _COMPLEX_STEP)
-        momentum_rate = (im_lagrangian(path_q, ahead) - im_lagrangian(path_q, behind)) / 2.0
-        lhs[i] = momentum_rate - im_lagrangian(probe, v)
+        lhs[i] = _unit_difference(path_q, path_v, i, p) - lagrangian(probe, v, p).imag / _COMPLEX_STEP
     return lhs
 
 
@@ -148,7 +152,7 @@ _TEMPLATE[2, 1] = _TEMPLATE[3, 0] = -0.0
 _TEMPLATE.flags.writeable = False
 
 
-def assemble_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form augmented system (M, b) of the unit disk under gravity g/r:
     the entries of A, G, f and the contact drift, with each sine and cosine
     taken once."""
@@ -172,56 +176,53 @@ def unit_disk(p: Params) -> Params:
     return Params(1.0, g_over_r, 1.0)
 
 
-def oracle_system(q: GenCoords, v: GenVel, p: Params) -> tuple[np.ndarray, np.ndarray]:
+def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """Augmented unit-disk system (M, b) with G and f rebuilt from the Lagrangian.
 
     Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
     it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7] with values of
     lagrangian alone, on unit_disk(p). L is quadratic in the rates, so G does
     not depend on them and is read at rest, with q real:
-    G_ij = Im[L(q, ih e_j + e_i) - L(q, ih e_j - e_i)] / (2h), where no term
-    holds a rate that could swamp G, and the central difference cancels any
-    term linear in the rates. f is -oracle_lhs at the unit disk's rates
+    G_ij is _unit_difference in v_i at v = ih e_j, where no term holds a rate
+    that could swamp G, and the central difference cancels any term linear in
+    the rates. f is -oracle_lhs at the unit disk's rates
     (dc/r, angle rates) and no acceleration. Used for cross-validation.
 
     Raises unit_disk's ValueError.
     """
-    unit, q = unit_disk(p), GenCoords(*q)
+    unit = unit_disk(p)
     M, b = assemble_system(q, v, p)
     for i in range(5):
         for j in range(i, 5):
-            ahead, behind = [0.0] * 5, [0.0] * 5
-            ahead[j] = behind[j] = complex(0.0, _COMPLEX_STEP)
-            ahead[i] += 1.0
-            behind[i] -= 1.0
-            rise = lagrangian(q, GenVel(*ahead), unit).imag - lagrangian(q, GenVel(*behind), unit).imag
-            M[2 + i, 2 + j] = M[2 + j, 2 + i] = rise / (2.0 * _COMPLEX_STEP)
+            probe = [0.0] * 5
+            probe[j] = complex(0.0, _COMPLEX_STEP)
+            M[2 + i, 2 + j] = M[2 + j, 2 + i] = _unit_difference(q, probe, i, unit)
     b[2:7] = -oracle_lhs(q, (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4]), (0.0,) * 5, unit)
     return M, b
 
 
-def _solve_unit(system: tuple[np.ndarray, np.ndarray], q, p: Params) -> np.ndarray:
+def _solve_unit(system: tuple[np.ndarray, np.ndarray], q, p: Params) -> tuple[float, ...]:
     """Solve a unit-disk system with gesv and scale its solution back to the
     disk p; ValueError for a non-finite theta or psi."""
     if not (math.isfinite(q[3]) and math.isfinite(q[4])):
         raise ValueError(f"non-finite augmented system at theta={q[3]!r}")
-    y = _gesv(*system, signature="dd->d").tolist()
+    y0, y1, y2, y3, y4, y5, y6 = _gesv(*system, signature="dd->d").tolist()
     mr, r = p.m * p.r, p.r
-    return np.array((mr * y[0], mr * y[1], r * y[2], r * y[3], y[4], y[5], y[6]))
+    return mr * y0, mr * y1, r * y2, r * y3, y4, y5, y6
 
 
-def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
+def solve_system(q, v, p: Params) -> tuple[float, ...]:
     """Contact multipliers and generalized accelerations from the augmented
     system of the unit disk, scaled back to the disk p.
 
     Parameters
     ----------
-    q, v : GenCoords, GenVel, or sequences of the same five numbers each
+    q, v : sequences of the five coordinates and the five velocities
     p : Params
 
     Returns
     -------
-    ndarray, shape (7,)
+    tuple of seven floats
         (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi), the frozen
         ordering of the unknowns.
 
@@ -238,7 +239,7 @@ def solve_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
     return _solve_unit(assemble_system(q, v, p), q, p)
 
 
-def solve_oracle_system(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
+def solve_oracle_system(q, v, p: Params) -> tuple[float, ...]:
     """Like solve_system but on the system that oracle_system rebuilds."""
     checked_cos_theta(q[3])
     return _solve_unit(oracle_system(q, v, p), q, p)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .energetics import GenCoords, GenVel, Params
+from .energetics import Params
 
 
 def _constraint_entries(r: float, st: float, ct: float, sp: float, cp: float) -> tuple:
@@ -28,19 +28,17 @@ def _constraint_entries(r: float, st: float, ct: float, sp: float, cp: float) ->
             0.0, 1.0, r * cp, -r * sp * ct, -r * cp * st)
 
 
-def constraint_matrix(q: GenCoords, p: Params) -> np.ndarray:
+def constraint_matrix(q, p: Params) -> np.ndarray:
     """Velocity constraint matrix A(q), shape (2, 5), identity block on (dc1, dc2)."""
     entries = _constraint_entries(p.r, math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]))
     return np.array(entries).reshape(2, 5)
 
 
-def consistent_velocity(
-    q: GenCoords, rates: tuple[float, float, float], p: Params
-) -> GenVel:
+def consistent_velocity(q, rates: tuple[float, float, float], p: Params) -> tuple[float, ...]:
     """Full generalized velocity with (dc1, dc2) reconstructed from the contact.
 
-    Given free angle rates (dphi, dtheta, dpsi), returns the unique GenVel
-    satisfying A(q) qdot = 0.
+    Given free angle rates (dphi, dtheta, dpsi), returns the unique
+    (dc1, dc2, dphi, dtheta, dpsi) satisfying A(q) qdot = 0.
     """
     dphi, dtheta, dpsi = rates
     r = p.r
@@ -48,10 +46,10 @@ def consistent_velocity(
     st, ct = math.sin(q[3]), math.cos(q[3])
     dc1 = rsp * dphi + rcp * ct * dtheta - rsp * st * dpsi
     dc2 = -rcp * dphi + rsp * ct * dtheta + rcp * st * dpsi
-    return tuple.__new__(GenVel, (dc1, dc2, dphi, dtheta, dpsi))  # skips GenVel's Python __new__
+    return dc1, dc2, dphi, dtheta, dpsi
 
 
-def constraint_residual(q: GenCoords, v: GenVel, p: Params) -> np.ndarray:
+def constraint_residual(q, v, p: Params) -> np.ndarray:
     """Slip velocity A(q) v of the contact point, shape (2,). Zero when rolling."""
-    # numpy's gemv, not a scalar sum (it rounds differently); .dot and a plain v[:] cost less.
-    return constraint_matrix(q, p).dot(np.array(v[:]))
+    # numpy's gemv, not a scalar sum (it rounds differently); .dot costs less than @.
+    return constraint_matrix(q, p).dot(np.array(v))

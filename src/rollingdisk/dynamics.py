@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .constraints import consistent_velocity
-from .energetics import GenCoords, Params
+from .energetics import Params
 from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
 
 
@@ -47,8 +45,8 @@ class State(NamedTuple):
     dtheta: float
     dpsi: float
 
-    def coords(self) -> GenCoords:
-        return GenCoords(self.c1, self.c2, self.phi, self.theta, self.psi)
+    def coords(self) -> tuple[float, ...]:
+        return self[:5]
 
     def rates(self) -> tuple[float, float, float]:
         return (self.dphi, self.dtheta, self.dpsi)
@@ -61,9 +59,7 @@ class State(NamedTuple):
         return cls(*(float(x) for x in values))
 
 
-def closed_form_accels(
-    q: GenCoords, rates: tuple[float, float, float], p: Params
-) -> tuple[float, float, float]:
+def closed_form_accels(q, rates: tuple[float, float, float], p: Params) -> tuple[float, float, float]:
     """Angle accelerations (ddphi, ddtheta, ddpsi) in closed form.
 
     Raises SingularConfiguration when the disk is numerically horizontal.
@@ -83,14 +79,12 @@ def closed_form_accels(
     return ddphi, ddtheta, ddpsi
 
 
-def closed_form_center_accels(
-    q: GenCoords, rates: tuple[float, float, float], p: Params
-) -> tuple[float, float]:
+def closed_form_center_accels(q, rates: tuple[float, float, float], p: Params) -> tuple[float, float]:
     """Center accelerations (ddc1, ddc2) in closed form."""
     dphi, dtheta, dpsi = rates
-    ct = checked_cos_theta(q.theta)
-    st = math.sin(q.theta)
-    sp, cp = math.sin(q.psi), math.cos(q.psi)
+    ct = checked_cos_theta(q[3])
+    st = math.sin(q[3])
+    sp, cp = math.sin(q[4]), math.cos(q[4])
     s2t = 2.0 * st * ct
     g, r = p.g, p.r
     common = (
@@ -106,17 +100,15 @@ def closed_form_center_accels(
     return ddc1, ddc2
 
 
-def closed_form_solution(
-    q: GenCoords, rates: tuple[float, float, float], p: Params
-) -> np.ndarray:
+def closed_form_solution(q, rates: tuple[float, float, float], p: Params) -> tuple[float, ...]:
     """All seven eliminated unknowns, ordered like the linear solve.
 
-    Returns (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi) as a
-    length-7 array. The center rows of the constrained equations read
+    Returns (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi) as a tuple
+    of seven floats. The center rows of the constrained equations read
     m * ddc = lambda, which gives the reactions.
     """
     ddc1, ddc2 = closed_form_center_accels(q, rates, p)
-    return np.array([p.m * ddc1, p.m * ddc2, ddc1, ddc2, *closed_form_accels(q, rates, p)])
+    return (p.m * ddc1, p.m * ddc2, ddc1, ddc2, *closed_form_accels(q, rates, p))
 
 
 def state_derivative(x: State, p: Params) -> tuple[float, ...]:

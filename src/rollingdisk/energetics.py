@@ -1,7 +1,9 @@
 """Energies and the Lagrangian of the rolling disk.
 
 Generalized coordinates are q = (c1, c2, phi, theta, psi): the horizontal
-position of the disk center, spin, stand angle, and heading. The center
+position of the disk center, spin, stand angle, and heading. Generalized
+velocities are their rates v = (dc1, dc2, dphi, dtheta, dpsi). Every function
+takes q and v as plain sequences of five numbers in these orders. The center
 height is slaved to the stand angle while the rim touches the plane,
 
     c = (c1, c2, r*cos(theta))
@@ -26,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,32 +49,12 @@ class Params:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-class GenCoords(NamedTuple):
-    """Generalized coordinates (c1, c2, phi, theta, psi)."""
-
-    c1: float
-    c2: float
-    phi: float
-    theta: float
-    psi: float
-
-
-class GenVel(NamedTuple):
-    """Generalized velocities (dc1, dc2, dphi, dtheta, dpsi)."""
-
-    dc1: float
-    dc2: float
-    dphi: float
-    dtheta: float
-    dpsi: float
-
-
-def potential_energy(q: GenCoords, p: Params) -> float:
+def potential_energy(q, p: Params) -> float:
     """Gravitational energy m g r cos(theta), zero level at the plane."""
     return p.m * p.g * p.r * math.cos(q[3])
 
 
-def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
+def kinetic_energy(q, v, p: Params) -> float:
     """Rotational plus translational kinetic energy, built from definitions.
 
     Evaluates 1/2 omega . I omega + 1/2 m |dc/dt|^2 with omega from
@@ -89,13 +70,12 @@ def kinetic_energy(q: GenCoords, v: GenVel, p: Params) -> float:
     return 0.5 * float(w.dot(spin)) + 0.5 * p.m * float(dc.dot(dc))
 
 
-def lagrangian(q: GenCoords, v: GenVel, p: Params) -> float:
+def lagrangian(q, v, p: Params) -> float:
     """Closed-form L = E_kin - E_pot.
 
     Parameters
     ----------
-    q : GenCoords
-    v : GenVel
+    q, v : sequences of the five coordinates and the five velocities
     p : Params
         q and v may hold complex numbers, as assembly.oracle_lhs passes them;
         a complex theta takes cmath's sine and cosine, a real one math's.
@@ -105,12 +85,14 @@ def lagrangian(q: GenCoords, v: GenVel, p: Params) -> float:
     float, or complex for complex arguments
         Lagrangian value in joules.
     """
-    trig = cmath if isinstance(q.theta, complex) else math
-    st = trig.sin(q.theta)
-    ct = trig.cos(q.theta)
-    relative_spin = v.dphi - st * v.dpsi
-    translational = v.dc1 * v.dc1 + v.dc2 * v.dc2 + (p.r * st * v.dtheta) ** 2
-    rotational = 2.0 * relative_spin * relative_spin + v.dtheta * v.dtheta + (ct * v.dpsi) ** 2
+    dc1, dc2, dphi, dtheta, dpsi = v
+    theta = q[3]
+    trig = cmath if isinstance(theta, complex) else math
+    st = trig.sin(theta)
+    ct = trig.cos(theta)
+    relative_spin = dphi - st * dpsi
+    translational = dc1 * dc1 + dc2 * dc2 + (p.r * st * dtheta) ** 2
+    rotational = 2.0 * relative_spin * relative_spin + dtheta * dtheta + (ct * dpsi) ** 2
     return (
         0.5 * p.m * translational
         + 0.125 * p.m * p.r * p.r * rotational

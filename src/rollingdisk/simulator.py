@@ -102,9 +102,6 @@ class Trajectory:
     def failed(self) -> bool:
         return self.failure_reason is not None
 
-    def final_state(self) -> State:
-        return self.samples[-1].state
-
 
 @dataclass(frozen=True)
 class Summary:
@@ -204,8 +201,8 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     return _run(cfg, cfg.name, cfg.x0, step_rk4, _split_reduced)
 
 
-def _deriv_10dim(y: list, p: Params) -> list:
-    return y[5:10] + solve_system(y[0:5], y[5:10], p).tolist()[2:7]
+def _deriv_10dim(y: list, p: Params) -> tuple:
+    return (*y[5:10], *solve_system(y[0:5], y[5:10], p)[2:7])
 
 
 def _split_10dim(y: list, p: Params):

@@ -15,7 +15,7 @@ import pytest
 from rollingdisk.assembly import assemble_system, oracle_lhs
 from rollingdisk.cli import main
 from rollingdisk.dynamics import State, state_derivative
-from rollingdisk.energetics import GenCoords, GenVel, Params
+from rollingdisk.energetics import Params
 from rollingdisk.kinematics import euler_rotation, rotation_vector
 from rollingdisk.simulator import diagnostics_summary, integrate, integrate_10dim, scenario_preset
 from rollingdisk.singularity import SingularConfiguration
@@ -61,8 +61,8 @@ def test_02_variational_lhs_matches_differenced_lagrangian():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        q = GenCoords(*rng.uniform(-3.0, 3.0, 5))
-        v = GenVel(*rng.uniform(-3.0, 3.0, 5))
+        q = tuple(rng.uniform(-3.0, 3.0, 5))
+        v = tuple(rng.uniform(-3.0, 3.0, 5))
         a = rng.uniform(-3.0, 3.0, 5)
         # assemble_system builds the system of the unit disk under gravity g/r.
         M, b = assemble_system(q, v, P)
@@ -170,8 +170,8 @@ def test_06_flat_band_raises_and_cli_exits_2(tmp_path):
 
 
 def test_07_reduced_vs_unreduced_routes(precession, precession_10dim):
-    fin8 = precession.final_state()
-    fin10 = precession_10dim.final_state()
+    fin8 = precession.samples[-1].state
+    fin10 = precession_10dim.samples[-1].state
     config_diff = max(
         abs(a - b) for a, b in zip(fin8.as_tuple()[:5], fin10.as_tuple()[:5])
     )
@@ -189,7 +189,7 @@ def test_08_rk4_fourth_order_convergence():
     cfg = replace(scenario_preset("precession"), t_end=1.0)
 
     def final(dt):
-        return integrate(replace(cfg, dt=dt)).final_state()
+        return integrate(replace(cfg, dt=dt)).samples[-1].state
 
     ref = final(2e-4)
 

@@ -15,9 +15,9 @@ from rollingdisk.assembly import (
     solve_oracle_system,
     solve_system,
 )
-from rollingdisk.constraints import constraint_matrix
+from rollingdisk.constraints import consistent_velocity, constraint_matrix
 from rollingdisk.dynamics import State
-from rollingdisk.energetics import GenCoords, GenVel, Params
+from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
 from rollingdisk.simulator import NON_FINITE, ScenarioConfig, integrate_10dim
 from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state, solve_seven, validation_sweep
@@ -25,7 +25,7 @@ from rollingdisk.validation import closed_form_seven, max_rel_diff, sample_state
 P = Params()
 # The disk whose system assemble_system and oracle_system build for P.
 UNIT = Params(m=1.0, g=P.g / P.r, r=1.0)
-REST = GenVel(0, 0, 0, 0, 0)
+REST = (0, 0, 0, 0, 0)
 
 
 def scaled_back(y, p):
@@ -35,8 +35,8 @@ def scaled_back(y, p):
 
 
 def random_triple(rng):
-    q = GenCoords(*rng.uniform(-3.0, 3.0, 5))
-    v = GenVel(*rng.uniform(-3.0, 3.0, 5))
+    q = tuple(rng.uniform(-3.0, 3.0, 5))
+    v = tuple(rng.uniform(-3.0, 3.0, 5))
     a = rng.uniform(-3.0, 3.0, 5)
     return q, v, a
 
@@ -49,18 +49,18 @@ def closed_lhs(q, v, a):
 
 class TestEulerLagrangeLhs:
     def test_rest_gives_gravity_torque_only(self):
-        q = GenCoords(1.0, -1.0, 0.4, 0.0, 2.0)
-        zero_v, zero_a = GenVel(0, 0, 0, 0, 0), (0, 0, 0, 0, 0)
+        q = (1.0, -1.0, 0.4, 0.0, 2.0)
+        zero_v, zero_a = (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)
         assert np.array_equal(closed_lhs(q, zero_v, zero_a), np.zeros(5))
-        tilted = GenCoords(0.0, 0.0, 0.0, 0.3, 0.0)
+        tilted = (0.0, 0.0, 0.0, 0.3, 0.0)
         lhs = closed_lhs(tilted, zero_v, zero_a)
         # at rest only the stand-angle row is loaded, by gravity g/r
         assert lhs[3] == pytest.approx(-P.g / P.r * math.sin(0.3), rel=1e-14)
         assert np.array_equal(lhs[[0, 1, 2, 4]], np.zeros(4))
 
     def test_unit_center_acceleration(self):
-        q = GenCoords(0.4, -0.2, 1.0, 0.0, -2.0)
-        lhs = closed_lhs(q, GenVel(0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
+        q = (0.4, -0.2, 1.0, 0.0, -2.0)
+        lhs = closed_lhs(q, (0, 0, 0, 0, 0), (1, 0, 0, 0, 0))
         assert np.allclose(lhs, [1.0, 0, 0, 0, 0], atol=1e-15)
 
     def test_matches_complex_step_rebuild(self):
@@ -115,13 +115,13 @@ def test_contact_rows_match_matrix_and_drift():
 
 class TestMassMatrix:
     def test_reference_entries_upright(self):
-        M, _ = assemble_system(GenCoords(0, 0, 0, 0.0, 0.0), REST, P)
+        M, _ = assemble_system((0, 0, 0, 0.0, 0.0), REST, P)
         assert M[4, 4] == 0.5
         assert M[5, 5] == 0.25
         assert M[6, 6] == 0.25
         assert M[4, 6] == 0.0
         # contraction rows carry the unit disk's constraint matrix
-        assert np.array_equal(M[0:2, 2:7], constraint_matrix(GenCoords(0, 0, 0, 0.0, 0.0), UNIT))
+        assert np.array_equal(M[0:2, 2:7], constraint_matrix((0, 0, 0, 0.0, 0.0), UNIT))
 
     def test_independent_of_velocity_bit_for_bit(self):
         rng = np.random.default_rng(46)
@@ -137,7 +137,7 @@ class TestMassMatrix:
         checked = 0
         while checked < 10_000:
             q, _ = sample_state(rng)
-            if abs(math.cos(q.theta)) < 0.1:
+            if abs(math.cos(q[3])) < 0.1:
                 continue
             checked += 1
             assert np.linalg.det(assemble_system(q, REST, P)[0]) != 0.0
@@ -151,7 +151,7 @@ class TestMassMatrix:
         rng = np.random.default_rng(51)
         for _ in range(200):
             q, v, _ = random_triple(rng)
-            det = np.linalg.det(assemble_system(q, v, p)[0]) / math.cos(q.theta) ** 2
+            det = np.linalg.det(assemble_system(q, v, p)[0]) / math.cos(q[3]) ** 2
             assert det == pytest.approx(15.0 / 32.0, rel=1e-8)
 
     def test_factor_solve_round_trip(self):
@@ -166,11 +166,11 @@ class TestMassMatrix:
 
 class TestRhsVector:
     def test_zero_at_upright_rest(self):
-        _, b = assemble_system(GenCoords(0, 0, 0, 0.0, 0.0), REST, P)
+        _, b = assemble_system((0, 0, 0, 0.0, 0.0), REST, P)
         assert np.array_equal(b, np.zeros(7))
 
     def test_rest_tilted_loads_only_stand_row(self):
-        _, b = assemble_system(GenCoords(0, 0, 0, 0.1, 0.0), REST, P)
+        _, b = assemble_system((0, 0, 0, 0.1, 0.0), REST, P)
         assert b[5] == pytest.approx(P.g / P.r * math.sin(0.1), rel=1e-14)
         mask = np.ones(7, dtype=bool)
         mask[5] = False
@@ -179,8 +179,8 @@ class TestRhsVector:
 
 class TestSolveSystem:
     def test_reference_start(self):
-        q = GenCoords(2.0, 0.0, 0.0, 0.1, 0.0)
-        v = GenVel(0.0, -2.5, 2.5, 0.0, 0.0)
+        q = (2.0, 0.0, 0.0, 0.1, 0.0)
+        v = (0.0, -2.5, 2.5, 0.0, 0.0)
         ddphi, ddtheta, ddpsi = solve_system(q, v, P)[4:7]
         assert ddtheta == pytest.approx(0.8 * P.g * math.sin(0.1), rel=1e-12)
         assert abs(ddphi) < 1e-14
@@ -189,8 +189,8 @@ class TestSolveSystem:
     def test_flat_start_constant_turn(self):
         # Upright disk with spin and heading rate: the only surviving
         # couplings are the stand acceleration and the contact reactions.
-        q = GenCoords(0.0, 0.0, 0.0, 0.0, 0.0)
-        v = GenVel(0.0, -2.5, 2.5, 0.0, 1.0)
+        q = (0.0, 0.0, 0.0, 0.0, 0.0)
+        v = (0.0, -2.5, 2.5, 0.0, 1.0)
         ddphi, ddtheta, ddpsi = solve_system(q, v, P)[4:7]
         assert ddphi == pytest.approx(0.0, abs=1e-14)
         assert ddpsi == pytest.approx(0.0, abs=1e-14)
@@ -207,14 +207,14 @@ class TestSolveSystem:
             assert resid < bound, f"|Mx-b| = {resid:.3e} exceeds {bound:.3e}"
 
     def test_raises_in_flat_band(self):
-        v = GenVel(0, 0, 1, 1, 1)
+        v = (0, 0, 1, 1, 1)
         for theta in (math.pi / 2, -math.pi / 2, math.pi / 2 - 1e-9):
             with pytest.raises(SingularConfiguration):
-                solve_system(GenCoords(0, 0, 0, theta, 0), v, P)
+                solve_system((0, 0, 0, theta, 0), v, P)
 
     def test_just_outside_band_solves(self):
         theta = math.pi / 2 - 1e-4
-        x = solve_system(GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1), P)
+        x = solve_system((0, 0, 0, theta, 0), (0, 0, 1, 1, 1), P)
         assert all(map(math.isfinite, x[2:7]))
 
     def test_heavy_small_disk_solves_next_to_band(self):
@@ -226,7 +226,7 @@ class TestSolveSystem:
         for sign in (1.0, -1.0):
             for _ in range(20):
                 q, v = sample_state(rng)
-                q = GenCoords(q.c1, q.c2, q.phi, sign * theta, q.psi)
+                q = (q[0], q[1], q[2], sign * theta, q[4])
                 closed = closed_form_seven(q, v[2:5], p)
                 assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-4
 
@@ -238,7 +238,7 @@ def test_tiny_and_light_disks_solve_next_to_band():
         warnings.simplefilter("error")
         for p in (Params(r=1e-170), Params(m=1e-200, r=1e-100)):
             for theta in (math.acos(4.722e-6), 0.5):
-                q, v = GenCoords(0, 0, 0, theta, 0), GenVel(0, 0, 1, 1, 1)
+                q, v = (0, 0, 0, theta, 0), (0, 0, 1, 1, 1)
                 closed = closed_form_seven(q, v[2:5], p)
                 assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-12
                 assert max_rel_diff(solve_oracle_system(q, v, p), closed) < 1e-12
@@ -254,7 +254,7 @@ def _direct_solve_states(rng):
         cases.append((q, v, Params(m=m, r=r)))
     q, v = sample_state(rng)
     for sign in (1.0, -1.0):
-        edge = GenCoords(q.c1, q.c2, q.phi, sign * math.acos(5e-6), q.psi)
+        edge = (q[0], q[1], q[2], sign * math.acos(5e-6), q[4])
         cases.append((edge, v, P))
         for p in (Params(m=100.0, r=0.01), *(Params(m=m, r=r) for m in (1e-100, 1e100) for r in (1e-100, 1e100))):
             cases.append((edge, v, p))
@@ -264,12 +264,12 @@ def _direct_solve_states(rng):
 
 def test_direct_solve_gives_the_bits_of_numpy_solve():
     cases = _direct_solve_states(np.random.default_rng(55))
-    assert min(q.theta for q, _, _ in cases) < 0.0 < max(q.theta for q, _, _ in cases)
+    assert min(q[3] for q, _, _ in cases) < 0.0 < max(q[3] for q, _, _ in cases)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for q, v, p in cases:
             x = solve_system(q, v, p)
-            assert x.tobytes() == scaled_back(np.linalg.solve(*assemble_system(q, v, p)), p).tobytes(), (q, v, p)
+            assert np.asarray(x).tobytes() == scaled_back(np.linalg.solve(*assemble_system(q, v, p)), p).tobytes(), (q, v, p)
 
 
 def test_failed_solves_raise_without_warnings():
@@ -278,10 +278,10 @@ def test_failed_solves_raise_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite") as info:
-            solve_system(GenCoords(0, 0, 0, math.nan, 0), GenVel(0, 0, 1, 0, 0), P)
+            solve_system((0, 0, 0, math.nan, 0), (0, 0, 1, 0, 0), P)
         assert not isinstance(info.value, SingularConfiguration)
         with pytest.raises(ValueError, match="non-finite"):
-            solve_system(GenCoords(0, 0, 0, 0.1, math.nan), GenVel(0, 0, 1, 0, 0), P)
+            solve_system((0, 0, 0, 0.1, math.nan), (0, 0, 1, 0, 0), P)
         x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100)
         traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
     assert traj.failure_reason == NON_FINITE == "non-finite state"
@@ -330,10 +330,10 @@ def test_validation_sweep_sees_an_angle_fault_at_any_mass(monkeypatch):
 
 def test_non_finite_system_raises_value_error_not_singular():
     # A NaN stand angle is no flat disk: the failed solve reports the NaN.
-    q = GenCoords(0, 0, 0, math.nan, 0)
+    q = (0, 0, 0, math.nan, 0)
     for solve in (solve_system, solve_oracle_system):
         with pytest.raises(ValueError, match="non-finite") as info:
-            solve(q, GenVel(0, 0, 1, 0, 0), P)
+            solve(q, (0, 0, 1, 0, 0), P)
         assert not isinstance(info.value, SingularConfiguration)
 
 
@@ -345,15 +345,15 @@ def test_assembled_system_is_the_frozen_block_layout():
     rng = np.random.default_rng(53)
     states = [sample_state(rng) for _ in range(200)]
     for sign, (q, v) in zip((1.0, -1.0), states[-2:]):
-        states.append((GenCoords(q.c1, q.c2, q.phi, sign * math.acos(5e-6), q.psi), v))
-    assert min(q.theta for q, _ in states) < 0.0 < max(q.theta for q, _ in states)
+        states.append(((q[0], q[1], q[2], sign * math.acos(5e-6), q[4]), v))
+    assert min(q[3] for q, _ in states) < 0.0 < max(q[3] for q, _ in states)
     for p in (P, Params(m=100.0, r=0.01), Params(m=0.01, r=100.0), Params(m=2.0, r=0.37)):
         for q, v in states:
             A, resid = constraint_matrix(q, UNIT), drift(q, v)
             want_M = np.zeros((7, 7))
             want_M[0:2, 2:7] = A
             want_M[2:7, 0:2] = -A.T
-            st, ct, s2t = math.sin(q.theta), math.cos(q.theta), math.sin(2.0 * q.theta)
+            st, ct, s2t = math.sin(q[3]), math.cos(q[3]), math.sin(2.0 * q[3])
             want_M[2:7, 2:7] = np.reshape(_mass_entries(st), (5, 5))
             want_b = np.concatenate([-resid, _force_entries(p.g / p.r, st, ct, s2t, v)])
             M, b = assemble_system(q, v, p)
@@ -378,13 +378,30 @@ def test_each_assembly_returns_fresh_arrays():
 
 
 def test_plain_sequences_give_the_same_bits():
-    # The unreduced route hands solve_system list slices, not GenCoords/GenVel.
+    # q, v and the seven unknowns are plain tuples at every interface, and the
+    # unreduced route hands the same functions list slices: tuples and lists
+    # give the same bits, and each 7x7 route returns a tuple of seven floats.
     rng = np.random.default_rng(54)
     for _ in range(50):
         q, v = sample_state(rng)
-        qs, vs = list(q), list(v)
-        assert solve_system(qs, vs, P).tobytes() == solve_system(q, v, P).tobytes()
-        assert solve_oracle_system(qs, vs, P).tobytes() == solve_oracle_system(q, v, P).tobytes()
-        for got, want in zip(assemble_system(qs, vs, P), assemble_system(q, v, P)):
-            assert got.tobytes() == want.tobytes()
-        assert constraint_matrix(qs, P).tobytes() == constraint_matrix(q, P).tobytes()
+        a = tuple(rng.uniform(-3.0, 3.0, 5).tolist())
+        for seven in (solve_system(q, v, P), solve_oracle_system(q, v, P),
+                      dynamics.closed_form_solution(q, v[2:5], P)):
+            assert type(seven) is tuple and len(seven) == 7
+            assert all(type(x) is float for x in seven)
+        calls = (
+            lambda q, v, a: lagrangian(q, v, P),
+            lambda q, v, a: kinetic_energy(q, v, P),
+            lambda q, v, a: potential_energy(q, P),
+            lambda q, v, a: consistent_velocity(q, v[2:5], P),
+            lambda q, v, a: dynamics.closed_form_solution(q, v[2:5], P),
+            lambda q, v, a: oracle_lhs(q, v, a, UNIT),
+            lambda q, v, a: solve_system(q, v, P),
+            lambda q, v, a: solve_oracle_system(q, v, P),
+            lambda q, v, a: constraint_matrix(q, P),
+        )
+        for f in calls:
+            assert np.asarray(f(list(q), list(v), list(a))).tobytes() == np.asarray(f(q, v, a)).tobytes()
+        for system in (assemble_system, oracle_system):
+            for got, want in zip(system(list(q), list(v), P), system(q, v, P)):
+                assert got.tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ from rollingdisk.dynamics import (
     closed_form_solution,
     state_derivative,
 )
-from rollingdisk.energetics import GenCoords, Params, kinetic_energy, potential_energy
+from rollingdisk.energetics import Params, kinetic_energy, potential_energy
 from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import sample_state
 
@@ -57,24 +57,24 @@ class TestClosedFormAccels:
         for _ in range(1000):
             q, v = sample_state(rng)
             _, _, ddpsi = closed_form_accels(q, v[2:5], P)
-            lhs = ddpsi * math.cos(q.theta)
-            rhs = 2.0 * v.dphi * v.dtheta
+            lhs = ddpsi * math.cos(q[3])
+            rhs = 2.0 * v[2] * v[3]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_upright_rest_is_equilibrium(self):
-        acc = closed_form_accels(GenCoords(0, 0, 0, 0.0, 0), (0.0, 0.0, 0.0), P)
+        acc = closed_form_accels((0, 0, 0, 0.0, 0), (0.0, 0.0, 0.0), P)
         assert acc == (0.0, 0.0, 0.0)
 
     def test_flat_band_raises(self):
         for theta in (math.pi / 2, math.pi / 2 - 1e-9, -(math.pi / 2 - 1e-9)):
             with pytest.raises(SingularConfiguration) as info:
-                closed_form_accels(GenCoords(0, 0, 0, theta, 0), (1.0, 1.0, 1.0), P)
+                closed_form_accels((0, 0, 0, theta, 0), (1.0, 1.0, 1.0), P)
             assert info.value.theta == theta
 
 
 class TestClosedFormMultipliers:
     def test_rest_tilted_reference(self):
-        lam = closed_form_solution(GenCoords(0, 0, 0, 0.3, 0.0), (0.0, 0.0, 0.0), P)[0:2]
+        lam = closed_form_solution((0, 0, 0, 0.3, 0.0), (0.0, 0.0, 0.0), P)[0:2]
         assert lam[0] == pytest.approx(P.m * 6.0 * P.g * math.sin(0.6) / 15.0, rel=1e-14)
         assert lam[1] == 0.0
 
@@ -107,7 +107,7 @@ class TestStateDerivative:
             x = random_state(rng)
             dx = state_derivative(x, P)
             v = consistent_velocity(x.coords(), x.rates(), P)
-            assert dx[0:2] == (v.dc1, v.dc2)
+            assert dx[0:2] == (v[0], v[1])
             assert dx[2:5] == x.rates()
 
     def test_flat_band_raises(self):
@@ -117,7 +117,7 @@ class TestStateDerivative:
                 state_derivative(x, P)
 
     def test_plain_sequences_give_the_same_bits(self):
-        # The inner RK4 stages are plain lists, not State/GenCoords.
+        # The inner RK4 stages are plain lists, not States.
         rng = np.random.default_rng(68)
         for _ in range(50):
             x = random_state(rng)
@@ -155,7 +155,7 @@ class TestCircularSpin:
             theta = rng.uniform(-1.2, 1.2)
             dpsi = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
             dphi = circular_spin(theta, dpsi, P)
-            q = GenCoords(0, 0, 0, theta, 0)
+            q = (0, 0, 0, theta, 0)
             _, ddtheta, _ = closed_form_accels(q, (dphi, 0.0, dpsi), P)
             assert abs(ddtheta) < 1e-12, f"ddtheta={ddtheta:.3e} at theta={theta}, dpsi={dpsi}"
 

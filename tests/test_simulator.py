@@ -102,7 +102,7 @@ class TestSteppers:
 
     def test_euler_is_first_order(self):
         cfg = replace(scenario_preset("precession"), t_end=0.5)
-        ref = integrate(replace(cfg, dt=1e-5)).final_state()
+        ref = integrate(replace(cfg, dt=1e-5)).samples[-1].state
 
         def err(dt):
             x = cfg.x0
@@ -165,7 +165,7 @@ class TestIntegrate:
         path = np.array([[s.state.c1, s.state.c2] for s in traj.samples])
         assert np.max(np.abs(path - path[0])) < 1e-9
         # heading accumulates without wrapping back into (-pi, pi]
-        assert traj.final_state().psi == pytest.approx(5.0, abs=1e-9)
+        assert traj.samples[-1].state.psi == pytest.approx(5.0, abs=1e-9)
 
     def test_energy_and_residual_diagnostics(self):
         cfg = replace(scenario_preset("precession"), t_end=1.0)
@@ -207,8 +207,8 @@ class TestIntegrate:
 class TestIntegrate10Dim:
     def test_matches_reduced_route_briefly(self):
         cfg = replace(scenario_preset("precession"), t_end=0.5)
-        reduced = integrate(cfg).final_state()
-        unreduced = integrate_10dim(cfg).final_state()
+        reduced = integrate(cfg).samples[-1].state
+        unreduced = integrate_10dim(cfg).samples[-1].state
         for a, b in zip(reduced.as_tuple()[:5], unreduced.as_tuple()[:5]):
             assert a == pytest.approx(b, abs=1e-9)
 
@@ -284,7 +284,7 @@ def test_summary_of_single_sample_trajectory():
     summary = diagnostics_summary(traj)
     assert summary.max_energy_drift == 0.0
     assert summary.mean_energy_drift == 0.0
-    assert traj.final_state() == UPRIGHT_REST
+    assert traj.samples[-1].state == UPRIGHT_REST
 
 
 def _run_for_2s(name, x0=None, route=integrate, **params):
@@ -337,7 +337,7 @@ def test_presets_start_and_end_where_pinned(name):
     assert (cfg.x0, cfg.t_end, cfg.dt) == (x0, t_end, 1e-3)
     traj = integrate(cfg)
     assert not traj.failed and len(traj.samples) == round(t_end / 1e-3) + 1
-    assert traj.final_state() == pytest.approx(final, rel=1e-9, abs=1e-9)
+    assert traj.samples[-1].state == pytest.approx(final, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["precession", "circle"])
@@ -358,7 +358,7 @@ def test_doubling_g_and_r_scales_lengths_and_energy_exactly(name):
 def _final_after_2s(name, x0):
     traj = _run_for_2s(name, x0)
     assert not traj.failed
-    return traj.final_state()
+    return traj.samples[-1].state
 
 
 def _reversed(x: State) -> State:

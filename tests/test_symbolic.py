@@ -248,7 +248,7 @@ def lambdified_errors(model):
             "consistent_velocity": (consistent_velocity(q, rates, p)[:2], center_rates(q, rates, params)),
             "closed_form_accels": (closed_form_accels(q, rates, p), solution[4:7]),
             "closed_form_center_accels": (closed_form_center_accels(q, rates, p), solution[2:4]),
-            "circular_spin": (circular_spin(q.theta, v.dpsi, p), steady_spin(q.theta, v.dpsi, params)),
+            "circular_spin": (circular_spin(q[3], v[4], p), steady_spin(q[3], v[4], params)),
             "oracle_lhs": (oracle_lhs(q, v, a, p), lhs(q, v, a, params)),
         }
 
