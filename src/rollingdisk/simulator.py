@@ -17,10 +17,11 @@ step_rk4 writes the reduced route's stages out over its eight floats and
 returns a State; the unreduced route steps a list of ten through _rk4, in the
 same operation order. numpy stays inside the kernels, out of the samples.
 
-A trajectory records per-step diagnostics (total energy with reconstructed
-center rates, contact slip residual). On a singular configuration, or a step
-that leaves a non-finite state, the partial trajectory is returned with the
-failure reason set instead of raising; its last sample is the stop time.
+A trajectory holds the ScenarioConfig it ran and per-step diagnostics (total
+energy with reconstructed center rates, contact slip residual). On a singular
+configuration, or a step that leaves a non-finite state, the partial
+trajectory is returned with the failure reason set instead of raising; its
+last sample is the stop time. Overflow is such a stop, never a warning.
 """
 
 from __future__ import annotations
@@ -88,13 +89,11 @@ class TrajectorySample(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Immutable result of a run. failure_reason is None iff the run
+    """Immutable result of running config. failure_reason is None iff the run
     completed, else SINGULAR or NON_FINITE; a failed run stopped at the time
     of its last sample, samples[-1].t."""
 
-    scenario: str
-    params: Params
-    dt: float
+    config: ScenarioConfig
     samples: tuple[TrajectorySample, ...]
     failure_reason: str | None = None
 
@@ -106,7 +105,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class Summary:
     """Headline diagnostics of a trajectory. What the Trajectory holds
-    (samples, scenario, final state, failure) is read from it, not copied."""
+    (config, samples, failure) is read from it, not copied."""
 
     max_energy_drift: float
     mean_energy_drift: float
@@ -161,28 +160,30 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     return tuple.__new__(TrajectorySample, (t, state, energy, max(abs(r1), abs(r2))))
 
 
-def _run(cfg: ScenarioConfig, scenario: str, y, advance, split) -> Trajectory:
+def _run(cfg: ScenarioConfig, y, advance, split) -> Trajectory:
     """Step y with advance(y, dt, p) and sample every step. A step that hits
     the flat-disk band, or whose state, energy or residual is not finite,
     ends the run; the partial trajectory ends at the start of the failed step
-    and carries the reason."""
+    and carries the reason. numpy does not warn inside: a value it would flag
+    is inf or NaN, which ends the run as NON_FINITE under any warnings filter."""
     p, dt = cfg.params, cfg.dt
-    samples = [_sample(0.0, y, split, p)]
     reason = None
-    for i in range(cfg.n_steps()):
-        try:
-            y = advance(y, dt, p)
-            sample = _sample((i + 1) * dt, y, split, p)
-            if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [_sample(0.0, y, split, p)]
+        for i in range(cfg.n_steps()):
+            try:
+                y = advance(y, dt, p)
+                sample = _sample((i + 1) * dt, y, split, p)
+                if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
+                    reason = NON_FINITE
+            except SingularConfiguration:
+                reason = SINGULAR
+            except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
                 reason = NON_FINITE
-        except SingularConfiguration:
-            reason = SINGULAR
-        except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
-            reason = NON_FINITE
-        if reason is not None:
-            break
-        samples.append(sample)
-    return Trajectory(scenario, p, dt, tuple(samples), reason)
+            if reason is not None:
+                break
+            samples.append(sample)
+    return Trajectory(cfg, tuple(samples), reason)
 
 
 def _split_reduced(x: State, p: Params):
@@ -198,7 +199,7 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     last sample before the failed step, at its start time, and carries
     failure_reason.
     """
-    return _run(cfg, cfg.name, cfg.x0, step_rk4, _split_reduced)
+    return _run(cfg, cfg.x0, step_rk4, _split_reduced)
 
 
 def _deriv_10dim(y: list, p: Params) -> tuple:
@@ -219,7 +220,7 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     """
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
-    return _run(cfg, cfg.name + "-10dim", y0, partial(_rk4, _deriv_10dim), _split_10dim)
+    return _run(cfg, y0, partial(_rk4, _deriv_10dim), _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

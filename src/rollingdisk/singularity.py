@@ -22,10 +22,9 @@ class SingularConfiguration(Exception):
 
     def __init__(self, theta: float):
         self.theta = theta
-        self.cos_theta = math.cos(theta)
         super().__init__(
             f"stand angle theta={theta!r} is numerically horizontal "
-            f"(|cos theta|={abs(self.cos_theta):.3e}, cutoff {SINGULAR_COS_THETA:g})"
+            f"(|cos theta|={abs(math.cos(theta)):.3e}, cutoff {SINGULAR_COS_THETA:g})"
         )
 
 

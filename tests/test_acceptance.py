@@ -79,7 +79,7 @@ def test_02_variational_lhs_matches_differenced_lagrangian():
 def test_03_precession_energy_and_wandering_turn(precession):
     summary = diagnostics_summary(precession)
     path = np.array([[s.state.c1, s.state.c2] for s in precession.samples])[::10]
-    dt = precession.dt * 10
+    dt = precession.config.dt * 10
     x, y = path[:, 0], path[:, 1]
     xd = (x[2:] - x[:-2]) / (2 * dt)
     yd = (y[2:] - y[:-2]) / (2 * dt)

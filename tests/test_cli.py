@@ -399,8 +399,10 @@ def test_validate_passes(capsys):
     # NaN; the imaginary parts are now differenced first.
     ["--g", "1e308", "--r", "1"],
     ["--g", "1.79e308", "--r", "1"],
+    # This exited 3, as did r = 1e-160, while the sweep compared the unknowns in disk units.
+    ["--g", "1e308", "--r", "1e10"],
 ], ids=["1072734275", "1310526364", "r0.01", "r0.001", "r1000", "r1e-4", "r1e6", "r1e-8", "r1e-160", "g1e300",
-        "g1e308", "g1.79e308"])
+        "g1e308", "g1.79e308", "g1e308-r1e10"])
 def test_validate_oracle_has_margin_on_hard_seeds(argv, capsys):
     assert main(["validate", *argv]) == 0
     assert "PASS" in capsys.readouterr().out

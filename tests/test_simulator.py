@@ -196,6 +196,7 @@ class TestIntegrate:
         x0 = State(0.0, 0.0, 0.0, math.pi / 2 - 1e-9, 0.0, 1.0, 1.0, 1.0)
         cfg = ScenarioConfig("doomed", P, x0, t_end=1.0, dt=1e-3)
         traj = integrate(cfg)
+        assert traj.config is cfg
         assert traj.failed
         assert traj.samples[-1].t == 0.0
         assert traj.failure_reason == SINGULAR
@@ -219,8 +220,9 @@ class TestIntegrate10Dim:
 
     def test_singular_start_returns_partial_trajectory(self):
         x0 = State(0.0, 0.0, 0.0, math.pi / 2 - 1e-9, 0.0, 1.0, 1.0, 1.0)
-        traj = integrate_10dim(ScenarioConfig("doomed", P, x0, t_end=1.0, dt=1e-3))
-        assert traj.scenario == "doomed-10dim"
+        cfg = ScenarioConfig("doomed", P, x0, t_end=1.0, dt=1e-3)
+        traj = integrate_10dim(cfg)
+        assert traj.config is cfg
         assert traj.failed
         assert traj.samples[-1].t == 0.0
         assert traj.failure_reason == SINGULAR
@@ -262,7 +264,6 @@ def test_samples_hold_plain_floats(route):
         assert all(type(v) is float for v in (*s.state, s.energy, s.residual)), s
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("route", [integrate, integrate_10dim])
 @pytest.mark.parametrize("rates", [
     (0.0, 0.0, 1e100),  # a stage overflows to an infinite angle
@@ -280,7 +281,7 @@ def test_overflowing_rates_stop_with_non_finite_state(route, rates):
 
 def test_summary_of_single_sample_trajectory():
     sample = TrajectorySample(0.0, UPRIGHT_REST, 49.05, 0.0)
-    traj = Trajectory("frozen", P, 1e-3, (sample,))
+    traj = Trajectory(ScenarioConfig("frozen", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), (sample,))
     summary = diagnostics_summary(traj)
     assert summary.max_energy_drift == 0.0
     assert summary.mean_energy_drift == 0.0
