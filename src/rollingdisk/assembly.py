@@ -46,12 +46,13 @@ Python floats, which overflow to inf without a warning, and they are what
 both solves return.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
-lagrangian, sharing no algebra with the closed form, and exists to
-cross-check it. It differentiates L by the complex step (Squire & Trapp,
-SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003): one
-constant step h = 1e-30, no difference of nearby values and so no step to
-tune. oracle_system reads G from L at rest and f from oracle_lhs, both on the
-unit disk, and takes the contact rows and -A^T from assemble_system itself.
+lagrangian, E_kin - E_pot built from omega's definition, the inertia and
+c(q) and never expanded, so it shares no algebra with the closed form that
+it exists to cross-check. It differentiates L by the complex step (Squire &
+Trapp, SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003):
+one constant step h = 1e-30, no difference of nearby values and so no step
+to tune. oracle_system reads G from L at rest and f from oracle_lhs, both on
+the unit disk, and takes the contact rows and -A^T from assemble_system.
 """
 
 from __future__ import annotations

@@ -15,12 +15,10 @@ energies are
     E_kin = 1/2 omega . I omega + 1/2 m |dc/dt|^2
     E_pot = m g r cos(theta)
 
-and expanding E_kin - E_pot gives the closed-form Lagrangian
-
-    L = 1/2 m (dc1^2 + dc2^2 + r^2 sin^2(theta) dtheta^2)
-        + 1/8 m r^2 (2 (dphi - sin(theta) dpsi)^2
-                     + dtheta^2 + cos^2(theta) dpsi^2)
-        - m g r cos(theta)
+with omega from kinematics.rotation_vector, and the Lagrangian is
+L = E_kin - E_pot, evaluated from these definitions and never expanded.
+Each function takes complex arguments too, for the complex-step oracle of
+assembly: a complex angle takes cmath's sine and cosine, a real one math's.
 """
 
 from __future__ import annotations
@@ -51,50 +49,41 @@ class Params:
 
 def potential_energy(q, p: Params) -> float:
     """Gravitational energy m g r cos(theta), zero level at the plane."""
-    return p.m * p.g * p.r * math.cos(q[3])
+    return p.m * p.g * p.r * (cmath if isinstance(q[3], complex) else math).cos(q[3])
 
 
 def kinetic_energy(q, v, p: Params) -> float:
     """Rotational plus translational kinetic energy, built from definitions.
 
     Evaluates 1/2 omega . I omega + 1/2 m |dc/dt|^2 with omega from
-    rotation_vector and dc/dt = (dc1, dc2, -r sin(theta) dtheta). Kept
-    definitional on purpose: it cross-checks the closed-form lagrangian.
+    rotation_vector and dc/dt = (dc1, dc2, -r sin(theta) dtheta). Complex
+    for complex arguments, as the products are never conjugated.
     """
     w = rotation_vector(q[2:5], v[2:5])
     w0, w1, w2 = w.tolist()
     axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
     spin = np.array((axial * w0, 0.5 * axial * w1, 0.5 * axial * w2))  # I omega
-    dc = np.array([v[0], v[1], -p.r * math.sin(q[3]) * v[3]])
+    st = (cmath if isinstance(q[3], complex) else math).sin(q[3])
+    dc = np.array([v[0], v[1], -p.r * st * v[3]])
     # numpy's dot products, not scalar sums (they round differently); .dot costs less than @.
-    return 0.5 * float(w.dot(spin)) + 0.5 * p.m * float(dc.dot(dc))
+    rotational, translational = w.dot(spin), dc.dot(dc)
+    # Plain Python numbers; float() of a float64 costs a tenth of .item().
+    plain = float if isinstance(rotational, float) and isinstance(translational, float) else complex
+    return 0.5 * plain(rotational) + 0.5 * p.m * plain(translational)
 
 
 def lagrangian(q, v, p: Params) -> float:
-    """Closed-form L = E_kin - E_pot.
+    """L = E_kin - E_pot, from the definitions of kinetic_energy and potential_energy.
 
     Parameters
     ----------
     q, v : sequences of the five coordinates and the five velocities
     p : Params
-        q and v may hold complex numbers, as assembly.oracle_lhs passes them;
-        a complex theta takes cmath's sine and cosine, a real one math's.
+        q and v may hold complex numbers, as assembly.oracle_lhs passes them.
 
     Returns
     -------
     float, or complex for complex arguments
         Lagrangian value in joules.
     """
-    dc1, dc2, dphi, dtheta, dpsi = v
-    theta = q[3]
-    trig = cmath if isinstance(theta, complex) else math
-    st = trig.sin(theta)
-    ct = trig.cos(theta)
-    relative_spin = dphi - st * dpsi
-    translational = dc1 * dc1 + dc2 * dc2 + (p.r * st * dtheta) ** 2
-    rotational = 2.0 * relative_spin * relative_spin + dtheta * dtheta + (ct * dpsi) ** 2
-    return (
-        0.5 * p.m * translational
-        + 0.125 * p.m * p.r * p.r * rotational
-        - p.m * p.g * p.r * ct
-    )
+    return kinetic_energy(q, v, p) - potential_energy(q, p)

@@ -7,8 +7,8 @@ orientation matrix is the product
 
     R = R_heading(psi) @ R_stand(theta) @ R_spin(phi)
 
-Angles are plain real numbers and are never wrapped into a principal range;
-trajectories keep them continuous.
+Angles are plain numbers, complex too for the complex-step oracle, and are
+never wrapped into a principal range; trajectories keep them continuous.
 
 The body-frame angular velocity follows from W = R^T dR/dt, which is skew
 symmetric for any differentiable rotation; its three independent entries are
@@ -21,6 +21,7 @@ the rotation vector
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -56,18 +57,22 @@ def rotation_vector(angles, rates: tuple[float, float, float]) -> np.ndarray:
 
     Parameters
     ----------
-    angles : (phi, theta, psi) sequence, in radians
-    rates : tuple of float
+    angles : (phi, theta, psi) sequence, in radians; a complex angle takes
+        cmath's sine and cosine, a real one math's
+    rates : tuple of numbers
         (dphi, dtheta, dpsi), time derivatives of the angles.
 
     Returns
     -------
     ndarray, shape (3,)
-        Angular velocity omega expressed in body axes.
+        Angular velocity omega expressed in body axes, complex if an input is.
     """
     dphi, dtheta, dpsi = rates
-    sf, cf = math.sin(angles[0]), math.cos(angles[0])
-    st, ct = math.sin(angles[1]), math.cos(angles[1])
+    phi, theta = angles[0], angles[1]
+    trig_phi = cmath if isinstance(phi, complex) else math
+    trig_theta = cmath if isinstance(theta, complex) else math
+    sf, cf = trig_phi.sin(phi), trig_phi.cos(phi)
+    st, ct = trig_theta.sin(theta), trig_theta.cos(theta)
     return np.array(
         [
             dphi - dpsi * st,

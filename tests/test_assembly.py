@@ -18,6 +18,7 @@ from rollingdisk.assembly import (
 from rollingdisk.constraints import consistent_velocity, constraint_matrix
 from rollingdisk.dynamics import State
 from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
+from rollingdisk.kinematics import rotation_vector
 from rollingdisk.simulator import NON_FINITE, ScenarioConfig, integrate_10dim
 from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import (
@@ -406,3 +407,27 @@ def test_plain_sequences_give_the_same_bits():
         for system in (assemble_system, oracle_system):
             for got, want in zip(system(list(q), list(v), P), system(q, v, P)):
                 assert got.tobytes() == want.tobytes()
+
+
+def test_complex_angles_take_cmath_and_keep_the_real_value():
+    # The oracle's complex step reaches each angle on its own. A complex phi,
+    # theta or psi takes cmath's sine and cosine (math's raise TypeError on
+    # it), and the real part is the real call's value to roundoff; an angle a
+    # function reads makes its value complex.
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        q, v = sample_state(rng)
+        calls = (
+            (lambda q: rotation_vector(q[2:5], v[2:5]), (2, 3)),
+            (lambda q: potential_energy(q, P), (3,)),
+            (lambda q: kinetic_energy(q, v, P), (2, 3)),
+            (lambda q: lagrangian(q, v, P), (2, 3)),
+        )
+        for f, read in calls:
+            want = np.asarray(f(q))
+            for k in (2, 3, 4):
+                probe = list(q)
+                probe[k] = complex(q[k], 1e-30)
+                got = np.asarray(f(probe))
+                assert np.iscomplexobj(got) == (k in read)
+                assert np.max(np.abs(got.real - want)) <= 4e-16 * max(1.0, np.max(np.abs(want)))

@@ -75,14 +75,3 @@ def test_lagrangian_upright_spinning_value():
     expected = 0.125 * P.m * P.r**2 * 2.0 * 2.5**2 - P.m * P.g * P.r * math.cos(0.1)
     assert lagrangian(q, v, P) == pytest.approx(expected, abs=1e-12)
 
-
-def test_lagrangian_equals_energy_difference():
-    # The closed form must reproduce E_kin - E_pot built from definitions.
-    rng = np.random.default_rng(22)
-    worst = 0.0
-    for _ in range(10_000):
-        q, v = random_sample(rng)
-        closed = lagrangian(q, v, P)
-        definitional = kinetic_energy(q, v, P) - potential_energy(q, P)
-        worst = max(worst, abs(closed - definitional) / max(1.0, abs(definitional)))
-    assert worst < 1e-12, f"closed form vs definitional: rel {worst:.3e}"

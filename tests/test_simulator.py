@@ -279,6 +279,20 @@ def test_overflowing_rates_stop_with_non_finite_state(route, rates):
     assert [s.state for s in traj.samples] == [x0]
 
 
+@pytest.mark.parametrize("route", [integrate, integrate_10dim])
+def test_summary_of_a_run_with_infinite_energy_reports_non_finite_drift(route):
+    # The first sample's energy overflows to inf, so the run stops at once.
+    # Its drift is inf - inf, which pyproject's error::RuntimeWarning would
+    # raise on if numpy warned.
+    x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 1e200, 0.0)
+    traj = route(ScenarioConfig("x", P, x0, t_end=1.0, dt=1e-3))
+    assert traj.failure_reason == NON_FINITE
+    assert traj.samples[0].energy == math.inf
+    summary = diagnostics_summary(traj)
+    assert not math.isfinite(summary.max_energy_drift)
+    assert not math.isfinite(summary.mean_energy_drift)
+
+
 def test_summary_of_single_sample_trajectory():
     sample = TrajectorySample(0.0, UPRIGHT_REST, 49.05, 0.0)
     traj = Trajectory(ScenarioConfig("frozen", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), (sample,))

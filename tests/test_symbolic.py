@@ -51,6 +51,8 @@ UNTRIG = {x: f(angle) for angle, pair in TRIG.items() for x, f in zip(pair, (sp.
 # Bar for the functions that call math, relative to the largest derived value
 # over the draws.
 LAMBDIFIED_BAR = 1e-13
+# Step of the complex-step derivatives taken here, as small as the oracle's.
+COMPLEX_STEP = 1e-30
 
 
 def canonical(expr):
@@ -123,6 +125,16 @@ def model():
     center_rates = A[:, :2].LUsolve(-A[:, 2:] * sp.Matrix(DQ[2:]))
     return SimpleNamespace(R=R, W=W, omega=omega, L=L, slip=slip, A=A, drift=drift,
                            lhs=lhs, G=G, f=f, M=M, b=b, center_rates=center_rates)
+
+
+def complex_step_gradient(f, x):
+    """Im f(x + ih e_i) / h for each of the arguments x, f taking a list."""
+    gradient = []
+    for i in range(len(x)):
+        probe = list(x)
+        probe[i] = complex(x[i], COMPLEX_STEP)
+        gradient.append(f(probe).imag / COMPLEX_STEP)
+    return gradient
 
 
 def residual(model, accels, rates) -> sp.Matrix:
@@ -231,6 +243,8 @@ def lambdified_errors(model):
     L = numeric([Q, DQ, PARAMS], model.L)
     potential = m * g * r * c_th
     kinetic, gravity = numeric([Q, DQ, PARAMS], model.L + potential), numeric([Q, PARAMS], potential)
+    kinetic_gradient = numeric([Q, DQ, PARAMS], sp.Matrix(
+        [partial(model.L + potential, x) for x in Q] + [sp.diff(model.L, dx) for dx in DQ]))
     center_rates = numeric([Q, DQ[2:], PARAMS], model.center_rates)
     lhs = numeric([Q, DQ, DDQ, PARAMS], model.lhs)
     steady_spin = numeric([theta, DQ[4], PARAMS], spin)
@@ -244,6 +258,9 @@ def lambdified_errors(model):
             "rotation_vector": (rotation_vector(angles, rates), omega(angles, rates)),
             "lagrangian": (lagrangian(q, v, p), L(q, v, params)),
             "kinetic_energy": (kinetic_energy(q, v, p), kinetic(q, v, params)),
+            "kinetic_energy_gradient": (
+                complex_step_gradient(lambda x: kinetic_energy(x[:5], x[5:], p), [*q, *v]),
+                kinetic_gradient(q, v, params)),
             "potential_energy": (potential_energy(q, p), gravity(q, params)),
             "consistent_velocity": (consistent_velocity(q, rates, p)[:2], center_rates(q, rates, params)),
             "closed_form_accels": (closed_form_accels(q, rates, p), solution[4:7]),
@@ -265,8 +282,8 @@ def lambdified_errors(model):
 
 
 @pytest.mark.parametrize("name", [
-    "lagrangian", "kinetic_energy", "potential_energy", "rotation_vector", "euler_rotation", "consistent_velocity",
-    "closed_form_accels", "closed_form_center_accels", "circular_spin", "oracle_lhs",
+    "lagrangian", "kinetic_energy", "kinetic_energy_gradient", "potential_energy", "rotation_vector", "euler_rotation",
+    "consistent_velocity", "closed_form_accels", "closed_form_center_accels", "circular_spin", "oracle_lhs",
 ])
 def test_math_calling_function_matches_the_lambdified_derivation(lambdified_errors, name):
     assert lambdified_errors[name] <= LAMBDIFIED_BAR, f"{name}: {lambdified_errors[name]:.3e}"
