@@ -51,8 +51,9 @@ c(q) and never expanded, so it shares no algebra with the closed form that
 it exists to cross-check. It differentiates L by the complex step (Squire &
 Trapp, SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003):
 one constant step h = 1e-30, no difference of nearby values and so no step
-to tune. oracle_system reads G from L at rest and f from oracle_lhs, both on
-the unit disk, and takes the contact rows and -A^T from assemble_system.
+to tune. oracle_system reads each of G's 15 distinct entries from one call of
+L at rest and f from oracle_lhs's 15 calls, 30 calls in all, on the unit
+disk, and takes the contact rows and -A^T from assemble_system.
 """
 
 from __future__ import annotations
@@ -102,24 +103,16 @@ def _drift_entries(st: float, ct: float, sp: float, cp: float, v) -> tuple:
             -sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates)
 
 
-def _unit_difference(q, v, i: int, p: Params) -> float:
-    """Im[L(q, v + e_i) - L(q, v - e_i)] / (2h). L is quadratic in the rates,
-    so this unit central difference in v_i is exact; the imaginary parts are
-    differenced before the division, so a term common to both, however large,
-    cancels instead of overflowing."""
-    ahead, behind = list(v), list(v)
-    ahead[i] += 1.0
-    behind[i] -= 1.0
-    return (lagrangian(q, ahead, p).imag - lagrangian(q, behind, p).imag) / (2.0 * _COMPLEX_STEP)
-
-
 def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
     """Euler-Lagrange left side from complex-step derivatives of the Lagrangian only.
 
     dL/dq_i is Im L(q + ih e_i, qdot) / h. The time derivative of dL/dqdot_i
     is taken along the synthetic path q(s) = q + s*v, qdot(s) = v + s*a at
-    s = ih, as Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h)
-    by _unit_difference. Nothing of the closed-form expressions is used.
+    s = ih, as Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h).
+    L is quadratic in the rates, so this unit central difference in qdot_i is
+    exact; the imaginary parts are differenced before the division, so a term
+    common to both, however large, cancels instead of overflowing. Nothing of
+    the closed-form expressions is used.
 
     Returns
     -------
@@ -129,9 +122,13 @@ def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
     path_v = [complex(dx, _COMPLEX_STEP * ddx) for dx, ddx in zip(v, a)]
     lhs = np.empty(5)
     for i in range(5):
-        probe = list(q)
+        ahead, behind, probe = list(path_v), list(path_v), list(q)
+        ahead[i] += 1.0
+        behind[i] -= 1.0
         probe[i] = complex(q[i], _COMPLEX_STEP)
-        lhs[i] = _unit_difference(path_q, path_v, i, p) - lagrangian(probe, v, p).imag / _COMPLEX_STEP
+        momentum_rate = (lagrangian(path_q, ahead, p).imag
+                         - lagrangian(path_q, behind, p).imag) / (2.0 * _COMPLEX_STEP)
+        lhs[i] = momentum_rate - lagrangian(probe, v, p).imag / _COMPLEX_STEP
     return lhs
 
 
@@ -183,10 +180,10 @@ def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
     it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7] with values of
     lagrangian alone, on unit_disk(p). L is quadratic in the rates, so G does
-    not depend on them and is read at rest, with q real:
-    G_ij is _unit_difference in v_i at v = ih e_j, where no term holds a rate
-    that could swamp G, and the central difference cancels any term linear in
-    the rates. f is -oracle_lhs at the unit disk's rates
+    not depend on them and is read at rest, with q real, where T is the
+    quadratic form qdot^T G qdot / 2 and V is real: G_ij is
+    Im L(q, e_i + ih e_j) / h, one call per distinct entry, and no term holds
+    a rate that could swamp G. f is -oracle_lhs at the unit disk's rates
     (dc/r, angle rates) and no acceleration. Used for cross-validation.
 
     Raises unit_disk's ValueError.
@@ -197,7 +194,8 @@ def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
         for j in range(i, 5):
             probe = [0.0] * 5
             probe[j] = complex(0.0, _COMPLEX_STEP)
-            M[2 + i, 2 + j] = M[2 + j, 2 + i] = _unit_difference(q, probe, i, unit)
+            probe[i] += 1.0
+            M[2 + i, 2 + j] = M[2 + j, 2 + i] = lagrangian(q, probe, unit).imag / _COMPLEX_STEP
     b[2:7] = -oracle_lhs(q, (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4]), (0.0,) * 5, unit)
     return M, b
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rollingdisk import dynamics
+from rollingdisk import assembly, dynamics
 from rollingdisk.assembly import (
     _drift_entries,
     _force_entries,
@@ -14,6 +14,7 @@ from rollingdisk.assembly import (
     oracle_system,
     solve_oracle_system,
     solve_system,
+    unit_disk,
 )
 from rollingdisk.constraints import consistent_velocity, constraint_matrix
 from rollingdisk.dynamics import State
@@ -431,3 +432,55 @@ def test_complex_angles_take_cmath_and_keep_the_real_value():
                 got = np.asarray(f(probe))
                 assert np.iscomplexobj(got) == (k in read)
                 assert np.max(np.abs(got.real - want)) <= 4e-16 * max(1.0, np.max(np.abs(want)))
+
+
+# README's margin points of validate: the default disk, r = 1e-160, r = 1e-8,
+# g = 1e300 and g/r = 1.79e308.
+MARGIN_POINTS = [Params(), Params(r=1e-160), Params(r=1e-8), Params(g=1e300), Params(g=1.79e308, r=1.0)]
+
+
+def _margin_states(seed):
+    """(q, v, p) on seeded states, with theta of both signs, at each margin
+    point's unit disk, the disk validate hands the oracle."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for p in MARGIN_POINTS:
+        for k in range(20):
+            q, v = sample_state(rng)
+            cases.append(((q[0], q[1], q[2], (-1.0) ** k * abs(q[3]), q[4]), v, unit_disk(p)))
+    return cases
+
+
+def test_oracle_system_calls_the_lagrangian_30_times(monkeypatch):
+    # One per distinct entry of G, and three per coordinate in oracle_lhs for f.
+    calls = []
+
+    def counted(q, v, p):
+        calls.append(None)
+        return lagrangian(q, v, p)
+
+    monkeypatch.setattr(assembly, "lagrangian", counted)
+    for q, v, p in _margin_states(58):
+        calls.clear()
+        oracle_system(q, v, p)
+        assert len(calls) == 30, p
+
+
+def test_oracle_mass_is_the_central_difference_bit_for_bit():
+    # At rest with q real, T is the quadratic form qdot^T G qdot / 2 and V is
+    # real, so Im L(q, e_i + ih e_j) / h is G_ij; the probes -e_i + ih e_j
+    # give the exact negative, so the central difference has the same bits.
+    h = assembly._COMPLEX_STEP
+
+    def central(q, i, j, p):
+        ahead, behind = [0.0] * 5, [0.0] * 5
+        ahead[j] = behind[j] = complex(0.0, h)
+        ahead[i] += 1.0
+        behind[i] -= 1.0
+        return (lagrangian(q, ahead, p).imag - lagrangian(q, behind, p).imag) / (2.0 * h)
+
+    cases = _margin_states(59)
+    assert min(q[3] for q, _, _ in cases) < 0.0 < max(q[3] for q, _, _ in cases)
+    for q, v, p in cases:
+        want = np.array([[central(q, min(i, j), max(i, j), p) for j in range(5)] for i in range(5)])
+        assert oracle_system(q, v, p)[0][2:7, 2:7].tobytes() == want.tobytes(), (q, p)
