@@ -66,7 +66,7 @@ from numpy.linalg import _umath_linalg
 
 from .constraints import _constraint_entries
 from .energetics import Params, lagrangian
-from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
+from .singularity import checked_cos_theta
 
 # The LAPACK gesv gufunc behind np.linalg.solve for a (n, n) matrix and a (n,) vector.
 _gesv = _umath_linalg.solve1
@@ -232,9 +232,7 @@ def solve_system(q, v, p: Params) -> tuple[float, ...]:
     ValueError
         When theta or psi is not finite.
     """
-    theta = q[3]
-    if abs(math.cos(theta)) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
-        raise SingularConfiguration(theta)
+    checked_cos_theta(q[3])
     return _solve_unit(assemble_system(q, v, p), q, p)
 
 

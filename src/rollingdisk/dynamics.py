@@ -15,8 +15,8 @@ are kept here so the elimination can be checked against the direct linear
 solve: closed_form_solution returns all seven unknowns in the order of
 assembly.solve_system.
 
-Every division by cos(theta) (tan included) goes through one shared guard,
-so the flat-disk band raises SingularConfiguration instead of overflowing.
+Each cos(theta) here comes from singularity.checked_cos_theta, the one guard,
+so in the flat-disk band every division by it (tan included) raises instead.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .constraints import consistent_velocity
 from .energetics import Params
-from .singularity import SINGULAR_COS_THETA, SingularConfiguration, checked_cos_theta
+from .singularity import checked_cos_theta
 
 
 class State(NamedTuple):
@@ -65,9 +65,7 @@ def closed_form_accels(q, rates: tuple[float, float, float], p: Params) -> tuple
     Raises SingularConfiguration when the disk is numerically horizontal.
     """
     dphi, dtheta, dpsi = rates
-    ct = math.cos(q[3])
-    if abs(ct) <= SINGULAR_COS_THETA:  # checked_cos_theta, inlined: 4 calls per RK4 step
-        raise SingularConfiguration(q[3])
+    ct = checked_cos_theta(q[3])
     st = math.sin(q[3])
     ddpsi = 2.0 * dphi * dtheta / ct
     ddphi = 2.0 * dphi * dtheta * (st / ct) + (5.0 / 3.0) * dtheta * dpsi * ct

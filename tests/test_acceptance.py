@@ -9,6 +9,7 @@ import math
 import time
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -234,4 +235,46 @@ def test_09_rotation_matrix_quality_and_rate_consistency():
         f"orthogonality {worst_orth:.2e} < 1e-12, det {worst_det:.2e} < 1e-12 "
         f"(10^4 samples); R^T dR skew defect {worst_skew:.2e} < 1e-6, "
         f"rate vs differenced matrix {worst_rate:.2e} < 1e-6",
+    )
+
+
+def first_integrals(theta: float, dphi: float, dpsi: float) -> tuple[float, float]:
+    """(C1, C2) of psi_dot = C1 F((1 - sin theta)/2) + C2 F((1 + sin theta)/2),
+    F = 2F1(a, b; 2; z) with a, b = 3/2 +- i sqrt(13/12), and
+    phi_dot = (cos theta / 2) d(psi_dot)/d(theta), solved at 30 digits.
+
+    phi_ddot and psi_ddot are both proportional to theta_dot, so (phi_dot,
+    psi_dot) solves a linear ODE in theta, which is Gauss's hypergeometric
+    equation in z; C1 and C2 are first integrals beyond energy (Appell 1900;
+    O'Reilly, Nonlinear Dynamics 10, 1996). dF/dz = (ab/2) 2F1(a+1, b+1; 3; z).
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf(3) / 2 + 1j * mpmath.sqrt(mpmath.mpf(13) / 12)
+        b = mpmath.conj(a)
+        s, c = mpmath.sin(theta), mpmath.cos(theta)
+        low, high = (1 - s) / 2, (1 + s) / 2
+
+        def slope(z):  # (cos theta / 2) dF/dtheta, with dz/dtheta = -+cos theta / 2 at low, high
+            return c * c / 4 * mpmath.re(a * b / 2 * mpmath.hyp2f1(a + 1, b + 1, 3, z))
+
+        system = mpmath.matrix([[mpmath.re(mpmath.hyp2f1(a, b, 2, low)), mpmath.re(mpmath.hyp2f1(a, b, 2, high))],
+                                [-slope(low), slope(high)]])
+        c1, c2 = mpmath.lu_solve(system, mpmath.matrix([dpsi, dphi]))
+        return float(c1), float(c2)
+
+
+def test_10_first_integrals_beyond_energy(precession):
+    # Every 100th sample read C1 = -0.6729474851 and C2 = 0.5026769902 with
+    # relative spreads 5.1e-14 and 5.9e-14.
+    integrals = np.array([first_integrals(s.state.theta, s.state.dphi, s.state.dpsi)
+                          for s in precession.samples[::100]])
+    spread = np.ptp(integrals, axis=0) / np.abs(integrals[0])
+    start = integrals[0]
+    ok = (spread.max() <= 1e-12 and abs(start[0] + 0.6729474851) < 1e-9
+          and abs(start[1] - 0.5026769902) < 1e-9)
+    check(
+        "10 first integrals beyond energy",
+        ok,
+        f"C1 = {start[0]:.10f}, C2 = {start[1]:.10f} at t=0 (pinned to 1e-9); "
+        f"relative spreads {spread[0]:.1e}, {spread[1]:.1e} <= 1e-12 over {len(integrals)} samples",
     )

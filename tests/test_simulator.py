@@ -5,8 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rollingdisk import assembly, dynamics, energetics, simulator
-from rollingdisk.dynamics import State, circular_spin, state_derivative
+from rollingdisk import assembly, dynamics, energetics, simulator, singularity
+from rollingdisk.assembly import solve_oracle_system, solve_system
+from rollingdisk.constraints import consistent_velocity
+from rollingdisk.dynamics import (
+    State,
+    circular_spin,
+    closed_form_accels,
+    closed_form_center_accels,
+    closed_form_solution,
+    state_derivative,
+)
 from rollingdisk.energetics import Params
 from rollingdisk.simulator import (
     NON_FINITE,
@@ -22,6 +31,7 @@ from rollingdisk.simulator import (
     step_euler,
     step_rk4,
 )
+from rollingdisk.singularity import SingularConfiguration
 
 P = Params()
 UPRIGHT_REST = State(1.0, -2.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -255,6 +265,32 @@ class TestIntegrate10Dim:
         }
 
 
+@pytest.mark.parametrize("theta", [1.2, -1.2])
+def test_every_route_reads_the_one_cutoff(monkeypatch, theta):
+    # With the cutoff raised to 0.5, |cos 1.2| = 0.362 lies in the band. A
+    # route that tested its own copy of the cutoff would run on.
+    monkeypatch.setattr(singularity, "SINGULAR_COS_THETA", 0.5)
+    x = State(2.0, 0.0, 0.0, theta, 0.0, 1.0, 0.5, -1.0)
+    q, rates = x.coords(), x.rates()
+    v = consistent_velocity(q, rates, P)
+    for call in (
+        lambda: closed_form_accels(q, rates, P),
+        lambda: state_derivative(x, P),
+        lambda: closed_form_center_accels(q, rates, P),
+        lambda: closed_form_solution(q, rates, P),
+        lambda: circular_spin(theta, 1.0, P),
+        lambda: solve_system(q, v, P),
+        lambda: solve_oracle_system(q, v, P),
+    ):
+        with pytest.raises(SingularConfiguration) as info:
+            call()
+        assert info.value.theta == theta
+    for route in (integrate, integrate_10dim):
+        traj = route(ScenarioConfig("banded", P, x, t_end=0.01, dt=1e-3))
+        assert traj.failure_reason == SINGULAR
+        assert [s.t for s in traj.samples] == [0.0]
+
+
 @pytest.mark.parametrize("route", [integrate, integrate_10dim])
 def test_samples_hold_plain_floats(route):
     traj = route(replace(scenario_preset("precession"), t_end=0.1))
@@ -418,11 +454,26 @@ def test_shifting_the_start_shifts_the_run(name):
 OMEGA_C = math.sqrt(P.g / (3.0 * P.r))
 
 
-def _upright_run(omega, dt=2e-3):
-    """10 s of integrate from upright rolling at rate omega, tilted by 1e-3."""
-    traj = integrate(ScenarioConfig("upright", P, State(0.0, 0.0, 0.0, 1e-3, 0.0, omega, 0.0, 0.0), 10.0, dt))
+def _stand_angle_for_10s(x0: State, dt=2e-3):
+    """(t, theta) of 10 s of integrate from x0."""
+    traj = integrate(ScenarioConfig("nutation", P, x0, 10.0, dt))
     assert not traj.failed
     return np.array([s.t for s in traj.samples]), np.array([s.state.theta for s in traj.samples])
+
+
+def _upright_run(omega, dt=2e-3):
+    """10 s of integrate from upright rolling at rate omega, tilted by 1e-3."""
+    return _stand_angle_for_10s(State(0.0, 0.0, 0.0, 1e-3, 0.0, omega, 0.0, 0.0), dt)
+
+
+def _nutation_period(t, theta) -> float:
+    """Mean spacing of theta's upward crossings of its mean, each interpolated
+    linearly between samples."""
+    d = theta - theta.mean()
+    k = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
+    crossings = t[k] - d[k] * (t[k + 1] - t[k]) / (d[k + 1] - d[k])
+    assert len(crossings) >= 4
+    return float(np.mean(np.diff(crossings)))
 
 
 def test_upright_rolling_is_stable_exactly_above_the_critical_rate():
@@ -439,9 +490,25 @@ def test_nutation_period_about_upright_rolling_is_the_linearized_one(dt):
     # theta's upward crossings of its mean read 2.34942 s (1.1e-5 relative).
     omega = 2.5
     want = 2.0 * math.pi / math.sqrt(12.0 / 5.0 * (omega * omega - P.g / (3.0 * P.r)))
-    t, theta = _upright_run(omega, dt)
-    d = theta - theta.mean()
-    k = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
-    crossings = t[k] - d[k] * (t[k + 1] - t[k]) / (d[k + 1] - d[k])
-    assert len(crossings) >= 4
-    assert np.mean(np.diff(crossings)) == pytest.approx(want, rel=1e-4)
+    assert _nutation_period(*_upright_run(omega, dt)) == pytest.approx(want, rel=1e-4)
+
+
+def test_nutation_period_about_the_steady_circle_is_the_linearized_one():
+    # phi_dot and psi_dot follow the linear ODE in theta that the closed forms
+    # give at theta_dot = 1: d(phi_dot)/d(theta) = ddphi, d(psi_dot)/d(theta) =
+    # ddpsi. Along it ddtheta = F(theta) has the slope -omega_n^2 at the steady
+    # circle. At theta = 0.5, psi_dot = 1 that is omega_n^2 = 26.6511, so
+    # 2 pi / omega_n = 1.217090 s; the run read 1.2170858 s (-3.4e-6 relative),
+    # and the same at dt = 1e-3 over 20 s.
+    theta, dpsi = 0.5, 1.0
+    dphi = circular_spin(theta, dpsi, P)
+    slope_phi, _, slope_psi = closed_form_accels((0.0, 0.0, 0.0, theta, 0.0), (dphi, 1.0, dpsi), P)
+
+    def stand(h):
+        rates = (dphi + h * slope_phi, 0.0, dpsi + h * slope_psi)
+        return closed_form_accels((0.0, 0.0, 0.0, theta + h, 0.0), rates, P)[1]
+
+    h = 1e-5
+    omega_n = math.sqrt(-(stand(h) - stand(-h)) / (2.0 * h))
+    x0 = State(2.0, 0.0, 0.0, theta + 1e-5, 0.0, dphi, 0.0, dpsi)
+    assert _nutation_period(*_stand_angle_for_10s(x0)) == pytest.approx(2.0 * math.pi / omega_n, rel=1e-4)

@@ -20,21 +20,24 @@ the test of every exact assertion below. The package's entry helpers are
 plain arithmetic, so they are called with the symbols themselves, and their
 float coefficients are read as the exact binary fractions they are. The
 functions that call math are compared with the lambdified derivation at
-sample_state draws instead.
+sample_state draws instead, and closed_form_solution with the derived system
+solved in 50-digit mpmath, down to the flat-disk cutoff.
 """
 
+import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
 from rollingdisk.assembly import _drift_entries, _force_entries, _mass_entries, oracle_lhs
 from rollingdisk.constraints import _constraint_entries, consistent_velocity
-from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_center_accels
+from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_center_accels, closed_form_solution
 from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
 from rollingdisk.kinematics import euler_rotation, rotation_vector
-from rollingdisk.validation import sample_state
+from rollingdisk.validation import max_rel_diff, sample_state
 
 m, g, r = PARAMS = sp.symbols("m g r", positive=True)
 c1, c2, phi, theta, psi = Q = sp.symbols("c1 c2 phi theta psi", real=True)
@@ -287,3 +290,31 @@ def lambdified_errors(model):
 ])
 def test_math_calling_function_matches_the_lambdified_derivation(lambdified_errors, name):
     assert lambdified_errors[name] <= LAMBDIFIED_BAR, f"{name}: {lambdified_errors[name]:.3e}"
+
+
+# |cos theta| from validate's edge, |theta| = 1.2, down to just outside the
+# flat-disk cutoff of rollingdisk.singularity.
+BAND_ROWS = (0.36, 1e-2, 1e-3, 1e-4, 1e-5, 2e-6, 1.1e-6)
+
+
+def test_closed_forms_hold_to_the_extended_precision_solve_down_to_the_cutoff(model):
+    # The derived M x = b solved at 50 digits on the float inputs is the
+    # reference; the closed forms are not written out again for it. On the
+    # unit disk (m = 1, g/r = 9.81), with theta = +-acos|cos theta| in turn,
+    # the rows' worst read 2.0e-16 to 3.3e-16 (at 1.1e-6).
+    matrix = sp.lambdify([Q, PARAMS], model.M.xreplace(UNTRIG), "mpmath")
+    vector = sp.lambdify([Q, DQ, PARAMS], model.b.xreplace(UNTRIG), "mpmath")
+    p = Params(m=1.0)
+    params = (p.m, p.g, p.r)
+    rng = np.random.default_rng(7)
+    worst = {}
+    for cos_theta in BAND_ROWS:
+        for k in range(20):
+            q, v = sample_state(rng)
+            q = (*q[:3], math.copysign(math.acos(cos_theta), 0.5 - k % 2), q[4])
+            v = consistent_velocity(q, v[2:], p)
+            with mpmath.workdps(50):
+                want = mpmath.lu_solve(matrix(q, params), vector(q, v, params))
+            error = max_rel_diff(closed_form_solution(q, v[2:], p), [float(x) for x in want])
+            worst[cos_theta] = max(worst.get(cos_theta, 0.0), error)
+    assert max(worst.values()) <= 1e-14, worst
