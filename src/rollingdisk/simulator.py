@@ -13,9 +13,10 @@ integrates the center rates as unknowns, obtaining accelerations from the
 augmented linear solve; comparing the two routes measures how far the
 unreduced formulation drifts off the constraint surface.
 
-step_rk4 writes the reduced route's stages out over its eight floats and
-returns a State; the unreduced route steps a list of ten through _rk4, in the
-same operation order. numpy stays inside the kernels, out of the samples.
+Both routes write their RK4 step out in one operation order: step_rk4 over
+the reduced route's eight floats, returning a State, and _step_10dim over the
+unreduced route's ten, handing each stage's coordinates and rates to
+solve_system as 5-tuples. numpy stays inside the kernels, out of the samples.
 
 A trajectory holds the ScenarioConfig it ran and per-step diagnostics (total
 energy with reconstructed center rates, contact slip residual). On a singular
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -113,20 +113,10 @@ class Summary:
     min_abs_cos_theta: float
 
 
-def _rk4(f, x, dt: float, p: Params) -> list:
-    """One classical Runge-Kutta step of f(x, p) through plain-list stages, as a
-    list. Propagates SingularConfiguration from any stage."""
-    half, sixth = 0.5 * dt, dt / 6  # same bits: 0.5 * dt * k is (0.5 * dt) * k
-    k1 = f(x, p)
-    k2 = f([xi + half * ki for xi, ki in zip(x, k1)], p)
-    k3 = f([xi + half * ki for xi, ki in zip(x, k2)], p)
-    k4 = f([xi + dt * ki for xi, ki in zip(x, k3)], p)
-    return [xi + sixth * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-
-
 def step_rk4(x: State, dt: float, p: Params) -> State:
     """One classical Runge-Kutta step of size dt on the reduced state, written
-    out over its eight floats in _rk4's operation order (so with its bits).
+    out over its eight floats in the RK4 operation order _step_10dim shares
+    (stages xi + half * ki, xi + dt * ki; xi + sixth * (a + 2.0 * (b + c) + d)).
     state_derivative is looked up here at each call, where a tracer patches it."""
     half, sixth = 0.5 * dt, dt / 6
     x0, x1, x2, x3, x4, x5, x6, x7 = x
@@ -202,8 +192,28 @@ def integrate(cfg: ScenarioConfig) -> Trajectory:
     return _run(cfg, cfg.x0, step_rk4, _split_reduced)
 
 
-def _deriv_10dim(y: list, p: Params) -> tuple:
-    return (*y[5:10], *solve_system(y[0:5], y[5:10], p)[2:7])
+def _step_10dim(y: list, dt: float, p: Params) -> list:
+    """One classical Runge-Kutta step of the five coordinates and five rates,
+    written out over the ten floats in step_rk4's operation order. A coordinate's
+    slope is its stage rate, a rate's the acceleration solve_system gives; that
+    is looked up here at each call, where a tracer patches it."""
+    half, sixth = 0.5 * dt, dt / 6
+    x0, x1, x2, x3, x4, u0, u1, u2, u3, u4 = y
+    _, _, a0, a1, a2, a3, a4 = solve_system((x0, x1, x2, x3, x4), (u0, u1, u2, u3, u4), p)
+    v0, v1, v2, v3, v4 = u0 + half * a0, u1 + half * a1, u2 + half * a2, u3 + half * a3, u4 + half * a4
+    _, _, b0, b1, b2, b3, b4 = solve_system((x0 + half * u0, x1 + half * u1, x2 + half * u2,
+                                             x3 + half * u3, x4 + half * u4), (v0, v1, v2, v3, v4), p)
+    w0, w1, w2, w3, w4 = u0 + half * b0, u1 + half * b1, u2 + half * b2, u3 + half * b3, u4 + half * b4
+    _, _, c0, c1, c2, c3, c4 = solve_system((x0 + half * v0, x1 + half * v1, x2 + half * v2,
+                                             x3 + half * v3, x4 + half * v4), (w0, w1, w2, w3, w4), p)
+    z0, z1, z2, z3, z4 = u0 + dt * c0, u1 + dt * c1, u2 + dt * c2, u3 + dt * c3, u4 + dt * c4
+    _, _, d0, d1, d2, d3, d4 = solve_system((x0 + dt * w0, x1 + dt * w1, x2 + dt * w2,
+                                             x3 + dt * w3, x4 + dt * w4), (z0, z1, z2, z3, z4), p)
+    return [x0 + sixth * (u0 + 2.0 * (v0 + w0) + z0), x1 + sixth * (u1 + 2.0 * (v1 + w1) + z1),
+            x2 + sixth * (u2 + 2.0 * (v2 + w2) + z2), x3 + sixth * (u3 + 2.0 * (v3 + w3) + z3),
+            x4 + sixth * (u4 + 2.0 * (v4 + w4) + z4), u0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
+            u1 + sixth * (a1 + 2.0 * (b1 + c1) + d1), u2 + sixth * (a2 + 2.0 * (b2 + c2) + d2),
+            u3 + sixth * (a3 + 2.0 * (b3 + c3) + d3), u4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)]
 
 
 def _split_10dim(y: list, p: Params):
@@ -220,7 +230,7 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     """
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
-    return _run(cfg, y0, partial(_rk4, _deriv_10dim), _split_10dim)
+    return _run(cfg, y0, _step_10dim, _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

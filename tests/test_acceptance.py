@@ -15,8 +15,9 @@ import pytest
 
 from rollingdisk.assembly import assemble_system, oracle_lhs
 from rollingdisk.cli import main
+from rollingdisk.constraints import consistent_velocity
 from rollingdisk.dynamics import State, state_derivative
-from rollingdisk.energetics import Params
+from rollingdisk.energetics import Params, kinetic_energy, potential_energy
 from rollingdisk.kinematics import euler_rotation, rotation_vector
 from rollingdisk.simulator import diagnostics_summary, integrate, integrate_10dim, scenario_preset
 from rollingdisk.singularity import SingularConfiguration
@@ -238,43 +239,87 @@ def test_09_rotation_matrix_quality_and_rate_consistency():
     )
 
 
-def first_integrals(theta: float, dphi: float, dpsi: float) -> tuple[float, float]:
-    """(C1, C2) of psi_dot = C1 F((1 - sin theta)/2) + C2 F((1 + sin theta)/2),
+def integral_system(theta) -> mpmath.matrix:
+    """The matrix taking (C1, C2) to (psi_dot, phi_dot) at theta, at mpmath's
+    working precision: psi_dot = C1 F((1 - sin theta)/2) + C2 F((1 + sin theta)/2),
     F = 2F1(a, b; 2; z) with a, b = 3/2 +- i sqrt(13/12), and
-    phi_dot = (cos theta / 2) d(psi_dot)/d(theta), solved at 30 digits.
+    phi_dot = (cos theta / 2) d(psi_dot)/d(theta).
 
     phi_ddot and psi_ddot are both proportional to theta_dot, so (phi_dot,
     psi_dot) solves a linear ODE in theta, which is Gauss's hypergeometric
     equation in z; C1 and C2 are first integrals beyond energy (Appell 1900;
     O'Reilly, Nonlinear Dynamics 10, 1996). dF/dz = (ab/2) 2F1(a+1, b+1; 3; z).
     """
+    a = mpmath.mpf(3) / 2 + 1j * mpmath.sqrt(mpmath.mpf(13) / 12)
+    b = mpmath.conj(a)
+    s, c = mpmath.sin(theta), mpmath.cos(theta)
+    low, high = (1 - s) / 2, (1 + s) / 2
+
+    def slope(z):  # (cos theta / 2) dF/dtheta, with dz/dtheta = -+cos theta / 2 at low, high
+        return c * c / 4 * mpmath.re(a * b / 2 * mpmath.hyp2f1(a + 1, b + 1, 3, z))
+
+    return mpmath.matrix([[mpmath.re(mpmath.hyp2f1(a, b, 2, low)), mpmath.re(mpmath.hyp2f1(a, b, 2, high))],
+                          [-slope(low), slope(high)]])
+
+
+def first_integrals(theta: float, dphi: float, dpsi: float) -> tuple[float, float]:
+    """(C1, C2) of the rates (phi_dot, psi_dot) at theta, solved at 30 digits."""
     with mpmath.workdps(30):
-        a = mpmath.mpf(3) / 2 + 1j * mpmath.sqrt(mpmath.mpf(13) / 12)
-        b = mpmath.conj(a)
-        s, c = mpmath.sin(theta), mpmath.cos(theta)
-        low, high = (1 - s) / 2, (1 + s) / 2
-
-        def slope(z):  # (cos theta / 2) dF/dtheta, with dz/dtheta = -+cos theta / 2 at low, high
-            return c * c / 4 * mpmath.re(a * b / 2 * mpmath.hyp2f1(a + 1, b + 1, 3, z))
-
-        system = mpmath.matrix([[mpmath.re(mpmath.hyp2f1(a, b, 2, low)), mpmath.re(mpmath.hyp2f1(a, b, 2, high))],
-                                [-slope(low), slope(high)]])
-        c1, c2 = mpmath.lu_solve(system, mpmath.matrix([dpsi, dphi]))
+        c1, c2 = mpmath.lu_solve(integral_system(theta), mpmath.matrix([dpsi, dphi]))
         return float(c1), float(c2)
 
 
-def test_10_first_integrals_beyond_energy(precession):
+def test_10_first_integrals_beyond_energy(precession, precession_10dim):
     # Every 100th sample read C1 = -0.6729474851 and C2 = 0.5026769902 with
-    # relative spreads 5.1e-14 and 5.9e-14.
-    integrals = np.array([first_integrals(s.state.theta, s.state.dphi, s.state.dpsi)
-                          for s in precession.samples[::100]])
-    spread = np.ptp(integrals, axis=0) / np.abs(integrals[0])
-    start = integrals[0]
-    ok = (spread.max() <= 1e-12 and abs(start[0] + 0.6729474851) < 1e-9
-          and abs(start[1] - 0.5026769902) < 1e-9)
+    # relative spreads 5.1e-14 and 5.9e-14 on the reduced route, 5.0e-14 and
+    # 5.8e-14 on the unreduced one.
+    def spread_and_start(traj):
+        integrals = np.array([first_integrals(s.state.theta, s.state.dphi, s.state.dpsi)
+                              for s in traj.samples[::100]])
+        return np.ptp(integrals, axis=0) / np.abs(integrals[0]), integrals[0], len(integrals)
+
+    spread, start, n = spread_and_start(precession)
+    spread10, start10, n10 = spread_and_start(precession_10dim)
+    ok = (max(spread.max(), spread10.max()) <= 1e-12 and abs(start[0] + 0.6729474851) < 1e-9
+          and abs(start[1] - 0.5026769902) < 1e-9 and (start10 == start).all())
     check(
         "10 first integrals beyond energy",
         ok,
         f"C1 = {start[0]:.10f}, C2 = {start[1]:.10f} at t=0 (pinned to 1e-9); "
-        f"relative spreads {spread[0]:.1e}, {spread[1]:.1e} <= 1e-12 over {len(integrals)} samples",
+        f"relative spreads {spread[0]:.1e}, {spread[1]:.1e} over {n} samples of the reduced route, "
+        f"{spread10[0]:.1e}, {spread10[1]:.1e} over {n10} of the unreduced one, <= 1e-12",
+    )
+
+
+def test_11_steady_circle_is_a_double_root_of_theta_dot_squared():
+    # With C1, C2 and the energy E held, energy conservation gives theta_dot^2
+    # as a function of theta alone,
+    #   [E - m g r cos(theta) - 3/4 m r^2 (phi_dot - psi_dot sin(theta))^2
+    #      - 1/8 m r^2 cos(theta)^2 psi_dot^2] / (5/8 m r^2),
+    # phi_dot and psi_dot read from the integrals. The steady circle sits at
+    # a double root, and theta_ddot = (theta_dot^2)'/2 linearizes to
+    # -omega_n^2 (theta - theta0). The root read 2.1e-15, the slope -5.1e-16
+    # and omega_n^2 26.6510531, a period of 1.21709 s.
+    cfg = scenario_preset("circle")
+    x0, p = cfg.x0, cfg.params
+    q = x0.coords()
+    energy = kinetic_energy(q, consistent_velocity(q, x0.rates(), p), p) + potential_energy(q, p)
+    c1, c2 = first_integrals(x0.theta, x0.dphi, x0.dpsi)
+    mr2 = p.m * p.r * p.r
+
+    def theta_dot_squared(theta):
+        dpsi, dphi = integral_system(theta) * mpmath.matrix([c1, c2])
+        return (energy - p.m * p.g * p.r * mpmath.cos(theta) - 0.75 * mr2 * (dphi - dpsi * mpmath.sin(theta)) ** 2
+                - mr2 / 8 * (mpmath.cos(theta) * dpsi) ** 2) / (0.625 * mr2)
+
+    with mpmath.workdps(30):
+        root, slope, curvature = (float(mpmath.diff(theta_dot_squared, x0.theta, n)) for n in range(3))
+    omega_n_squared = -curvature / 2.0
+    period = 2.0 * math.pi / math.sqrt(omega_n_squared)
+    ok = abs(root) < 1e-12 and abs(slope) < 1e-12 and abs(omega_n_squared - 26.651053) < 1e-6
+    check(
+        "11 steady circle is a double root of theta_dot^2",
+        ok,
+        f"theta_dot^2 = {root:.1e}, d/dtheta = {slope:.1e} at theta0 = {x0.theta} (each < 1e-12); "
+        f"omega_n^2 = {omega_n_squared:.7f} (26.651053 to 1e-6), period {period:.5f} s",
     )

@@ -35,6 +35,12 @@ from rollingdisk.singularity import SingularConfiguration
 
 P = Params()
 UPRIGHT_REST = State(1.0, -2.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0)
+# Starts on which each route's RK4 step is held to textbook RK4's bits.
+RK4_STARTS = [
+    scenario_preset("precession").x0,
+    scenario_preset("circle").x0,
+    State(0.5, -1.0, 0.3, 1.2, -0.7, 1.5, 0.4, -0.8),
+]
 
 
 def state_dist(a: State, b: State) -> float:
@@ -88,11 +94,7 @@ class TestSteppers:
         ratio = defect(1e-3) / defect(5e-4)
         assert 2.0 <= ratio <= 50.0, f"step-halving defect ratio {ratio:.2f}"
 
-    @pytest.mark.parametrize("x0", [
-        scenario_preset("precession").x0,
-        scenario_preset("circle").x0,
-        State(0.5, -1.0, 0.3, 1.2, -0.7, 1.5, 0.4, -0.8),
-    ])
+    @pytest.mark.parametrize("x0", RK4_STARTS)
     def test_rk4_matches_textbook_rk4_bitwise(self, x0):
         # Textbook RK4 with State stages; no numpy on this path, so any BLAS agrees.
         def textbook(x, dt):
@@ -109,6 +111,27 @@ class TestSteppers:
             x, y = step_rk4(x, 1e-3, P), textbook(y, 1e-3)
             assert type(x) is State
             assert struct.pack("8d", *x) == struct.pack("8d", *y)
+
+    @pytest.mark.parametrize("x0", RK4_STARTS)
+    def test_unreduced_rk4_matches_textbook_rk4_bitwise(self, x0):
+        # Textbook RK4 through list stages on y = (q, v), whose slope is
+        # (v, the accelerations of the augmented solve).
+        def f(y):
+            return (*y[5:10], *solve_system(y[0:5], y[5:10], P)[2:7])
+
+        def textbook(y, dt):
+            k1 = f(y)
+            k2 = f([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)])
+            k3 = f([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)])
+            k4 = f([yi + dt * ki for yi, ki in zip(y, k3)])
+            return [yi + dt / 6 * (a + 2.0 * (b + c) + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+        q = x0.coords()
+        x = y = [*q, *consistent_velocity(q, x0.rates(), P)]
+        for _ in range(50):
+            x, y = simulator._step_10dim(x, 1e-3, P), textbook(y, 1e-3)
+            assert all(type(v) is float for v in x)
+            assert struct.pack("10d", *x) == struct.pack("10d", *y)
 
     def test_euler_is_first_order(self):
         cfg = replace(scenario_preset("precession"), t_end=0.5)
