@@ -31,7 +31,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import validation
@@ -137,7 +137,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> ScenarioConfig:
+def _load_config_file(path: str) -> dict:
+    """The file's CONFIG_KEYS values by key, checked for shape and JSON type only."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
@@ -158,12 +159,7 @@ def _load_config_file(path: str) -> ScenarioConfig:
     for key, value in raw.items():  # float() below would take "5", and True is an int
         if not all(type(v) in (int, float) for v in (value if key == "x0" else [value])):
             raise UsageError(f"config key {key!r} must hold numbers, got {value!r}")
-    try:
-        params = Params(m=float(raw["m"]), g=float(raw["g"]), r=float(raw["r"]))
-        return ScenarioConfig(Path(path).stem, params, State.from_iterable(x0),
-                              t_end=float(raw["t_end"]), dt=float(raw["dt"]))
-    except (OverflowError, ValueError) as err:  # OverflowError: an int too large for a float
-        raise UsageError(f"config file {path}: {err}") from err
+    return raw
 
 
 def _given(ns, names) -> dict:
@@ -183,24 +179,27 @@ def parse_args(argv) -> RunConfig:
         if ns.seed < 0:
             raise UsageError("--seed must be non-negative")
         try:
-            params = replace(Params(), **_given(ns, ("g", "r")))
+            params = Params(**_given(ns, ("g", "r")))
         except ValueError as err:
             raise UsageError(str(err)) from err
         return RunConfig(mode="validate", samples=ns.samples, seed=ns.seed, params=params)
 
     if (ns.scenario is None) == (ns.config is None):
         raise UsageError("simulate needs exactly one of --scenario or --config")
-    scenario = scenario_preset(ns.scenario) if ns.scenario else _load_config_file(ns.config)
+    if ns.scenario:
+        name, preset = ns.scenario, scenario_preset(ns.scenario)
+        values = {**vars(preset.params), "x0": preset.x0, "t_end": preset.t_end, "dt": preset.dt}
+    else:
+        name, values = Path(ns.config).stem, _load_config_file(ns.config)
 
-    # All overrides in one replace, so only the final configuration is validated.
-    changes = _given(ns, ("dt", "t_end"))
-    if ns.x0 is not None:
-        changes["x0"] = State.from_iterable(ns.x0)
+    # The flags replace the source's values first: only the merged run is checked.
+    values |= _given(ns, CONFIG_KEYS)
     try:
-        params = replace(scenario.params, **_given(ns, ("m", "g", "r")))
-        scenario = replace(scenario, params=params, **changes)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+        params = Params(**{k: float(values[k]) for k in ("m", "g", "r")})
+        scenario = ScenarioConfig(name, params, State.from_iterable(values["x0"]),
+                                  t_end=float(values["t_end"]), dt=float(values["dt"]))
+    except (OverflowError, ValueError) as err:  # OverflowError: an int too large for a float
+        raise UsageError(f"config file {ns.config}: {err}" if ns.config else str(err)) from err
 
     out = ns.out if ns.out is not None else f"{scenario.name}.csv"
     if ns.emit_plot and Path(out).suffix == ".gp":

@@ -269,10 +269,21 @@ def first_integrals(theta: float, dphi: float, dpsi: float) -> tuple[float, floa
         return float(c1), float(c2)
 
 
+def seeded_starts_near_precession(seed: int, count: int) -> list[State]:
+    """Rolling starts around the precession preset's stand angle and rates."""
+    rng = np.random.default_rng(seed)
+    c1, c2, phi, theta, _, dphi, _, _ = scenario_preset("precession").x0
+    return [State(c1, c2, phi, theta + rng.uniform(-0.03, 0.03), rng.uniform(-math.pi, math.pi),
+                  dphi + rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1), rng.uniform(-0.3, 0.3))
+            for _ in range(count)]
+
+
 def test_10_first_integrals_beyond_energy(precession, precession_10dim):
     # Every 100th sample read C1 = -0.6729474851 and C2 = 0.5026769902 with
     # relative spreads 5.1e-14 and 5.9e-14 on the reduced route, 5.0e-14 and
-    # 5.8e-14 on the unreduced one.
+    # 5.8e-14 on the unreduced one. Over 3 s, more than a nutation period, of
+    # `integrate` from the three seeded starts the worst spreads read 6.5e-14
+    # and 8.5e-14.
     def spread_and_start(traj):
         integrals = np.array([first_integrals(s.state.theta, s.state.dphi, s.state.dpsi)
                               for s in traj.samples[::100]])
@@ -280,14 +291,19 @@ def test_10_first_integrals_beyond_energy(precession, precession_10dim):
 
     spread, start, n = spread_and_start(precession)
     spread10, start10, n10 = spread_and_start(precession_10dim)
-    ok = (max(spread.max(), spread10.max()) <= 1e-12 and abs(start[0] + 0.6729474851) < 1e-9
+    seeded = [spread_and_start(integrate(replace(scenario_preset("precession"), x0=x0, t_end=3.0)))[0]
+              for x0 in seeded_starts_near_precession(10, 3)]
+    spread_seeded = np.max(seeded, axis=0)
+    ok = (max(spread.max(), spread10.max(), spread_seeded.max()) <= 1e-12
+          and abs(start[0] + 0.6729474851) < 1e-9
           and abs(start[1] - 0.5026769902) < 1e-9 and (start10 == start).all())
     check(
         "10 first integrals beyond energy",
         ok,
         f"C1 = {start[0]:.10f}, C2 = {start[1]:.10f} at t=0 (pinned to 1e-9); "
         f"relative spreads {spread[0]:.1e}, {spread[1]:.1e} over {n} samples of the reduced route, "
-        f"{spread10[0]:.1e}, {spread10[1]:.1e} over {n10} of the unreduced one, <= 1e-12",
+        f"{spread10[0]:.1e}, {spread10[1]:.1e} over {n10} of the unreduced one, "
+        f"{spread_seeded[0]:.1e}, {spread_seeded[1]:.1e} at worst over three seeded starts, <= 1e-12",
     )
 
 

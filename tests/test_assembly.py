@@ -310,6 +310,11 @@ def test_validation_sweep_passes_beyond_the_measured_range(p):
     assert all(err < THRESHOLD for err, _ in worst.values()), worst
 
 
+def test_validation_sweep_needs_a_sample():
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        validation_sweep(Params(), 0, 1)
+
+
 def test_validation_sweep_is_the_same_at_every_mass():
     # The sweep runs on the unit disk of p, which has no m.
     reports = [validation_sweep(Params(m=m), 25, 42) for m in (1e-3, 5.0, 1e16)]

@@ -44,6 +44,8 @@ def test_parse_default_out_follows_scenario():
         ["validate", "--seed", "-1"],
         # the plot script would take the CSV's path and overwrite it
         ["simulate", "--scenario", "straight", "--out", "run.gp", "--emit-plot"],
+        ["validate", "--r", "0"],
+        ["validate", "--g", "nan"],
     ],
 )
 def test_usage_errors(argv):
@@ -156,8 +158,11 @@ def test_config_flag_overrides_file(tmp_path):
     assert float(lines[2].split(",")[0]) == pytest.approx(0.05, abs=1e-12)
 
 
-def test_overrides_are_validated_together(tmp_path):
-    # --dt 0.5 alone exceeds the file's t_end 0.1; with --t-end 1.0 the pair is valid.
+def test_overrides_are_validated_together(tmp_path, capsys):
+    # The flags merge into the file's values before anything is checked: each
+    # run below is invalid without its last flag, rejected in a message that
+    # names the file, and with it writes the bytes of a file that holds the
+    # merged values.
     config = {
         "m": 5.0,
         "g": 9.81,
@@ -166,13 +171,28 @@ def test_overrides_are_validated_together(tmp_path):
         "t_end": 0.1,
         "dt": 0.01,
     }
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "c.csv"
-    argv = ["simulate", "--config", str(path), "--dt", "0.5", "--t-end", "1.0", "--out", str(out)]
-    assert main(argv) == 0
+    x0 = [2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0]
+    cases = [
+        # --dt 0.5 alone exceeds the file's t_end 0.1.
+        ({}, ["--dt", "0.5"], ["--t-end", "1.0"], {"dt": 0.5, "t_end": 1.0}),
+        # 1.0 is no whole number of the file's 0.3 s steps.
+        ({"t_end": 1.0, "dt": 0.3}, [], ["--dt", "0.1"], {"dt": 0.1}),
+        ({"m": -1.0}, [], ["--m", "5"], {"m": 5.0}),
+        ({"x0": [2.0, 0.0, 0.0, float("nan"), 0.0, 2.5, 0.0, 0.0]}, [], ["--x0", *map(str, x0)], {"x0": x0}),
+    ]
+    for i, (changes, first, last, final) in enumerate(cases):
+        given, merged = tmp_path / f"given{i}.json", tmp_path / f"merged{i}.json"
+        given.write_text(json.dumps({**config, **changes}))
+        merged.write_text(json.dumps({**config, **changes, **final}))
+        out, want = tmp_path / f"given{i}.csv", tmp_path / f"merged{i}.csv"
+        argv = ["simulate", "--config", str(given), "--out", str(out), *first]
+        assert main(argv) == 1 and not out.exists(), argv
+        assert capsys.readouterr().err.startswith(f"usage error: config file {given}: "), argv
+        assert main(argv + last) == 0, argv + last
+        assert main(["simulate", "--config", str(merged), "--out", str(want)]) == 0
+        assert out.read_bytes() == want.read_bytes(), argv + last
     # 2 steps of 0.5: rows at indices 0 and 2
-    assert [float(ln.split(",")[0]) for ln in out.read_text().splitlines()[1:]] == [0.0, 1.0]
+    assert [float(ln.split(",")[0]) for ln in (tmp_path / "given0.csv").read_text().splitlines()[1:]] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -221,6 +241,25 @@ def test_config_file_errors(tmp_path, capsys, mutate):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "cannot read config file"),
+    ("", "cannot read config file"),  # the path is a directory
+    ("[5.0, 9.81, 1.0]", "must hold a single object"),
+], ids=["missing", "directory", "list"])
+def test_config_file_that_holds_no_object(tmp_path, capsys, content, reason):
+    path = tmp_path / "run.json"
+    if content == "":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert reason in err and str(path) in err
 
 
 def test_config_file_not_json(tmp_path):

@@ -213,22 +213,57 @@ def test_determinant_of_the_augmented_matrix(model):
     assert canonical(det - sp.Rational(15, 32) * m**3 * r**6 * c_th**2) == 0
 
 
-def test_closed_forms_of_the_dynamics_docstring_solve_the_derived_system(model):
+def closed_form_angle_accels():
+    """(ddphi, ddtheta, ddpsi) as the docstring of dynamics writes them."""
     dphi, dtheta, dpsi = DQ[2:]
-    accels = (
+    return (
         2 * dphi * dtheta * s_th / c_th + sp.Rational(5, 3) * dtheta * dpsi * c_th,
         sp.Rational(4, 5) * g * s_th / r - sp.Rational(6, 5) * dphi * dpsi * c_th
         + dpsi**2 * s_th * c_th,
         2 * dphi * dtheta / c_th,
     )
-    assert all(vanishes(x) for x in residual(model, accels, DQ[2:]))
+
+
+def test_closed_forms_of_the_dynamics_docstring_solve_the_derived_system(model):
+    assert all(vanishes(x) for x in residual(model, closed_form_angle_accels(), DQ[2:]))
+
+
+def test_the_rates_follow_a_hypergeometric_equation_in_the_sine_of_the_stand_angle():
+    # ddphi and ddpsi are both proportional to dtheta, so along any motion
+    # (dphi, dpsi) solves a linear ODE in theta. Put dpsi = y(x), x = sin(theta),
+    # with y0, y1, y2 = y, y', y''; then d/dtheta = cos(theta) d/dx.
+    dphi, dtheta, dpsi = DQ[2:]
+    ddphi, _, ddpsi = closed_form_angle_accels()
+    dphi_dtheta, dpsi_dtheta = sp.cancel(ddphi / dtheta), sp.cancel(ddpsi / dtheta)
+    assert dtheta not in dphi_dtheta.free_symbols | dpsi_dtheta.free_symbols
+    y0, y1, y2, x = sp.symbols("y0 y1 y2 x", real=True)
+    # dpsi/dtheta = cos(theta) y1 fixes dphi; then dphi/dtheta along theta, by the chain rule.
+    (dphi_of_y,) = sp.solve(c_th * y1 - dpsi_dtheta, dphi)
+    along = partial(dphi_of_y, theta) + sp.diff(dphi_of_y, y0) * c_th * y1 + sp.diff(dphi_of_y, y1) * c_th * y2
+    ode = (1 - x**2) * y2 - 4 * x * y1 - sp.Rational(10, 3) * y0
+    assert vanishes(along - dphi_dtheta.subs({dphi: dphi_of_y, dpsi: y0}) - c_th / 2 * ode.subs(x, s_th))
+
+    # With z = (1 -+ x)/2 that is Gauss's equation with c = 2, a + b = 3 and
+    # ab = 10/3, solved by F(a, b; 2; z); d^n F/dz^n is (a)_n (b)_n / (2)_n
+    # F(a + n, b + n; 2 + n; z) (DLMF 15.5.2) and dz/dx = -+1/2. The residual
+    # read at most 1.1e-30 of the equation's largest term.
+    solves = sp.lambdify([x, y0, y1, y2], ode, "mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.mpf(3) / 2 + 1j * mpmath.sqrt(mpmath.mpf(13) / 12)
+        b = mpmath.conj(a)
+        for sign in (-1, 1):
+            for at in map(mpmath.mpf, ("-0.9", "-0.4", "0", "0.3", "0.8")):
+                z = (1 + sign * at) / 2
+                y = [mpmath.rf(a, n) * mpmath.rf(b, n) / mpmath.rf(2, n) * (sign / mpmath.mpf(2)) ** n
+                     * mpmath.hyp2f1(a + n, b + n, 2 + n, z) for n in range(3)]
+                largest = max(abs((1 - at**2) * y[2]), abs(4 * at * y[1]), abs(10 * y[0] / 3))
+                assert abs(solves(at, *y)) <= mpmath.mpf("1e-25") * largest, (sign, at)
 
 
 def test_circular_spin_keeps_the_stand_angle_steady(model):
     # No angle accelerates at the spin of dynamics.circular_spin: det M is
     # nonzero, so that is the solution, and theta stays put.
     assert all(vanishes(x) for x in residual(model, (0, 0, 0), circular_rates()))
-
 
 @pytest.fixture(scope="module")
 def lambdified_errors(model):
