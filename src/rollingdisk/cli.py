@@ -41,12 +41,12 @@ from .kinematics import euler_rotation
 from .simulator import (
     NON_FINITE,
     PRESET_NAMES,
+    PRESETS,
     SINGULAR,
     ScenarioConfig,
     Trajectory,
     diagnostics_summary,
     integrate,
-    scenario_preset,
 )
 
 CSV_COLUMNS = (
@@ -145,6 +145,8 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {err}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise UsageError(f"config file {path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise UsageError(f"config file {path} nests too deeply to read") from err
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a single object")
     for key in CONFIG_KEYS:
@@ -187,8 +189,7 @@ def parse_args(argv) -> RunConfig:
     if (ns.scenario is None) == (ns.config is None):
         raise UsageError("simulate needs exactly one of --scenario or --config")
     if ns.scenario:
-        name, preset = ns.scenario, scenario_preset(ns.scenario)
-        values = {**vars(preset.params), "x0": preset.x0, "t_end": preset.t_end, "dt": preset.dt}
+        name, values = ns.scenario, dict(PRESETS[ns.scenario])
     else:
         name, values = Path(ns.config).stem, _load_config_file(ns.config)
 

@@ -1,10 +1,8 @@
 """Fixed-step simulation of the rolling disk.
 
 Both routes below always step with the classical fourth-order Runge-Kutta
-method, on plain Python floats; no setting selects another. step_euler, a
-forward Euler step on the reduced 8-dimensional state, is only called
-directly, for convergence-order contrast. Both steppers are deterministic:
-identical configuration in, bit-identical trajectory out.
+method, on plain Python floats; no setting selects another. Both steps are
+deterministic: identical configuration in, bit-identical trajectory out.
 
 Two integration routes are provided. integrate propagates the reduced state
 and reconstructs the center rates from the contact at every evaluation, so
@@ -16,7 +14,9 @@ unreduced formulation drifts off the constraint surface.
 Both routes write their RK4 step out in one operation order: step_rk4 over
 the reduced route's eight floats, returning a State, and _step_10dim over the
 unreduced route's ten, handing each stage's coordinates and rates to
-solve_system as 5-tuples. numpy stays inside the kernels, out of the samples.
+solve_system as 5-tuples. c1, c2 and phi are cyclic: no slope reads them, so
+the inner stages hand them on at the step's start values, and the steps keep
+textbook RK4's bits. numpy stays inside the kernels, out of the samples.
 
 A trajectory holds the ScenarioConfig it ran and per-step diagnostics (total
 energy with reconstructed center rates, contact slip residual). On a singular
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +40,15 @@ from .energetics import Params, kinetic_energy, potential_energy
 from .assembly import solve_system
 from .singularity import SingularConfiguration
 
-PRESET_NAMES = ("precession", "circle", "straight", "spin")
+# The presets' run values by name, keyed as in a config file. Read-only: a
+# caller that merges other values into an entry copies it first.
+PRESETS = MappingProxyType({name: MappingProxyType({**vars(Params()), "x0": x0, "t_end": t_end, "dt": 1e-3})
+                            for name, x0, t_end in (
+    ("precession", State(2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0), 10.0),
+    ("circle", State(2.0, 0.0, 0.0, 0.5, 0.0, circular_spin(0.5, 1.0, Params()), 0.0, 1.0), 6.0),
+    ("straight", State(2.0, 0.0, 0.0, 0.0, 0.0, 2.5, 0.0, 0.0), 5.0),
+    ("spin", State(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 5.0))})
+PRESET_NAMES = tuple(PRESETS)
 
 # Why a run stopped early, as Trajectory.failure_reason records it.
 SINGULAR = "singular configuration"
@@ -117,29 +126,23 @@ def step_rk4(x: State, dt: float, p: Params) -> State:
     """One classical Runge-Kutta step of size dt on the reduced state, written
     out over its eight floats in the RK4 operation order _step_10dim shares
     (stages xi + half * ki, xi + dt * ki; xi + sixth * (a + 2.0 * (b + c) + d)).
-    state_derivative is looked up here at each call, where a tracer patches it."""
+    No slope reads c1, c2 or phi, so each inner stage hands them on at the
+    step's start values; the result keeps textbook RK4's bits. state_derivative
+    is looked up here at each call, where a tracer patches it."""
     half, sixth = 0.5 * dt, dt / 6
     x0, x1, x2, x3, x4, x5, x6, x7 = x
     a0, a1, a2, a3, a4, a5, a6, a7 = state_derivative(x, p)
     b0, b1, b2, b3, b4, b5, b6, b7 = state_derivative([
-        x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
-        x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7], p)
+        x0, x1, x2, x3 + half * a3, x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7], p)
     c0, c1, c2, c3, c4, c5, c6, c7 = state_derivative([
-        x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
-        x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7], p)
+        x0, x1, x2, x3 + half * b3, x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7], p)
     d0, d1, d2, d3, d4, d5, d6, d7 = state_derivative([
-        x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
-        x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, x7 + dt * c7], p)
+        x0, x1, x2, x3 + dt * c3, x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, x7 + dt * c7], p)
     return tuple.__new__(State, (
         x0 + sixth * (a0 + 2.0 * (b0 + c0) + d0), x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
         x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2), x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3),
         x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4), x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5),
         x6 + sixth * (a6 + 2.0 * (b6 + c6) + d6), x7 + sixth * (a7 + 2.0 * (b7 + c7) + d7)))
-
-
-def step_euler(x: State, dt: float, p: Params) -> State:
-    """One forward Euler step. First-order; for convergence contrast only."""
-    return State._make([xi + dt * ki for xi, ki in zip(x, state_derivative(x, p))])
 
 
 def _sample(t: float, y, split, p: Params) -> TrajectorySample:
@@ -196,19 +199,21 @@ def _step_10dim(y: list, dt: float, p: Params) -> list:
     """One classical Runge-Kutta step of the five coordinates and five rates,
     written out over the ten floats in step_rk4's operation order. A coordinate's
     slope is its stage rate, a rate's the acceleration solve_system gives; that
-    is looked up here at each call, where a tracer patches it."""
+    is looked up here at each call, where a tracer patches it. The solve reads
+    no c1, c2 or phi, so each inner stage hands them on at the step's start
+    values; the result keeps textbook RK4's bits."""
     half, sixth = 0.5 * dt, dt / 6
     x0, x1, x2, x3, x4, u0, u1, u2, u3, u4 = y
     _, _, a0, a1, a2, a3, a4 = solve_system((x0, x1, x2, x3, x4), (u0, u1, u2, u3, u4), p)
     v0, v1, v2, v3, v4 = u0 + half * a0, u1 + half * a1, u2 + half * a2, u3 + half * a3, u4 + half * a4
-    _, _, b0, b1, b2, b3, b4 = solve_system((x0 + half * u0, x1 + half * u1, x2 + half * u2,
-                                             x3 + half * u3, x4 + half * u4), (v0, v1, v2, v3, v4), p)
+    _, _, b0, b1, b2, b3, b4 = solve_system(
+        (x0, x1, x2, x3 + half * u3, x4 + half * u4), (v0, v1, v2, v3, v4), p)
     w0, w1, w2, w3, w4 = u0 + half * b0, u1 + half * b1, u2 + half * b2, u3 + half * b3, u4 + half * b4
-    _, _, c0, c1, c2, c3, c4 = solve_system((x0 + half * v0, x1 + half * v1, x2 + half * v2,
-                                             x3 + half * v3, x4 + half * v4), (w0, w1, w2, w3, w4), p)
+    _, _, c0, c1, c2, c3, c4 = solve_system(
+        (x0, x1, x2, x3 + half * v3, x4 + half * v4), (w0, w1, w2, w3, w4), p)
     z0, z1, z2, z3, z4 = u0 + dt * c0, u1 + dt * c1, u2 + dt * c2, u3 + dt * c3, u4 + dt * c4
-    _, _, d0, d1, d2, d3, d4 = solve_system((x0 + dt * w0, x1 + dt * w1, x2 + dt * w2,
-                                             x3 + dt * w3, x4 + dt * w4), (z0, z1, z2, z3, z4), p)
+    _, _, d0, d1, d2, d3, d4 = solve_system(
+        (x0, x1, x2, x3 + dt * w3, x4 + dt * w4), (z0, z1, z2, z3, z4), p)
     return [x0 + sixth * (u0 + 2.0 * (v0 + w0) + z0), x1 + sixth * (u1 + 2.0 * (v1 + w1) + z1),
             x2 + sixth * (u2 + 2.0 * (v2 + w2) + z2), x3 + sixth * (u3 + 2.0 * (v3 + w3) + z3),
             x4 + sixth * (u4 + 2.0 * (v4 + w4) + z4), u0 + sixth * (a0 + 2.0 * (b0 + c0) + d0),
@@ -234,28 +239,19 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
 
 
 def scenario_preset(name: str) -> ScenarioConfig:
-    """Named reference scenario with the standard constants m=5, g=9.81, r=1.
+    """Named reference scenario built from PRESETS, with the standard
+    constants m=5, g=9.81, r=1.
 
     Presets: "precession" (tilted fast-spinning disk, wandering turning
-    radius), "circle" (spin rate matched to the tilt so the center traces a
-    circle), "straight" (upright disk rolling a line), "spin" (disk turning
-    in place). Unknown names raise ValueError.
+    radius), "circle" (spin rate matched by circular_spin to the tilt 0.5 and
+    the heading rate 1.0, so the center traces a circle), "straight" (upright
+    disk rolling a line), "spin" (disk turning in place). Unknown names raise
+    ValueError.
     """
-    p = Params()
-    if name == "precession":
-        x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0)
-        return ScenarioConfig(name, p, x0, t_end=10.0, dt=1e-3)
-    if name == "circle":
-        theta, dpsi = 0.5, 1.0
-        x0 = State(2.0, 0.0, 0.0, theta, 0.0, circular_spin(theta, dpsi, p), 0.0, dpsi)
-        return ScenarioConfig(name, p, x0, t_end=6.0, dt=1e-3)
-    if name == "straight":
-        x0 = State(2.0, 0.0, 0.0, 0.0, 0.0, 2.5, 0.0, 0.0)
-        return ScenarioConfig(name, p, x0, t_end=5.0, dt=1e-3)
-    if name == "spin":
-        x0 = State(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-        return ScenarioConfig(name, p, x0, t_end=5.0, dt=1e-3)
-    raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    v = PRESETS[name]
+    return ScenarioConfig(name, Params(v["m"], v["g"], v["r"]), v["x0"], v["t_end"], v["dt"])
 
 
 def diagnostics_summary(traj: Trajectory) -> Summary:

@@ -13,7 +13,7 @@ import rollingdisk.assembly
 import rollingdisk.dynamics
 from rollingdisk import cli
 from rollingdisk.cli import CSV_COLUMNS, UsageError, main, parse_args
-from rollingdisk.simulator import scenario_preset
+from rollingdisk.simulator import PRESETS, scenario_preset
 
 
 def test_parse_simulate_preset():
@@ -247,7 +247,8 @@ def test_config_file_errors(tmp_path, capsys, mutate):
     (None, "cannot read config file"),
     ("", "cannot read config file"),  # the path is a directory
     ("[5.0, 9.81, 1.0]", "must hold a single object"),
-], ids=["missing", "directory", "list"])
+    ("[" * 100000, "nests too deeply"),  # json.loads raises RecursionError
+], ids=["missing", "directory", "list", "nested"])
 def test_config_file_that_holds_no_object(tmp_path, capsys, content, reason):
     path = tmp_path / "run.json"
     if content == "":
@@ -335,6 +336,18 @@ def test_parser_is_built_once_and_keeps_no_options():
     assert plain.scenario.x0 == again.scenario.x0 == preset
     assert given.scenario.x0 == tuple(float(v) for v in x0)
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_flags_leave_the_preset_as_it_was(tmp_path):
+    # One process may run main many times: the flags merge into a copy of the
+    # preset's values, never into the preset table itself.
+    before = scenario_preset("precession")
+    out = tmp_path / "p.csv"
+    argv = ["simulate", "--scenario", "precession", "--dt", "0.002", "--t-end", "0.01"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert scenario_preset("precession") == before
+    assert parse_args(["simulate", "--scenario", "precession"]).scenario == before
+    assert all(tuple(values) == cli.CONFIG_KEYS for values in PRESETS.values())
 
 
 def test_x0_takes_negative_numbers_in_exponent_form(tmp_path):
