@@ -18,22 +18,21 @@ dynamics.closed_form_solution. Do not reorder.
 
 Both systems here are those of the unit disk. With lengths measured in r,
 L is m r^2 times the Lagrangian of a disk with m = r = 1 under gravity g/r,
-taken at the center rates dc/r and the same angles and angle rates. So M
-depends on theta and psi only, b on the angle rates and g/r only, and the
-solution y of the unit disk's system gives the disk's as lambda = m r y[0:2],
-ddc = r y[2:4] and the angle accelerations y[4:7] unchanged.
+taken at the center rates dc/r and the same angles and angle rates. So m and
+r leave the system, and its solution y gives the disk's as
+lambda = m r y[0:2], ddc = r y[2:4] and the angle accelerations y[4:7]
+unchanged.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
-into the generalized mass G (_mass_entries) and force f (_force_entries), so M
-depends on configuration only and every velocity term lives in b; they are
-M[2:7, 2:7] and b[2:7]. Each entry is written once, in a helper returning
-plain floats. 30 of M's 49 entries never change: the 2 x 2 zero block, the
-identity columns of A and their negation in -A^T, and the zeros of G.
-assemble_system copies them from _TEMPLATE and puts the other 19 into the
-copy in one call; b is one numpy call. Negating A's zeros gives -0.0 at
-M[2, 1] and M[3, 0], and the template holds those signs. det M =
-(15/32) cos^2(theta), so the cos(theta) band of the singularity guard is the
-exact rank test.
+into the generalized mass G (_mass_entries) and force f (_force_entries), so
+every velocity term lives in b; they are M[2:7, 2:7] and b[2:7]. Each entry
+is written once, in a helper returning plain floats. 30 of M's 49 entries
+never change: the 2 x 2 zero block, the identity columns of A and their
+negation in -A^T, and the zeros of G. assemble_system copies them from
+_TEMPLATE and puts the other 19 into the copy in one call; b is one numpy
+call. Negating A's zeros gives -0.0 at M[2, 1] and M[3, 0], and the template
+holds those signs. det M = (15/32) cos^2(theta), so the cos(theta) band of
+the singularity guard is the exact rank test.
 
 Both solves hand (M, b) straight to LAPACK's gesv through the gufunc that
 np.linalg.solve itself runs, _umath_linalg.solve1, and so get the same bits
@@ -59,7 +58,6 @@ disk, and takes the contact rows and -A^T from assemble_system.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -86,18 +84,17 @@ def _mass_entries(st: float) -> tuple:
             0.0, 0.0, coupling, 0.0, (st * st + 1.0) / 4.0)
 
 
-def _force_entries(g_over_r: float, st: float, ct: float, s2t: float, v) -> tuple:
-    """The 5 entries of the unit disk's f(q, qdot) under gravity g/r, from sin,
-    cos and sin(2 theta) and the rates in v."""
-    dphi, dtheta, dpsi = v[2], v[3], v[4]
+def _force_entries(g_over_r: float, st: float, ct: float, s2t: float, rates) -> tuple:
+    """The 5 entries of the unit disk's f(q, qdot), from sin, cos and sin(2 theta)."""
+    dphi, dtheta, dpsi = rates
     stand_rates = 4.0 * dtheta * dtheta * s2t + 4.0 * dphi * dpsi * ct - dpsi * dpsi * s2t
     return (0.0, 0.0, dtheta * dpsi * ct / 2.0, g_over_r * st - stand_rates / 8.0,
             (dphi - dpsi * st) * dtheta * ct / 2.0)
 
 
-def _drift_entries(st: float, ct: float, sp: float, cp: float, v) -> tuple:
+def _drift_entries(st: float, ct: float, sp: float, cp: float, rates) -> tuple:
     """The 2 entries of the unit disk's contact drift (dA/dq qdot) qdot."""
-    dphi, dtheta, dpsi = v[2], v[3], v[4]
+    dphi, dtheta, dpsi = rates
     sq_rates = dtheta * dtheta + dpsi * dpsi
     return (-cp * dphi * dpsi + 2.0 * sp * ct * dtheta * dpsi + cp * st * sq_rates,
             -sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates)
@@ -132,15 +129,14 @@ def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
     return lhs
 
 
-# Flat positions in M of the entries of A that depend on (q, p), of their
-# negatives in -A^T and of the nonzero entries of G, both counted row by row:
-# entry k of A is M[k // 5, 2 + k % 5] and M[2 + k % 5, k // 5] in -A^T,
-# entry j of G is M[2 + j // 5, 2 + j % 5].
+# Flat positions in M, in the order assemble_system puts them, of the entries
+# of A that depend on q, of their negatives in -A^T and of the nonzero
+# entries of G, both counted row by row: entry k of A is M[k // 5, 2 + k % 5]
+# and M[2 + k % 5, k // 5] in -A^T, entry j of G is M[2 + j // 5, 2 + j % 5].
 _VARYING_A, _NONZERO_G = (2, 3, 4, 7, 8, 9), (0, 6, 12, 14, 18, 22, 24)
 _VARYING = np.array([7 * (k // 5) + 2 + k % 5 for k in _VARYING_A]
                     + [7 * (2 + k % 5) + k // 5 for k in _VARYING_A]
                     + [16 + 7 * (j // 5) + j % 5 for j in _NONZERO_G])
-_varying_a, _nonzero_g = itemgetter(*_VARYING_A), itemgetter(*_NONZERO_G)
 # The other 30 entries of M: A's identity columns, their negation in -A^T
 # (whose zeros are -0.0), and zeros.
 _TEMPLATE = np.zeros((7, 7))
@@ -150,17 +146,17 @@ _TEMPLATE[2, 1] = _TEMPLATE[3, 0] = -0.0
 _TEMPLATE.flags.writeable = False
 
 
-def assemble_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form augmented system (M, b) of the unit disk under gravity g/r:
-    the entries of A, G, f and the contact drift, with each sine and cosine
-    taken once."""
-    theta, psi = q[3], q[4]
+def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form augmented system (M, b) of the unit disk, with rates =
+    (dphi, dtheta, dpsi), each sine and cosine taken once."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
-    a2, a3, a4, a7, a8, a9 = a = _varying_a(_constraint_entries(1.0, st, ct, sp, cp))
+    _, _, a2, a3, a4, _, _, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
+    g = _mass_entries(st)
     M = _TEMPLATE.copy()
-    M.put(_VARYING, (*a, -a2, -a3, -a4, -a7, -a8, -a9, *_nonzero_g(_mass_entries(st))))
-    drift = _drift_entries(st, ct, sp, cp, v)
-    return M, np.array((-drift[0], -drift[1], *_force_entries(p.g / p.r, st, ct, math.sin(2.0 * theta), v)))
+    M.put(_VARYING, (a2, a3, a4, a7, a8, a9, -a2, -a3, -a4, -a7, -a8, -a9,
+                     g[0], g[6], g[12], g[14], g[18], g[22], g[24]))
+    drift0, drift1 = _drift_entries(st, ct, sp, cp, rates)
+    return M, np.array((-drift0, -drift1, *_force_entries(g_over_r, st, ct, math.sin(2.0 * theta), rates)))
 
 
 def unit_disk(p: Params) -> Params:
@@ -189,7 +185,7 @@ def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     Raises unit_disk's ValueError.
     """
     unit = unit_disk(p)
-    M, b = assemble_system(q, v, p)
+    M, b = assemble_system(q[3], q[4], v[2:5], unit.g)
     for i in range(5):
         for j in range(i, 5):
             probe = [0.0] * 5
@@ -233,7 +229,7 @@ def solve_system(q, v, p: Params) -> tuple[float, ...]:
         When theta or psi is not finite.
     """
     checked_cos_theta(q[3])
-    return _solve_unit(assemble_system(q, v, p), q, p)
+    return _solve_unit(assemble_system(q[3], q[4], v[2:5], p.g / p.r), q, p)
 
 
 def solve_oracle_system(q, v, p: Params) -> tuple[float, ...]:

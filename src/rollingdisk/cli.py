@@ -272,15 +272,15 @@ def run_simulate(cfg: RunConfig) -> int:
     """Integrate, write artifacts, report; exit 2 or 4 on an early stop, 1
     when an artifact cannot be written.
 
-    Raises UsageError, after the run and without writing, when x0 gives a
-    non-finite energy or contact residual.
+    Raises UsageError, naming x0, m, g and r, after the run and without
+    writing, when the initial energy or contact residual is not finite.
     """
     traj = integrate(cfg.scenario)
-    first = traj.samples[0]
+    first, p = traj.samples[0], cfg.scenario.params
     if not (math.isfinite(first.energy) and math.isfinite(first.residual)):
         raise UsageError(
             f"x0 gives initial energy {first.energy:g} and contact residual "
-            f"{first.residual:g}; both must be finite"
+            f"{first.residual:g} for m={p.m:g}, g={p.g:g}, r={p.r:g}; both must be finite"
         )
     path = cfg.out
     try:

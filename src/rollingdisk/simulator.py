@@ -243,10 +243,11 @@ def scenario_preset(name: str) -> ScenarioConfig:
     constants m=5, g=9.81, r=1.
 
     Presets: "precession" (tilted fast-spinning disk, wandering turning
-    radius), "circle" (spin rate matched by circular_spin to the tilt 0.5 and
-    the heading rate 1.0, so the center traces a circle), "straight" (upright
-    disk rolling a line), "spin" (disk turning in place). Unknown names raise
-    ValueError.
+    radius), "circle" (spin rate matched by circular_spin, at import, to the
+    tilt 0.5, heading rate 1.0, g=9.81 and r=1, so the center traces a circle;
+    a g or r override keeps that spin and the disk nutates, theta 0.5 to 0.767
+    within 2 s at g=20), "straight" (upright disk rolling a line), "spin"
+    (disk turning in place). Unknown names raise ValueError.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(PRESET_NAMES)}")

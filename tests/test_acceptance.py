@@ -67,7 +67,7 @@ def test_02_variational_lhs_matches_differenced_lagrangian():
         v = tuple(rng.uniform(-3.0, 3.0, 5))
         a = rng.uniform(-3.0, 3.0, 5)
         # assemble_system builds the system of the unit disk under gravity g/r.
-        M, b = assemble_system(q, v, P)
+        M, b = assemble_system(q[3], q[4], v[2:5], P.g / P.r)
         closed = M[2:7, 2:7] @ a - b[2:7]
         worst = max(worst, max_rel_diff(oracle_lhs(q, v, a, Params(m=1.0, g=P.g / P.r, r=1.0)), closed))
     elapsed = time.perf_counter() - start

@@ -28,7 +28,6 @@ from rollingdisk.validation import (
 P = Params()
 # The disk whose system assemble_system and oracle_system build for P.
 UNIT = Params(m=1.0, g=P.g / P.r, r=1.0)
-REST = (0, 0, 0, 0, 0)
 
 
 def scaled_back(y, p):
@@ -46,7 +45,7 @@ def random_triple(rng):
 
 def closed_lhs(q, v, a):
     """The unit disk's closed-form left side G(q) a - f(q, v), read from assemble_system."""
-    M, b = assemble_system(q, v, P)
+    M, b = assemble_system(q[3], q[4], v[2:5], UNIT.g)
     return M[2:7, 2:7] @ np.asarray(a, dtype=float) - b[2:7]
 
 
@@ -81,7 +80,7 @@ class TestEulerLagrangeLhs:
         rng = np.random.default_rng(40)
         for _ in range(100):
             q, v, _ = random_triple(rng)
-            G = assemble_system(q, v, P)[0][2:7, 2:7]
+            G = assemble_system(q[3], q[4], v[2:5], UNIT.g)[0][2:7, 2:7]
             assert np.array_equal(G, G.T)
             assert np.max(np.abs(oracle_system(q, v, P)[0][2:7, 2:7] - G)) < 1e-12
 
@@ -95,13 +94,13 @@ def test_oracle_system_is_the_closed_form_system_to_roundoff(m, r):
     rng = np.random.default_rng(57)
     for _ in range(100):
         q, v = sample_state(rng)
-        (got_M, got_b), (want_M, want_b) = oracle_system(q, v, p), assemble_system(q, v, p)
+        (got_M, got_b), (want_M, want_b) = oracle_system(q, v, p), assemble_system(q[3], q[4], v[2:5], p.g / p.r)
         for got, want in ((got_M[0:2], want_M[0:2]), (got_M[2:7, 2:7], want_M[2:7, 2:7]), (got_b, want_b)):
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), (q, v)
 
 
 def drift(q, v):
-    return np.array(_drift_entries(math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]), v))
+    return np.array(_drift_entries(math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]), v[2:5]))
 
 
 def test_contact_rows_match_matrix_and_drift():
@@ -111,14 +110,14 @@ def test_contact_rows_match_matrix_and_drift():
         q, v = sample_state(rng)
         # both systems carry the unit disk's A on top, and its drift
         # sign-flipped at the top of b
-        for M, b in (assemble_system(q, v, p), oracle_system(q, v, p)):
+        for M, b in (assemble_system(q[3], q[4], v[2:5], p.g / p.r), oracle_system(q, v, p)):
             assert np.array_equal(M[0:2, 2:7], constraint_matrix(q, UNIT))
             assert np.array_equal(b[0:2], -drift(q, v))
 
 
 class TestMassMatrix:
     def test_reference_entries_upright(self):
-        M, _ = assemble_system((0, 0, 0, 0.0, 0.0), REST, P)
+        M, _ = assemble_system(0.0, 0.0, (0, 0, 0), UNIT.g)
         assert M[4, 4] == 0.5
         assert M[5, 5] == 0.25
         assert M[6, 6] == 0.25
@@ -131,8 +130,8 @@ class TestMassMatrix:
         for _ in range(50):
             q, v1 = sample_state(rng)
             _, v2 = sample_state(rng)
-            M1, _ = assemble_system(q, v1, P)
-            M2, _ = assemble_system(q, v2, P)
+            M1, _ = assemble_system(q[3], q[4], v1[2:5], UNIT.g)
+            M2, _ = assemble_system(q[3], q[4], v2[2:5], UNIT.g)
             assert np.array_equal(M1, M2)
 
     def test_invertible_away_from_flat(self):
@@ -143,7 +142,7 @@ class TestMassMatrix:
             if abs(math.cos(q[3])) < 0.1:
                 continue
             checked += 1
-            assert np.linalg.det(assemble_system(q, REST, P)[0]) != 0.0
+            assert np.linalg.det(assemble_system(q[3], q[4], (0, 0, 0), UNIT.g)[0]) != 0.0
 
     @pytest.mark.parametrize("m, r", [(5.0, 1.0), (2.0, 0.37), (100.0, 0.01), (0.01, 100.0)])
     def test_determinant_is_cos_squared_theta(self, m, r):
@@ -154,14 +153,14 @@ class TestMassMatrix:
         rng = np.random.default_rng(51)
         for _ in range(200):
             q, v, _ = random_triple(rng)
-            det = np.linalg.det(assemble_system(q, v, p)[0]) / math.cos(q[3]) ** 2
+            det = np.linalg.det(assemble_system(q[3], q[4], v[2:5], p.g / p.r)[0]) / math.cos(q[3]) ** 2
             assert det == pytest.approx(15.0 / 32.0, rel=1e-8)
 
     def test_factor_solve_round_trip(self):
         rng = np.random.default_rng(48)
         for _ in range(200):
             q, _ = sample_state(rng)
-            M, _ = assemble_system(q, REST, P)
+            M, _ = assemble_system(q[3], q[4], (0, 0, 0), UNIT.g)
             x0 = rng.uniform(-1.0, 1.0, 7)
             x = np.linalg.solve(M, M @ x0)
             assert np.max(np.abs(x - x0)) < 1e-10
@@ -169,11 +168,11 @@ class TestMassMatrix:
 
 class TestRhsVector:
     def test_zero_at_upright_rest(self):
-        _, b = assemble_system((0, 0, 0, 0.0, 0.0), REST, P)
+        _, b = assemble_system(0.0, 0.0, (0, 0, 0), UNIT.g)
         assert np.array_equal(b, np.zeros(7))
 
     def test_rest_tilted_loads_only_stand_row(self):
-        _, b = assemble_system((0, 0, 0, 0.1, 0.0), REST, P)
+        _, b = assemble_system(0.1, 0.0, (0, 0, 0), UNIT.g)
         assert b[5] == pytest.approx(P.g / P.r * math.sin(0.1), rel=1e-14)
         mask = np.ones(7, dtype=bool)
         mask[5] = False
@@ -203,7 +202,7 @@ class TestSolveSystem:
         rng = np.random.default_rng(49)
         for _ in range(300):
             q, v = sample_state(rng)
-            M, b = assemble_system(q, v, P)
+            M, b = assemble_system(q[3], q[4], v[2:5], UNIT.g)
             y = solve_system(q, v, P) / scaled_back(np.ones(7), P)  # back on the unit disk
             resid = float(np.max(np.abs(M @ y - b)))
             bound = 1e-9 * (1.0 + float(np.max(np.abs(b))))
@@ -272,7 +271,7 @@ def test_direct_solve_gives_the_bits_of_numpy_solve():
         warnings.simplefilter("error")
         for q, v, p in cases:
             x = solve_system(q, v, p)
-            assert np.asarray(x).tobytes() == scaled_back(np.linalg.solve(*assemble_system(q, v, p)), p).tobytes(), (q, v, p)
+            assert np.asarray(x).tobytes() == scaled_back(np.linalg.solve(*assemble_system(q[3], q[4], v[2:5], p.g / p.r)), p).tobytes(), (q, v, p)
 
 
 def test_failed_solves_raise_without_warnings():
@@ -363,8 +362,8 @@ def test_assembled_system_is_the_frozen_block_layout():
             want_M[2:7, 0:2] = -A.T
             st, ct, s2t = math.sin(q[3]), math.cos(q[3]), math.sin(2.0 * q[3])
             want_M[2:7, 2:7] = np.reshape(_mass_entries(st), (5, 5))
-            want_b = np.concatenate([-resid, _force_entries(p.g / p.r, st, ct, s2t, v)])
-            M, b = assemble_system(q, v, p)
+            want_b = np.concatenate([-resid, _force_entries(p.g / p.r, st, ct, s2t, v[2:5])])
+            M, b = assemble_system(q[3], q[4], v[2:5], p.g / p.r)
             assert M.shape == (7, 7) and b.shape == (7,)
             assert M.tobytes() == want_M.tobytes(), p
             assert b.tobytes() == want_b.tobytes(), p
@@ -376,13 +375,13 @@ def test_assembled_system_is_the_frozen_block_layout():
 
 def test_each_assembly_returns_fresh_arrays():
     q, v = sample_state(np.random.default_rng(56))
-    first = assemble_system(q, v, P)
+    first = assemble_system(q[3], q[4], v[2:5], UNIT.g)
     want = [part.tobytes() for part in first]
-    second = assemble_system(q, v, P)
+    second = assemble_system(q[3], q[4], v[2:5], UNIT.g)
     assert not any(np.shares_memory(x, y) for x in first for y in second)
     for part in first:
         part.fill(np.nan)
-    assert [part.tobytes() for part in assemble_system(q, v, P)] == want
+    assert [part.tobytes() for part in assemble_system(q[3], q[4], v[2:5], UNIT.g)] == want
 
 
 def test_plain_sequences_give_the_same_bits():
@@ -410,8 +409,8 @@ def test_plain_sequences_give_the_same_bits():
         )
         for f in calls:
             assert np.asarray(f(list(q), list(v), list(a))).tobytes() == np.asarray(f(q, v, a)).tobytes()
-        for system in (assemble_system, oracle_system):
-            for got, want in zip(system(list(q), list(v), P), system(q, v, P)):
+        for system in (lambda q, v: assemble_system(q[3], q[4], v[2:5], UNIT.g), lambda q, v: oracle_system(q, v, P)):
+            for got, want in zip(system(list(q), list(v)), system(q, v)):
                 assert got.tobytes() == want.tobytes()
 
 

@@ -314,17 +314,24 @@ def test_overflowing_rates_exit_4_with_partial_csv(tmp_path, capsys):
 
 def test_overflowing_initial_energy_is_a_usage_error(tmp_path, capsys):
     # The rates are finite but the energy at x0 is not: rejected before the
-    # run, with no CSV and no numpy warning.
+    # run, with no CSV and no numpy warning. A preset's own x0 overflows too
+    # on a disk too large or too heavy, and the message names the disk.
     out = tmp_path / "huge.csv"
     x0 = ["2", "0", "0", "0.1", "0", "1e160", "0", "1e160"]
-    argv = ["simulate", "--scenario", "spin", "--x0", *x0, "--t-end", "0.01", "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: x0 gives initial energy inf")
-    assert not out.exists()
+    cases = (
+        (["--scenario", "spin", "--x0", *x0, "--t-end", "0.01"], "inf", "m=5, g=9.81, r=1;"),
+        (["--scenario", "circle", "--r", "1e300"], "nan", "m=5, g=9.81, r=1e+300;"),
+        (["--scenario", "precession", "--m", "1e300", "--r", "1e300"], "nan", "m=1e+300, g=9.81, r=1e+300;"),
+    )
+    for args, energy, disk in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: x0 gives initial energy {energy}"), args
+        assert disk in captured.err, args
+        assert not out.exists()
 
 
 def test_parser_is_built_once_and_keeps_no_options():
