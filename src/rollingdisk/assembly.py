@@ -26,13 +26,12 @@ unchanged.
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into the generalized mass G (_mass_entries) and force f (_force_entries), so
 every velocity term lives in b; they are M[2:7, 2:7] and b[2:7]. Each entry
-is written once, in a helper returning plain floats. 30 of M's 49 entries
-never change: the 2 x 2 zero block, the identity columns of A and their
-negation in -A^T, and the zeros of G. assemble_system copies them from
-_TEMPLATE and puts the other 19 into the copy in one call; b is one numpy
-call. Negating A's zeros gives -0.0 at M[2, 1] and M[3, 0], and the template
-holds those signs. det M = (15/32) cos^2(theta), so the cos(theta) band of
-the singularity guard is the exact rank test.
+is written once, in a helper returning plain floats. assemble_system writes M
+row by row into a fresh array: each contact row is (0, 0, A row) and each
+motion row (-A column, G row), with all of A from _constraint_entries and all
+of G from _mass_entries, so negating A's zeros gives the -0.0 at M[2, 1] and
+M[3, 0]; b is one numpy call. det M = (15/32) cos^2(theta), so the cos(theta)
+band of the singularity guard is the exact rank test.
 
 Both solves hand (M, b) straight to LAPACK's gesv through the gufunc that
 np.linalg.solve itself runs, _umath_linalg.solve1, and so get the same bits
@@ -58,6 +57,7 @@ disk, and takes the contact rows and -A^T from assemble_system.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -129,32 +129,26 @@ def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
     return lhs
 
 
-# Flat positions in M, in the order assemble_system puts them, of the entries
-# of A that depend on q, of their negatives in -A^T and of the nonzero
-# entries of G, both counted row by row: entry k of A is M[k // 5, 2 + k % 5]
-# and M[2 + k % 5, k // 5] in -A^T, entry j of G is M[2 + j // 5, 2 + j % 5].
-_VARYING_A, _NONZERO_G = (2, 3, 4, 7, 8, 9), (0, 6, 12, 14, 18, 22, 24)
-_VARYING = np.array([7 * (k // 5) + 2 + k % 5 for k in _VARYING_A]
-                    + [7 * (2 + k % 5) + k // 5 for k in _VARYING_A]
-                    + [16 + 7 * (j // 5) + j % 5 for j in _NONZERO_G])
-# The other 30 entries of M: A's identity columns, their negation in -A^T
-# (whose zeros are -0.0), and zeros.
-_TEMPLATE = np.zeros((7, 7))
-_TEMPLATE[0, 2] = _TEMPLATE[1, 3] = 1.0
-_TEMPLATE[2, 0] = _TEMPLATE[3, 1] = -1.0
-_TEMPLATE[2, 1] = _TEMPLATE[3, 0] = -0.0
-_TEMPLATE.flags.writeable = False
+# M is written row by row into a fresh array: packing its 49 Python floats
+# costs about 1 us less per call than np.array on them, and the unreduced
+# route assembles four times per step.
+_pack_49 = struct.Struct("49d").pack_into
 
 
 def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form augmented system (M, b) of the unit disk, with rates =
     (dphi, dtheta, dpsi), each sine and cosine taken once."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
-    _, _, a2, a3, a4, _, _, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
     g = _mass_entries(st)
-    M = _TEMPLATE.copy()
-    M.put(_VARYING, (a2, a3, a4, a7, a8, a9, -a2, -a3, -a4, -a7, -a8, -a9,
-                     g[0], g[6], g[12], g[14], g[18], g[22], g[24]))
+    M = np.empty((7, 7))
+    _pack_49(M, 0, 0.0, 0.0, a0, a1, a2, a3, a4,
+             0.0, 0.0, a5, a6, a7, a8, a9,
+             -a0, -a5, *g[0:5],
+             -a1, -a6, *g[5:10],
+             -a2, -a7, *g[10:15],
+             -a3, -a8, *g[15:20],
+             -a4, -a9, *g[20:25])
     drift0, drift1 = _drift_entries(st, ct, sp, cp, rates)
     return M, np.array((-drift0, -drift1, *_force_entries(g_over_r, st, ct, math.sin(2.0 * theta), rates)))
 
@@ -196,11 +190,15 @@ def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     return M, b
 
 
-def _solve_unit(system: tuple[np.ndarray, np.ndarray], q, p: Params) -> tuple[float, ...]:
-    """Solve a unit-disk system with gesv and scale its solution back to the
-    disk p; ValueError for a non-finite theta or psi."""
+def _checked_angles(q) -> None:
+    """ValueError for a non-finite theta or psi, before any sine of them; then the flat-disk guard."""
     if not (math.isfinite(q[3]) and math.isfinite(q[4])):
-        raise ValueError(f"non-finite augmented system at theta={q[3]!r}")
+        raise ValueError(f"non-finite angle at theta={q[3]!r}, psi={q[4]!r}")
+    checked_cos_theta(q[3])
+
+
+def _solve_unit(system: tuple[np.ndarray, np.ndarray], p: Params) -> tuple[float, ...]:
+    """Solve a unit-disk system with gesv and scale its solution back to the disk p."""
     y0, y1, y2, y3, y4, y5, y6 = _gesv(*system, signature="dd->d").tolist()
     mr, r = p.m * p.r, p.r
     return mr * y0, mr * y1, r * y2, r * y3, y4, y5, y6
@@ -228,11 +226,11 @@ def solve_system(q, v, p: Params) -> tuple[float, ...]:
     ValueError
         When theta or psi is not finite.
     """
-    checked_cos_theta(q[3])
-    return _solve_unit(assemble_system(q[3], q[4], v[2:5], p.g / p.r), q, p)
+    _checked_angles(q)
+    return _solve_unit(assemble_system(q[3], q[4], v[2:5], p.g / p.r), p)
 
 
 def solve_oracle_system(q, v, p: Params) -> tuple[float, ...]:
     """Like solve_system but on the system that oracle_system rebuilds."""
-    checked_cos_theta(q[3])
-    return _solve_unit(oracle_system(q, v, p), q, p)
+    _checked_angles(q)
+    return _solve_unit(oracle_system(q, v, p), p)

@@ -307,29 +307,39 @@ def test_10_first_integrals_beyond_energy(precession, precession_10dim):
     )
 
 
-def test_11_steady_circle_is_a_double_root_of_theta_dot_squared():
-    # With C1, C2 and the energy E held, energy conservation gives theta_dot^2
-    # as a function of theta alone,
-    #   [E - m g r cos(theta) - 3/4 m r^2 (phi_dot - psi_dot sin(theta))^2
-    #      - 1/8 m r^2 cos(theta)^2 psi_dot^2] / (5/8 m r^2),
-    # phi_dot and psi_dot read from the integrals. The steady circle sits at
-    # a double root, and theta_ddot = (theta_dot^2)'/2 linearizes to
-    # -omega_n^2 (theta - theta0). The root read 2.1e-15, the slope -5.1e-16
-    # and omega_n^2 26.6510531, a period of 1.21709 s.
-    cfg = scenario_preset("circle")
+def theta_dot_squared(cfg):
+    """theta_dot^2 as a function of theta alone, at mpmath's working precision,
+    with the energy E and the integrals C1, C2 held at their values at cfg.x0.
+
+    Energy conservation gives
+      [E - m g r cos(theta) - 3/4 m r^2 (phi_dot - psi_dot sin(theta))^2
+         - 1/8 m r^2 cos(theta)^2 psi_dot^2] / (5/8 m r^2),
+    phi_dot and psi_dot read from the integrals.
+    """
     x0, p = cfg.x0, cfg.params
     q = x0.coords()
     energy = kinetic_energy(q, consistent_velocity(q, x0.rates(), p), p) + potential_energy(q, p)
     c1, c2 = first_integrals(x0.theta, x0.dphi, x0.dpsi)
     mr2 = p.m * p.r * p.r
 
-    def theta_dot_squared(theta):
+    def at(theta):
         dpsi, dphi = integral_system(theta) * mpmath.matrix([c1, c2])
         return (energy - p.m * p.g * p.r * mpmath.cos(theta) - 0.75 * mr2 * (dphi - dpsi * mpmath.sin(theta)) ** 2
                 - mr2 / 8 * (mpmath.cos(theta) * dpsi) ** 2) / (0.625 * mr2)
 
+    return at
+
+
+def test_11_steady_circle_is_a_double_root_of_theta_dot_squared():
+    # The steady circle sits at a double root of theta_dot^2(theta), and
+    # theta_ddot = (theta_dot^2)'/2 linearizes to -omega_n^2 (theta - theta0).
+    # The root read 2.1e-15, the slope -5.1e-16 and omega_n^2 26.6510531, a
+    # period of 1.21709 s.
+    cfg = scenario_preset("circle")
+    x0 = cfg.x0
+    at = theta_dot_squared(cfg)
     with mpmath.workdps(30):
-        root, slope, curvature = (float(mpmath.diff(theta_dot_squared, x0.theta, n)) for n in range(3))
+        root, slope, curvature = (float(mpmath.diff(at, x0.theta, n)) for n in range(3))
     omega_n_squared = -curvature / 2.0
     period = 2.0 * math.pi / math.sqrt(omega_n_squared)
     ok = abs(root) < 1e-12 and abs(slope) < 1e-12 and abs(omega_n_squared - 26.651053) < 1e-6
@@ -338,4 +348,45 @@ def test_11_steady_circle_is_a_double_root_of_theta_dot_squared():
         ok,
         f"theta_dot^2 = {root:.1e}, d/dtheta = {slope:.1e} at theta0 = {x0.theta} (each < 1e-12); "
         f"omega_n^2 = {omega_n_squared:.7f} (26.651053 to 1e-6), period {period:.5f} s",
+    )
+
+
+def test_12_precession_nutation_matches_the_quadrature(precession):
+    # precession starts at rest in theta at theta0 = 0.1, so theta0 and theta_max
+    # are the simple roots of test_11's theta_dot^2(theta), and the nutation
+    # period is twice the integral of dtheta / sqrt(theta_dot^2) between them,
+    # taken with theta = mid - half cos(u), which leaves an integrand smooth on
+    # [0, pi]. At 30 digits: theta_max = 0.297973283161185, period 2.16033949225444 s.
+    # The run's maxima, each the parabola through the largest sample and its
+    # neighbours (the largest sample alone is off by up to 1.1e-7 on the 1 ms
+    # grid), read within 2.7e-13 of theta_max; the mean spacing of the zeros
+    # of theta_dot, interpolated where it turns from + to -, read within
+    # 4.8e-11 of the period over the run's five maxima. The bars are 10x those.
+    at = theta_dot_squared(scenario_preset("precession"))
+    with mpmath.workdps(30):
+        low = mpmath.findroot(at, (0.05, 0.2), solver="anderson")
+        high = mpmath.findroot(at, (0.2, 0.4), solver="anderson")
+        mid, half = (high + low) / 2, (high - low) / 2
+        period = float(2 * mpmath.quad(lambda u: half * mpmath.sin(u) / mpmath.sqrt(at(mid - half * mpmath.cos(u))),
+                                       [0, mpmath.pi], method="gauss-legendre"))
+        low, high = float(low), float(high)
+    t = np.array([s.t for s in precession.samples])
+    theta = np.array([s.state.theta for s in precession.samples])
+    dtheta = np.array([s.state.dtheta for s in precession.samples])
+    down = np.nonzero((dtheta[:-1] > 0.0) & (dtheta[1:] <= 0.0))[0]
+    crossings = t[down] - dtheta[down] * (t[down + 1] - t[down]) / (dtheta[down + 1] - dtheta[down])
+    run_period = (crossings[-1] - crossings[0]) / (len(crossings) - 1)
+    top = down + (theta[down + 1] > theta[down])
+    before, at_top, after = theta[top - 1], theta[top], theta[top + 1]
+    peaks = at_top - (before - after) ** 2 / (8.0 * (before - 2.0 * at_top + after))
+    theta_err = float(np.max(np.abs(peaks - high)))
+    period_err = abs(run_period - period)
+    ok = (abs(low - 0.1) < 1e-14 and abs(high - 0.2979733) < 1e-7 and abs(period - 2.16034) < 1e-5
+          and len(peaks) == 5 and theta_err < 3e-12 and period_err < 5e-10)
+    check(
+        "12 precession nutation matches the quadrature",
+        ok,
+        f"turning points {low:.15f}, {high:.15f} (0.1 to 1e-14, 0.2979733 to 1e-7), "
+        f"period {period:.12f} s (2.16034 to 1e-5); RK4 run: {len(peaks)} maxima within {theta_err:.1e} "
+        f"of theta_max (< 3e-12), period off by {period_err:.1e} s (< 5e-10)",
     )

@@ -275,15 +275,11 @@ def test_direct_solve_gives_the_bits_of_numpy_solve():
 
 
 def test_failed_solves_raise_without_warnings():
-    # The guard keeps LAPACK away from a non-finite theta or psi, so the
-    # errors come from the guard and no numpy warning precedes them.
+    # A run whose rates overflow stops on its non-finite state with no numpy
+    # warning before it. test_non_finite_system_raises_value_error_not_singular
+    # holds the solves at a non-finite theta or psi.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite") as info:
-            solve_system((0, 0, 0, math.nan, 0), (0, 0, 1, 0, 0), P)
-        assert not isinstance(info.value, SingularConfiguration)
-        with pytest.raises(ValueError, match="non-finite"):
-            solve_system((0, 0, 0, 0.1, math.nan), (0, 0, 1, 0, 0), P)
         x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100)
         traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
     assert traj.failure_reason == NON_FINITE == "non-finite state"
@@ -336,19 +332,25 @@ def test_validation_sweep_sees_an_angle_fault_at_any_mass(monkeypatch):
 
 
 def test_non_finite_system_raises_value_error_not_singular():
-    # A NaN stand angle is no flat disk: the failed solve reports the NaN.
-    q = (0, 0, 0, math.nan, 0)
-    for solve in (solve_system, solve_oracle_system):
-        with pytest.raises(ValueError, match="non-finite") as info:
-            solve(q, (0, 0, 1, 0, 0), P)
-        assert not isinstance(info.value, SingularConfiguration)
+    # A non-finite stand or spin angle is no flat disk: both solves report
+    # both angles before any sine of them, and no numpy warning precedes it.
+    for theta, psi in [(bad, 0.1) for bad in (math.nan, math.inf, -math.inf)] + [
+            (0.3, bad) for bad in (math.nan, math.inf, -math.inf)]:
+        for solve in (solve_system, solve_oracle_system):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    solve((0, 0, 0, theta, psi), (0, 0, 1, 0, 0), P)
+            assert not isinstance(info.value, SingularConfiguration)
+            assert str(info.value) == f"non-finite angle at theta={theta!r}, psi={psi!r}"
 
 
 def test_assembled_system_is_the_frozen_block_layout():
     # Byte equality, signed zeros included, against the documented blocks of
     # the unit disk, on random states with theta of both signs and two just
-    # outside the band, at several (m, r): M is filled into a template built
-    # once at import, and it is the same M at every (m, r).
+    # outside the band, at several (m, r): M is written row by row from A's
+    # and G's entries, -A^T's -0.0 from negating A's zeros, and it is the same
+    # M at every (m, r).
     rng = np.random.default_rng(53)
     states = [sample_state(rng) for _ in range(200)]
     for sign, (q, v) in zip((1.0, -1.0), states[-2:]):
