@@ -137,7 +137,9 @@ _pack_49 = struct.Struct("49d").pack_into
 
 def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form augmented system (M, b) of the unit disk, with rates =
-    (dphi, dtheta, dpsi), each sine and cosine taken once."""
+    (dphi, dtheta, dpsi), each sine and cosine taken once. theta and psi must
+    be finite, which the two solves check first; nothing here does, on the hot
+    path, so an infinite angle raises math's ValueError and a NaN gives NaN in M."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
     g = _mass_entries(st)
@@ -176,7 +178,7 @@ def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     a rate that could swamp G. f is -oracle_lhs at the unit disk's rates
     (dc/r, angle rates) and no acceleration. Used for cross-validation.
 
-    Raises unit_disk's ValueError.
+    Raises unit_disk's ValueError. theta and psi must be finite, as in assemble_system.
     """
     unit = unit_disk(p)
     M, b = assemble_system(q[3], q[4], v[2:5], unit.g)

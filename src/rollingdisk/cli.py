@@ -35,18 +35,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import validation
-from .dynamics import State
 from .energetics import Params
 from .kinematics import euler_rotation
 from .simulator import (
+    CONFIG_KEYS,
     NON_FINITE,
     PRESET_NAMES,
     PRESETS,
     SINGULAR,
-    ScenarioConfig,
     Trajectory,
     diagnostics_summary,
     integrate,
+    scenario_from_values,
 )
 
 CSV_COLUMNS = (
@@ -66,8 +66,6 @@ CSV_COLUMNS = (
 
 # Keep every step internally, write every k-th row.
 EMIT_EVERY = 10
-
-CONFIG_KEYS = ("m", "g", "r", "x0", "t_end", "dt")
 
 # Exit code of a simulate run that stopped early, by Trajectory.failure_reason.
 ABORT_EXIT_CODES = {SINGULAR: 2, NON_FINITE: 4}
@@ -93,7 +91,7 @@ class RunConfig:
     out and emit_plot, validate sets samples, seed and params."""
 
     mode: str
-    scenario: ScenarioConfig | None = None
+    scenario: object = None
     out: str | None = None
     emit_plot: bool = False
     samples: int | None = None
@@ -138,7 +136,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str) -> dict:
-    """The file's CONFIG_KEYS values by key, checked for shape and JSON type only."""
+    """The file's JSON object, unchecked: scenario_from_values checks it once the flags merge in."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
@@ -149,18 +147,6 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} nests too deeply to read") from err
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a single object")
-    for key in CONFIG_KEYS:
-        if key not in raw:
-            raise UsageError(f"config file {path} is missing key {key!r}")
-    for key in raw:
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"config file {path} has unknown key {key!r}")
-    x0 = raw["x0"]
-    if not (isinstance(x0, list) and len(x0) == 8):
-        raise UsageError("config key 'x0' must be a list of 8 numbers")
-    for key, value in raw.items():  # float() below would take "5", and True is an int
-        if not all(type(v) in (int, float) for v in (value if key == "x0" else [value])):
-            raise UsageError(f"config key {key!r} must hold numbers, got {value!r}")
     return raw
 
 
@@ -196,9 +182,7 @@ def parse_args(argv) -> RunConfig:
     # The flags replace the source's values first: only the merged run is checked.
     values |= _given(ns, CONFIG_KEYS)
     try:
-        params = Params(**{k: float(values[k]) for k in ("m", "g", "r")})
-        scenario = ScenarioConfig(name, params, State.from_iterable(values["x0"]),
-                                  t_end=float(values["t_end"]), dt=float(values["dt"]))
+        scenario = scenario_from_values(name, values)
     except (OverflowError, ValueError) as err:  # OverflowError: an int too large for a float
         raise UsageError(f"config file {ns.config}: {err}" if ns.config else str(err)) from err
 
@@ -234,7 +218,7 @@ def write_csv(path: str, traj: Trajectory) -> int:
 OUTLINE_POINTS = 64
 
 
-def _disk_outline(x0: State, p: Params):
+def _disk_outline(x0, p: Params):
     """Top-view projection of the rim at the initial state."""
     rot = euler_rotation(x0[2:5])
     points = []
@@ -352,9 +336,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -40,8 +40,9 @@ from .energetics import Params, kinetic_energy, potential_energy
 from .assembly import solve_system
 from .singularity import SingularConfiguration
 
-# The presets' run values by name, keyed as in a config file. Read-only: a
-# caller that merges other values into an entry copies it first.
+# A run's keys, as a preset or a config file holds them, and the presets' values by name,
+# keyed by CONFIG_KEYS. Read-only: a caller that merges other values into an entry copies it first.
+CONFIG_KEYS = ("m", "g", "r", "x0", "t_end", "dt")
 PRESETS = MappingProxyType({name: MappingProxyType({**vars(Params()), "x0": x0, "t_end": t_end, "dt": 1e-3})
                             for name, x0, t_end in (
     ("precession", State(2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0), 10.0),
@@ -79,12 +80,29 @@ class ScenarioConfig:
         # The run takes n_steps() steps of dt and no partial one, so it would
         # silently stop short of (or beyond) a horizon that is not a multiple.
         if abs(self.n_steps() * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ValueError(
-                f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}"
-            )
+            raise ValueError(f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}")
+
+    @classmethod
+    def from_values(cls, name: str, values) -> ScenarioConfig:
+        """The run that values, keyed by CONFIG_KEYS, describe. ValueError for a missing or
+        unknown key, a value that is no int or float (a bool is none), or an x0 that is not a
+        list or tuple of eight; Params and __post_init__ check the ranges."""
+        for key in (*CONFIG_KEYS, *values):
+            if (key in values) != (key in CONFIG_KEYS):
+                raise ValueError(f"{'unknown' if key in values else 'missing'} key {key!r}")
+        if not (isinstance(x0 := values["x0"], (list, tuple)) and len(x0) == 8):
+            raise ValueError("x0 must be a list of 8 numbers")
+        for key, value in values.items():  # float() would take "5", and True is an int
+            if not all(type(v) in (int, float) for v in (x0 if key == "x0" else [value])):
+                raise ValueError(f"{key} must hold numbers, got {value!r}")
+        return cls(name, Params(**{k: float(values[k]) for k in ("m", "g", "r")}),
+                   State.from_iterable(x0), float(values["t_end"]), float(values["dt"]))
 
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
+
+
+scenario_from_values = ScenarioConfig.from_values  # for a caller that holds values, not the class
 
 
 class TrajectorySample(NamedTuple):
@@ -251,8 +269,7 @@ def scenario_preset(name: str) -> ScenarioConfig:
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    v = PRESETS[name]
-    return ScenarioConfig(name, Params(v["m"], v["g"], v["r"]), v["x0"], v["t_end"], v["dt"])
+    return ScenarioConfig.from_values(name, PRESETS[name])
 
 
 def diagnostics_summary(traj: Trajectory) -> Summary:

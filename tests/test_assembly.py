@@ -345,6 +345,24 @@ def test_non_finite_system_raises_value_error_not_singular():
             assert str(info.value) == f"non-finite angle at theta={theta!r}, psi={psi!r}"
 
 
+@pytest.mark.parametrize("theta, psi", [(bad, 0.1) for bad in (math.nan, math.inf, -math.inf)]
+                         + [(0.3, bad) for bad in (math.nan, math.inf, -math.inf)])
+def test_direct_system_calls_need_finite_angles(theta, psi):
+    # Only the two solves check the angles, so a direct call keeps the hot
+    # path bare: an infinite angle raises ValueError from its sine and a NaN
+    # one gives a NaN in M, neither with a numpy warning.
+    q, v = (0.0, 0.0, 0.0, theta, psi), (0.0, 0.0, 1.0, 0.2, 0.3)
+    calls = (lambda: assemble_system(theta, psi, v[2:5], UNIT.g), lambda: oracle_system(q, v, P))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if math.isnan(theta) or math.isnan(psi):
+                assert np.isnan(call()[0]).any()
+            else:
+                with pytest.raises(ValueError, match="math domain error"):
+                    call()
+
+
 def test_assembled_system_is_the_frozen_block_layout():
     # Byte equality, signed zeros included, against the documented blocks of
     # the unit disk, on random states with theta of both signs and two just

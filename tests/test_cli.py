@@ -13,7 +13,17 @@ import rollingdisk.assembly
 import rollingdisk.dynamics
 from rollingdisk import cli
 from rollingdisk.cli import CSV_COLUMNS, UsageError, main, parse_args
-from rollingdisk.simulator import PRESETS, scenario_preset
+from rollingdisk.simulator import CONFIG_KEYS, PRESETS, scenario_preset
+
+# A valid config file's values: 10 steps of the precession preset's tilt and spin.
+CONFIG = {
+    "m": 5.0,
+    "g": 9.81,
+    "r": 1.0,
+    "x0": [0.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0],
+    "t_end": 0.1,
+    "dt": 0.01,
+}
 
 
 def test_parse_simulate_preset():
@@ -124,32 +134,16 @@ def test_config_file_run(tmp_path):
 
 
 def test_config_default_out_uses_file_stem(tmp_path, monkeypatch):
-    config = {
-        "m": 5.0,
-        "g": 9.81,
-        "r": 1.0,
-        "x0": [0.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0],
-        "t_end": 0.05,
-        "dt": 0.01,
-    }
     path = tmp_path / "tilted.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(CONFIG))
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", str(path)]) == 0
     assert (tmp_path / "tilted.csv").exists()
 
 
 def test_config_flag_overrides_file(tmp_path):
-    config = {
-        "m": 5.0,
-        "g": 9.81,
-        "r": 1.0,
-        "x0": [0.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0],
-        "t_end": 0.1,
-        "dt": 0.01,
-    }
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(CONFIG))
     out = tmp_path / "c.csv"
     assert main(["simulate", "--config", str(path), "--dt", "0.005", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -163,27 +157,23 @@ def test_overrides_are_validated_together(tmp_path, capsys):
     # run below is invalid without its last flag, rejected in a message that
     # names the file, and with it writes the bytes of a file that holds the
     # merged values.
-    config = {
-        "m": 5.0,
-        "g": 9.81,
-        "r": 1.0,
-        "x0": [0.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0],
-        "t_end": 0.1,
-        "dt": 0.01,
-    }
     x0 = [2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0]
     cases = [
         # --dt 0.5 alone exceeds the file's t_end 0.1.
-        ({}, ["--dt", "0.5"], ["--t-end", "1.0"], {"dt": 0.5, "t_end": 1.0}),
+        (CONFIG, ["--dt", "0.5"], ["--t-end", "1.0"], {"dt": 0.5, "t_end": 1.0}),
         # 1.0 is no whole number of the file's 0.3 s steps.
-        ({"t_end": 1.0, "dt": 0.3}, [], ["--dt", "0.1"], {"dt": 0.1}),
-        ({"m": -1.0}, [], ["--m", "5"], {"m": 5.0}),
-        ({"x0": [2.0, 0.0, 0.0, float("nan"), 0.0, 2.5, 0.0, 0.0]}, [], ["--x0", *map(str, x0)], {"x0": x0}),
+        ({**CONFIG, "t_end": 1.0, "dt": 0.3}, [], ["--dt", "0.1"], {"dt": 0.1}),
+        ({**CONFIG, "m": -1.0}, [], ["--m", "5"], {"m": 5.0}),
+        ({**CONFIG, "x0": [2.0, 0.0, 0.0, float("nan"), 0.0, 2.5, 0.0, 0.0]}, [], ["--x0", *map(str, x0)],
+         {"x0": x0}),
+        # A key the file lacks, or a value that is no number, is supplied or replaced by a flag.
+        ({k: v for k, v in CONFIG.items() if k != "dt"}, [], ["--dt", "0.01"], {"dt": 0.01}),
+        ({**CONFIG, "dt": "0.01"}, [], ["--dt", "0.01"], {"dt": 0.01}),
     ]
-    for i, (changes, first, last, final) in enumerate(cases):
+    for i, (values, first, last, final) in enumerate(cases):
         given, merged = tmp_path / f"given{i}.json", tmp_path / f"merged{i}.json"
-        given.write_text(json.dumps({**config, **changes}))
-        merged.write_text(json.dumps({**config, **changes, **final}))
+        given.write_text(json.dumps(values))
+        merged.write_text(json.dumps({**values, **final}))
         out, want = tmp_path / f"given{i}.csv", tmp_path / f"merged{i}.csv"
         argv = ["simulate", "--config", str(given), "--out", str(out), *first]
         assert main(argv) == 1 and not out.exists(), argv
@@ -225,14 +215,7 @@ def test_overrides_are_validated_together(tmp_path, capsys):
     ],
 )
 def test_config_file_errors(tmp_path, capsys, mutate):
-    config = {
-        "m": 5.0,
-        "g": 9.81,
-        "r": 1.0,
-        "x0": [0.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, 0.0],
-        "t_end": 0.1,
-        "dt": 0.01,
-    }
+    config = dict(CONFIG)  # each mutation replaces a value, never edits x0 in place
     raw = mutate(config)
     path = tmp_path / "bad.json"
     path.write_bytes(raw if isinstance(raw, bytes) else json.dumps(config).encode())
@@ -241,6 +224,7 @@ def test_config_file_errors(tmp_path, capsys, mutate):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert str(path) in err, err
 
 
 @pytest.mark.parametrize("content, reason", [
@@ -354,7 +338,7 @@ def test_flags_leave_the_preset_as_it_was(tmp_path):
     assert main([*argv, "--out", str(out)]) == 0
     assert scenario_preset("precession") == before
     assert parse_args(["simulate", "--scenario", "precession"]).scenario == before
-    assert all(tuple(values) == cli.CONFIG_KEYS for values in PRESETS.values())
+    assert all(tuple(values) == CONFIG_KEYS for values in PRESETS.values())
 
 
 def test_x0_takes_negative_numbers_in_exponent_form(tmp_path):
