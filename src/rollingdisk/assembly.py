@@ -142,15 +142,16 @@ def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[n
     path, so an infinite angle raises math's ValueError and a NaN gives NaN in M."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
-    g = _mass_entries(st)
+    (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12,
+     g13, g14, g15, g16, g17, g18, g19, g20, g21, g22, g23, g24) = _mass_entries(st)
     M = np.empty((7, 7))
     _pack_49(M, 0, 0.0, 0.0, a0, a1, a2, a3, a4,
              0.0, 0.0, a5, a6, a7, a8, a9,
-             -a0, -a5, *g[0:5],
-             -a1, -a6, *g[5:10],
-             -a2, -a7, *g[10:15],
-             -a3, -a8, *g[15:20],
-             -a4, -a9, *g[20:25])
+             -a0, -a5, g0, g1, g2, g3, g4,
+             -a1, -a6, g5, g6, g7, g8, g9,
+             -a2, -a7, g10, g11, g12, g13, g14,
+             -a3, -a8, g15, g16, g17, g18, g19,
+             -a4, -a9, g20, g21, g22, g23, g24)
     drift0, drift1 = _drift_entries(st, ct, sp, cp, rates)
     return M, np.array((-drift0, -drift1, *_force_entries(g_over_r, st, ct, math.sin(2.0 * theta), rates)))
 
@@ -201,7 +202,7 @@ def _checked_angles(q) -> None:
 
 def _solve_unit(system: tuple[np.ndarray, np.ndarray], p: Params) -> tuple[float, ...]:
     """Solve a unit-disk system with gesv and scale its solution back to the disk p."""
-    y0, y1, y2, y3, y4, y5, y6 = _gesv(*system, signature="dd->d").tolist()
+    y0, y1, y2, y3, y4, y5, y6 = _gesv(*system).tolist()
     mr, r = p.m * p.r, p.r
     return mr * y0, mr * y1, r * y2, r * y3, y4, y5, y6
 

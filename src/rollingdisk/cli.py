@@ -43,10 +43,10 @@ from .simulator import (
     PRESET_NAMES,
     PRESETS,
     SINGULAR,
+    ScenarioConfig,
     Trajectory,
     diagnostics_summary,
     integrate,
-    scenario_from_values,
 )
 
 CSV_COLUMNS = (
@@ -91,7 +91,7 @@ class RunConfig:
     out and emit_plot, validate sets samples, seed and params."""
 
     mode: str
-    scenario: object = None
+    scenario: ScenarioConfig | None = None
     out: str | None = None
     emit_plot: bool = False
     samples: int | None = None
@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str) -> dict:
-    """The file's JSON object, unchecked: scenario_from_values checks it once the flags merge in."""
+    """The file's JSON object, unchecked: ScenarioConfig.from_values checks it once the flags merge in."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
@@ -182,7 +182,7 @@ def parse_args(argv) -> RunConfig:
     # The flags replace the source's values first: only the merged run is checked.
     values |= _given(ns, CONFIG_KEYS)
     try:
-        scenario = scenario_from_values(name, values)
+        scenario = ScenarioConfig.from_values(name, values)
     except (OverflowError, ValueError) as err:  # OverflowError: an int too large for a float
         raise UsageError(f"config file {ns.config}: {err}" if ns.config else str(err)) from err
 

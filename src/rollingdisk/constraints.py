@@ -49,7 +49,7 @@ def consistent_velocity(q, rates: tuple[float, float, float], p: Params) -> tupl
     return dc1, dc2, dphi, dtheta, dpsi
 
 
-def constraint_residual(q, v, p: Params) -> np.ndarray:
-    """Slip velocity A(q) v of the contact point, shape (2,). Zero when rolling."""
+def constraint_residual(q, v, p: Params) -> tuple[float, float]:
+    """Slip velocity A(q) v of the contact point, two floats. Zero when rolling."""
     # numpy's gemv, not a scalar sum (it rounds differently); .dot costs less than @.
-    return constraint_matrix(q, p).dot(np.array(v))
+    return tuple(constraint_matrix(q, p).dot(np.array(v)).tolist())

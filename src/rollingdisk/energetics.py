@@ -60,13 +60,13 @@ def kinetic_energy(q, v, p: Params) -> float:
     for complex arguments, as the products are never conjugated.
     """
     w = rotation_vector(q[2:5], v[2:5])
-    w0, w1, w2 = w.tolist()
+    w0, w1, w2 = w
     axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
     spin = np.array((axial * w0, 0.5 * axial * w1, 0.5 * axial * w2))  # I omega
     st = (cmath if isinstance(q[3], complex) else math).sin(q[3])
     dc = np.array([v[0], v[1], -p.r * st * v[3]])
     # numpy's dot products, not scalar sums (they round differently); .dot costs less than @.
-    rotational, translational = w.dot(spin), dc.dot(dc)
+    rotational, translational = np.array(w).dot(spin), dc.dot(dc)
     # Plain Python numbers; float() of a float64 costs a tenth of .item().
     plain = float if isinstance(rotational, float) and isinstance(translational, float) else complex
     return 0.5 * plain(rotational) + 0.5 * p.m * plain(translational)

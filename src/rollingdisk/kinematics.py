@@ -52,7 +52,7 @@ def euler_rotation(angles) -> np.ndarray:
     )
 
 
-def rotation_vector(angles, rates: tuple[float, float, float]) -> np.ndarray:
+def rotation_vector(angles, rates: tuple[float, float, float]) -> tuple:
     """Body-frame angular velocity for given angles and angle rates.
 
     Parameters
@@ -64,8 +64,9 @@ def rotation_vector(angles, rates: tuple[float, float, float]) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (3,)
-        Angular velocity omega expressed in body axes, complex if an input is.
+    tuple of three numbers
+        Angular velocity omega expressed in body axes; an entry is complex
+        where an input it reads is.
     """
     dphi, dtheta, dpsi = rates
     phi, theta = angles[0], angles[1]
@@ -73,11 +74,5 @@ def rotation_vector(angles, rates: tuple[float, float, float]) -> np.ndarray:
     trig_theta = cmath if isinstance(theta, complex) else math
     sf, cf = trig_phi.sin(phi), trig_phi.cos(phi)
     st, ct = trig_theta.sin(theta), trig_theta.cos(theta)
-    return np.array(
-        [
-            dphi - dpsi * st,
-            dtheta * cf + dpsi * sf * ct,
-            -dtheta * sf + dpsi * ct * cf,
-        ]
-    )
+    return dphi - dpsi * st, dtheta * cf + dpsi * sf * ct, -dtheta * sf + dpsi * ct * cf
 

@@ -28,6 +28,7 @@ last sample is the stop time. Overflow is such a stop, never a warning.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -89,20 +90,17 @@ class ScenarioConfig:
         list or tuple of eight; Params and __post_init__ check the ranges."""
         for key in (*CONFIG_KEYS, *values):
             if (key in values) != (key in CONFIG_KEYS):
-                raise ValueError(f"{'unknown' if key in values else 'missing'} key {key!r}")
+                raise ValueError(f"{'unknown' if key in values else 'missing'} key {reprlib.repr(key)}")
         if not (isinstance(x0 := values["x0"], (list, tuple)) and len(x0) == 8):
             raise ValueError("x0 must be a list of 8 numbers")
         for key, value in values.items():  # float() would take "5", and True is an int
-            if not all(type(v) in (int, float) for v in (x0 if key == "x0" else [value])):
-                raise ValueError(f"{key} must hold numbers, got {value!r}")
+            if bad := [v for v in (x0 if key == "x0" else [value]) if type(v) not in (int, float)]:
+                raise ValueError(f"{key} must hold numbers, got {reprlib.repr(bad[0])}")
         return cls(name, Params(**{k: float(values[k]) for k in ("m", "g", "r")}),
                    State.from_iterable(x0), float(values["t_end"]), float(values["dt"]))
 
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
-
-
-scenario_from_values = ScenarioConfig.from_values  # for a caller that holds values, not the class
 
 
 class TrajectorySample(NamedTuple):
@@ -167,7 +165,7 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
     """Total energy and contact slip at one time; split(y, p) gives (State, q, v)."""
     state, q, v = split(y, p)
     energy = kinetic_energy(q, v, p) + potential_energy(q, p)
-    r1, r2 = constraint_residual(q, v, p).tolist()
+    r1, r2 = constraint_residual(q, v, p)
     return tuple.__new__(TrajectorySample, (t, state, energy, max(abs(r1), abs(r2))))
 
 

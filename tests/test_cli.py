@@ -212,6 +212,10 @@ def test_overrides_are_validated_together(tmp_path, capsys):
         lambda c: c.update(m=10**400),
         # bytes that are not UTF-8 replace the whole file
         lambda c: b"\xff\xfe",
+        # the message echoes a short repr of what is wrong, however large
+        lambda c: c.update(m=[0] * 50_000),
+        lambda c: c.update(x0=[2.0, 0.0, 0.0, 0.1, 0.0, 2.5, 0.0, "0" * 50_000]),
+        lambda c: c.update({"z" * 50_000: 1.0}),
     ],
 )
 def test_config_file_errors(tmp_path, capsys, mutate):
@@ -224,7 +228,7 @@ def test_config_file_errors(tmp_path, capsys, mutate):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    assert str(path) in err, err
+    assert str(path) in err and len(err.encode()) - len(str(path).encode()) <= 200, err
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -62,5 +62,6 @@ def test_consistent_velocity_annihilated_by_matrix():
 def test_residual_sees_slip():
     q = (0, 0, 0, 0.0, 0.0)
     sliding = (1.0, 0.0, 0.0, 0.0, 0.0)  # pure center translation, no rotation
-    assert np.allclose(constraint_residual(q, sliding, P), [1.0, 0.0], atol=1e-15)
-
+    slip = constraint_residual(q, sliding, P)
+    assert type(slip) is tuple and [type(x) for x in slip] == [float, float]
+    assert np.allclose(slip, [1.0, 0.0], atol=1e-15)

@@ -50,3 +50,10 @@ class TestRotationVector:
         ]
         assert np.allclose(w, expected, atol=1e-15)
 
+    def test_returns_plain_numbers(self):
+        # Three floats for real angles and rates; with both angles complex, as
+        # a complex step hands them, three complex numbers.
+        w = rotation_vector((0.6, 0.2, 1.1), (0.3, -1.5, 0.8))
+        assert type(w) is tuple and [type(x) for x in w] == [float] * 3
+        w = rotation_vector((complex(0.6, 1e-30), complex(0.2, 1e-30), 1.1), (0.3, -1.5, 0.8))
+        assert type(w) is tuple and [type(x) for x in w] == [complex] * 3
