@@ -41,7 +41,8 @@ theta and psi LAPACK meets no zero pivot and numpy emits no warning; a
 non-finite theta or psi raises ValueError first. An inf or NaN in b gives a
 non-finite solution, which is returned as it is. The scaling back runs on
 Python floats, which overflow to inf without a warning, and they are what
-both solves return.
+both solves return. numpy is imported inside the functions that build or
+solve a system, not at import, so simulate's reduced route never loads it.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
 lagrangian, E_kin - E_pot built from omega's definition, the inertia and
@@ -58,16 +59,15 @@ from __future__ import annotations
 
 import math
 import struct
-
-import numpy as np
-from numpy.linalg import _umath_linalg
+from typing import TYPE_CHECKING
 
 from .constraints import _constraint_entries
 from .energetics import Params, lagrangian
 from .singularity import checked_cos_theta
 
-# The LAPACK gesv gufunc behind np.linalg.solve for a (n, n) matrix and a (n,) vector.
-_gesv = _umath_linalg.solve1
+if TYPE_CHECKING:  # numpy is imported where a system is built or solved
+    import numpy as np
+
 # Step of the oracle's complex-step derivatives: Im f(x + ih) / h = f'(x) +
 # O(h^2) takes no difference of nearby values, so h can sit far below
 # roundoff and needs no tuning to the state or the disk size.
@@ -115,6 +115,8 @@ def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
     -------
     ndarray, shape (5,)
     """
+    import numpy as np
+
     path_q = [complex(x, _COMPLEX_STEP * dx) for x, dx in zip(q, v)]
     path_v = [complex(dx, _COMPLEX_STEP * ddx) for dx, ddx in zip(v, a)]
     lhs = np.empty(5)
@@ -140,6 +142,8 @@ def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[n
     (dphi, dtheta, dpsi), each sine and cosine taken once. theta and psi must
     be finite, which the two solves check first; nothing here does, on the hot
     path, so an infinite angle raises math's ValueError and a NaN gives NaN in M."""
+    import numpy as np
+
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
     (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12,
@@ -202,7 +206,9 @@ def _checked_angles(q) -> None:
 
 def _solve_unit(system: tuple[np.ndarray, np.ndarray], p: Params) -> tuple[float, ...]:
     """Solve a unit-disk system with gesv and scale its solution back to the disk p."""
-    y0, y1, y2, y3, y4, y5, y6 = _gesv(*system).tolist()
+    import numpy as np
+
+    y0, y1, y2, y3, y4, y5, y6 = np.linalg._umath_linalg.solve1(*system).tolist()
     mr, r = p.m * p.r, p.r
     return mr * y0, mr * y1, r * y2, r * y3, y4, y5, y6
 

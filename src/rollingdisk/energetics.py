@@ -19,6 +19,11 @@ with omega from kinematics.rotation_vector, and the Lagrangian is
 L = E_kin - E_pot, evaluated from these definitions and never expanded.
 Each function takes complex arguments too, for the complex-step oracle of
 assembly: a complex angle takes cmath's sine and cosine, a real one math's.
+
+On floats, kinetic_energy takes each 3-term dot product as the fma chain
+fma(x2, y2, fma(x1, y1, x0*y0)), so its bits are fixed by that order and
+the platform's libm, not by a BLAS kernel. On other numbers (the oracle's
+complex ones) it takes numpy's dot, importing numpy on first use.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .fma import fma
 from .kinematics import rotation_vector
 
 
@@ -59,14 +63,21 @@ def kinetic_energy(q, v, p: Params) -> float:
     rotation_vector and dc/dt = (dc1, dc2, -r sin(theta) dtheta). Complex
     for complex arguments, as the products are never conjugated.
     """
-    w = rotation_vector(q[2:5], v[2:5])
-    w0, w1, w2 = w
+    w0, w1, w2 = rotation_vector(q[2:5], v[2:5])
     axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
-    spin = np.array((axial * w0, 0.5 * axial * w1, 0.5 * axial * w2))  # I omega
+    s0, s1, s2 = axial * w0, 0.5 * axial * w1, 0.5 * axial * w2  # I omega
     st = (cmath if isinstance(q[3], complex) else math).sin(q[3])
-    dc = np.array([v[0], v[1], -p.r * st * v[3]])
+    dc0, dc1, dc2 = v[0], v[1], -p.r * st * v[3]
+    if type(w0) is type(w1) is type(w2) is type(dc0) is type(dc1) is type(dc2) is float:
+        rotational = fma(w2, s2, fma(w1, s1, w0 * s0))
+        translational = fma(dc2, dc2, fma(dc1, dc1, dc0 * dc0))
+        return 0.5 * rotational + 0.5 * p.m * translational
+    import numpy as np
+
     # numpy's dot products, not scalar sums (they round differently); .dot costs less than @.
-    rotational, translational = np.array(w).dot(spin), dc.dot(dc)
+    rotational = np.array((w0, w1, w2)).dot(np.array((s0, s1, s2)))
+    dc = np.array((dc0, dc1, dc2))
+    translational = dc.dot(dc)
     # Plain Python numbers; float() of a float64 costs a tenth of .item().
     plain = float if isinstance(rotational, float) and isinstance(translational, float) else complex
     return 0.5 * plain(rotational) + 0.5 * p.m * plain(translational)

@@ -24,10 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
 
-
-def euler_rotation(angles) -> np.ndarray:
+def euler_rotation(angles):
     """World orientation matrix R = R_heading @ R_stand @ R_spin, written out.
 
     Parameters
@@ -40,6 +38,8 @@ def euler_rotation(angles) -> np.ndarray:
     ndarray, shape (3, 3)
         Proper orthogonal matrix mapping body coordinates to world coordinates.
     """
+    import numpy as np  # on first use: only simulate --emit-plot reads the matrix
+
     sf, cf = math.sin(angles[0]), math.cos(angles[0])
     st, ct = math.sin(angles[1]), math.cos(angles[1])
     sp, cp = math.sin(angles[2]), math.cos(angles[2])

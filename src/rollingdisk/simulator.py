@@ -16,7 +16,8 @@ the reduced route's eight floats, returning a State, and _step_10dim over the
 unreduced route's ten, handing each stage's coordinates and rates to
 solve_system as 5-tuples. c1, c2 and phi are cyclic: no slope reads them, so
 the inner stages hand them on at the step's start values, and the steps keep
-textbook RK4's bits. numpy stays inside the kernels, out of the samples.
+textbook RK4's bits. Samples and the summary hold plain floats; the reduced
+route runs no numpy, and the unreduced route only in the 7x7 solve.
 
 A trajectory holds the ScenarioConfig it ran and per-step diagnostics (total
 energy with reconstructed center rates, contact slip residual). On a singular
@@ -32,8 +33,6 @@ import reprlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
-
-import numpy as np
 
 from .constraints import consistent_velocity, constraint_residual
 from .dynamics import State, circular_spin, state_derivative
@@ -173,25 +172,26 @@ def _run(cfg: ScenarioConfig, y, advance, split) -> Trajectory:
     """Step y with advance(y, dt, p) and sample every step. A step that hits
     the flat-disk band, or whose state, energy or residual is not finite,
     ends the run; the partial trajectory ends at the start of the failed step
-    and carries the reason. numpy does not warn inside: a value it would flag
-    is inf or NaN, which ends the run as NON_FINITE under any warnings filter."""
+    and carries the reason. Nothing warns inside: the reduced route runs no
+    numpy, and integrate_10dim silences numpy's flags around the 7x7 solves. A
+    value they would flag is inf or NaN, which ends the run as NON_FINITE under
+    any warnings filter."""
     p, dt = cfg.params, cfg.dt
     reason = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = [_sample(0.0, y, split, p)]
-        for i in range(cfg.n_steps()):
-            try:
-                y = advance(y, dt, p)
-                sample = _sample((i + 1) * dt, y, split, p)
-                if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
-                    reason = NON_FINITE
-            except SingularConfiguration:
-                reason = SINGULAR
-            except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
+    samples = [_sample(0.0, y, split, p)]
+    for i in range(cfg.n_steps()):
+        try:
+            y = advance(y, dt, p)
+            sample = _sample((i + 1) * dt, y, split, p)
+            if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
                 reason = NON_FINITE
-            if reason is not None:
-                break
-            samples.append(sample)
+        except SingularConfiguration:
+            reason = SINGULAR
+        except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
+            reason = NON_FINITE
+        if reason is not None:
+            break
+        samples.append(sample)
     return Trajectory(cfg, tuple(samples), reason)
 
 
@@ -249,9 +249,12 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     linear solve. The per-sample residual now measures genuine constraint
     drift rather than holding at rounding level by construction.
     """
+    import numpy as np  # the 7x7 solves run in it; see _run
+
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
-    return _run(cfg, y0, _step_10dim, _split_10dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run(cfg, y0, _step_10dim, _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:
@@ -271,17 +274,20 @@ def scenario_preset(name: str) -> ScenarioConfig:
 
 
 def diagnostics_summary(traj: Trajectory) -> Summary:
-    """Aggregate per-sample diagnostics into headline numbers. As in _run,
-    numpy does not warn: an infinite first energy gives NaN drift."""
-    energies = np.array([s.energy for s in traj.samples])
-    e0 = float(energies[0])
+    """Aggregate per-sample diagnostics into headline numbers; the mean drift
+    is correctly rounded. An infinite first energy gives NaN drift."""
+    energies = [s.energy for s in traj.samples]
+    e0 = energies[0]
     denom = abs(e0) if e0 != 0.0 else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.abs(energies - e0) / denom
-    min_cos = min(abs(math.cos(s.state.theta)) for s in traj.samples)
+    drift = [abs(e - e0) / denom for e in energies]
+    try:  # no drift is negative, so fsum meets no inf - inf
+        mean = math.fsum(drift) / len(drift)
+    except OverflowError:  # a sum past the float maximum, which np.mean also rounds to inf
+        mean = math.inf
     return Summary(
-        max_energy_drift=float(np.max(drift)),
-        mean_energy_drift=float(np.mean(drift)),
+        # The mean is NaN exactly when a drift is, and then so is np.max.
+        max_energy_drift=mean if math.isnan(mean) else max(drift),
+        mean_energy_drift=mean,
         max_residual=max(s.residual for s in traj.samples),
-        min_abs_cos_theta=min_cos,
+        min_abs_cos_theta=min(abs(math.cos(s.state.theta)) for s in traj.samples),
     )

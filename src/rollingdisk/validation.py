@@ -15,13 +15,14 @@ cos(theta) >= 0.36). The five velocity components are drawn independently;
 the eliminated unknowns do not depend on the center rates, so unconstrained
 velocities exercise the algebra on a strictly larger domain than rolling
 states would.
+
+The cli imports this module, and simulate runs none of it, so numpy is
+imported in the functions that use it, on first use.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from . import assembly, dynamics
 from .energetics import Params
@@ -31,8 +32,8 @@ from .energetics import Params
 THRESHOLD = 1e-10
 
 
-def sample_state(rng: np.random.Generator) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One random nonsingular (coordinates, velocity) pair of 5-tuples."""
+def sample_state(rng) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """One random nonsingular (coordinates, velocity) pair of 5-tuples, drawn from rng, a numpy Generator."""
     q = (
         rng.uniform(-2.0, 2.0),
         rng.uniform(-2.0, 2.0),
@@ -47,6 +48,8 @@ def sample_state(rng: np.random.Generator) -> tuple[tuple[float, ...], tuple[flo
 def max_rel_diff(a, b) -> float:
     """Normwise relative difference max|a-b| / max(1, max|b|); inf when
     either side holds inf or NaN, so an unmeasurable error fails every bar."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -85,6 +88,8 @@ def validation_sweep(p: Params, n_samples: int, seed: int) -> dict:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    import numpy as np
+
     unit = assembly.unit_disk(p)
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(ROUTES, (-1.0, None))

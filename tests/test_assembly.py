@@ -16,7 +16,7 @@ from rollingdisk.assembly import (
     solve_system,
     unit_disk,
 )
-from rollingdisk.constraints import consistent_velocity, constraint_matrix
+from rollingdisk.constraints import consistent_velocity, constraint_residual
 from rollingdisk.dynamics import State
 from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
 from rollingdisk.kinematics import rotation_vector
@@ -24,6 +24,7 @@ from rollingdisk.simulator import NON_FINITE, ScenarioConfig, integrate_10dim
 from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import (
     THRESHOLD, closed_form_seven, max_rel_diff, sample_state, solve_seven, validation_sweep)
+from test_constraints import constraint_matrix
 
 P = Params()
 # The disk whose system assemble_system and oracle_system build for P.
@@ -425,7 +426,7 @@ def test_plain_sequences_give_the_same_bits():
             lambda q, v, a: oracle_lhs(q, v, a, UNIT),
             lambda q, v, a: solve_system(q, v, P),
             lambda q, v, a: solve_oracle_system(q, v, P),
-            lambda q, v, a: constraint_matrix(q, P),
+            lambda q, v, a: constraint_residual(q, v, P),
         )
         for f in calls:
             assert np.asarray(f(list(q), list(v), list(a))).tobytes() == np.asarray(f(q, v, a)).tobytes()

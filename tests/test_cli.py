@@ -515,6 +515,32 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_simulate_runs_without_numpy(tmp_path, name):
+    # numpy is imported on first use: with its import blocked, simulate runs
+    # each preset whole; validate and the unreduced route then load numpy in
+    # the same process.
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
+        "from rollingdisk import cli, simulator\n"
+        "assert cli.main(['simulate', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "del sys.meta_path[0]\n"
+        "assert cli.main(['validate', '--samples', '5']) == 0\n"
+        "cfg = replace(simulator.scenario_preset(sys.argv[1]), t_end=0.01)\n"
+        "assert len(simulator.integrate_10dim(cfg).samples) == cfg.n_steps() + 1\n"
+    )
+    proc = _python("-c", code, name, str(tmp_path / "s.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote" in proc.stdout and "PASS" in proc.stdout
+
+
 def test_cli_module_runs_as_a_script(tmp_path):
     out = tmp_path / "m.csv"
     proc = _python("-m", "rollingdisk.cli", "simulate", "--scenario", "straight",

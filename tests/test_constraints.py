@@ -3,13 +3,19 @@ import math
 import numpy as np
 
 from rollingdisk.constraints import (
+    _constraint_entries,
     consistent_velocity,
-    constraint_matrix,
     constraint_residual,
 )
 from rollingdisk.energetics import Params
 
 P = Params()
+
+
+def constraint_matrix(q, p: Params) -> np.ndarray:
+    """A(q), shape (2, 5), from the ten entries the program writes it with."""
+    entries = _constraint_entries(p.r, math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4]))
+    return np.reshape(entries, (2, 5))
 
 
 def random_coords(rng) -> tuple:

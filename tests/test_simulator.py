@@ -357,6 +357,37 @@ def test_summary_of_single_sample_trajectory():
     assert traj.samples[-1].state == UPRIGHT_REST
 
 
+def _summary_of_energies(energies) -> simulator.Summary:
+    samples = tuple(TrajectorySample(1e-3 * i, UPRIGHT_REST, e, 0.0) for i, e in enumerate(energies))
+    return diagnostics_summary(Trajectory(ScenarioConfig("e", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), samples))
+
+
+def _numpy_drift(energies):
+    energies = np.array(energies)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(energies - energies[0]) / (abs(energies[0]) if energies[0] != 0.0 else 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_summary_of_a_non_finite_energy_is_numpy_max_and_mean(bad):
+    # Past the first sample (whose drift is 0.0), early, late and in between.
+    for at in (1, 7, 8, 9, 127, 128, 129, 255, 256, 999):
+        rng = np.random.default_rng(at)
+        energies = (49.05 + rng.standard_normal(1000) * 1e-9).tolist()
+        energies[at] = bad
+        summary, drift = _summary_of_energies(energies), _numpy_drift(energies)
+        for got, want in ((summary.max_energy_drift, np.max(drift)), (summary.mean_energy_drift, np.mean(drift))):
+            assert got == float(want) or (math.isnan(got) and math.isnan(want)), at
+
+
+def test_summary_of_drifts_past_the_float_maximum_is_inf():
+    # Each drift is finite but their sum is not: the mean is inf, as np.mean's, and nothing raises.
+    summary = _summary_of_energies([1.0, 1.5e308, 1.5e308])
+    with np.errstate(over="ignore"):
+        assert summary.mean_energy_drift == np.mean(_numpy_drift([1.0, 1.5e308, 1.5e308])) == math.inf
+    assert summary.max_energy_drift == 1.5e308
+
+
 def _run_for_2s(name, x0=None, route=integrate, **params):
     cfg = scenario_preset(name)
     return route(replace(cfg, params=Params(**params), x0=cfg.x0 if x0 is None else x0, t_end=2.0))
