@@ -24,14 +24,13 @@ lambda = m r y[0:2], ddc = r y[2:4] and the angle accelerations y[4:7]
 unchanged.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
-into the generalized mass G (_mass_entries) and force f (_force_entries), so
-every velocity term lives in b; they are M[2:7, 2:7] and b[2:7]. Each entry
-is written once, in a helper returning plain floats. assemble_system writes M
-row by row into a fresh array: each contact row is (0, 0, A row) and each
-motion row (-A column, G row), with all of A from _constraint_entries and all
-of G from _mass_entries, so negating A's zeros gives the -0.0 at M[2, 1] and
-M[3, 0]; b is one numpy call. det M = (15/32) cos^2(theta), so the cos(theta)
-band of the singularity guard is the exact rank test.
+into the generalized mass G and force f, so every velocity term lives in b.
+_augmented alone knows the block layout: it writes M row by row into a fresh
+array, each contact row (0, 0, A row) and each motion row (-A column, G row),
+so negating A's zeros gives the -0.0 at M[2, 1] and M[3, 0], and b is
+(-drift, f). assemble_system hands it the closed-form entries, each written
+once in a helper returning plain floats. det M = (15/32) cos^2(theta), so the
+cos(theta) band of the singularity guard is the exact rank test.
 
 Both solves hand (M, b) straight to LAPACK's gesv through the gufunc that
 np.linalg.solve itself runs, _umath_linalg.solve1, and so get the same bits
@@ -52,7 +51,7 @@ Trapp, SIAM Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003):
 one constant step h = 1e-30, no difference of nearby values and so no step
 to tune. oracle_system reads each of G's 15 distinct entries from one call of
 L at rest and f from oracle_lhs's 15 calls, 30 calls in all, on the unit
-disk, and takes the contact rows and -A^T from assemble_system.
+disk; A and the drift are the closed forms', as L alone has no contact rows.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _drift_entries(st: float, ct: float, sp: float, cp: float, rates) -> tuple:
             -sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates)
 
 
-def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
+def oracle_lhs(q, v, a, p: Params) -> tuple[float, ...]:
     """Euler-Lagrange left side from complex-step derivatives of the Lagrangian only.
 
     dL/dq_i is Im L(q + ih e_i, qdot) / h. The time derivative of dL/dqdot_i
@@ -113,13 +112,11 @@ def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (5,)
+    tuple of five floats
     """
-    import numpy as np
-
     path_q = [complex(x, _COMPLEX_STEP * dx) for x, dx in zip(q, v)]
     path_v = [complex(dx, _COMPLEX_STEP * ddx) for dx, ddx in zip(v, a)]
-    lhs = np.empty(5)
+    lhs = []
     for i in range(5):
         ahead, behind, probe = list(path_v), list(path_v), list(q)
         ahead[i] += 1.0
@@ -127,27 +124,23 @@ def oracle_lhs(q, v, a, p: Params) -> np.ndarray:
         probe[i] = complex(q[i], _COMPLEX_STEP)
         momentum_rate = (lagrangian(path_q, ahead, p).imag
                          - lagrangian(path_q, behind, p).imag) / (2.0 * _COMPLEX_STEP)
-        lhs[i] = momentum_rate - lagrangian(probe, v, p).imag / _COMPLEX_STEP
-    return lhs
+        lhs.append(momentum_rate - lagrangian(probe, v, p).imag / _COMPLEX_STEP)
+    return tuple(lhs)
 
 
-# M is written row by row into a fresh array: packing its 49 Python floats
-# costs about 1 us less per call than np.array on them, and the unreduced
-# route assembles four times per step.
+# Packing M's 49 Python floats costs about 1 us less per call than np.array on
+# them, and the unreduced route assembles four times per step.
 _pack_49 = struct.Struct("49d").pack_into
 
 
-def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form augmented system (M, b) of the unit disk, with rates =
-    (dphi, dtheta, dpsi), each sine and cosine taken once. theta and psi must
-    be finite, which the two solves check first; nothing here does, on the hot
-    path, so an infinite angle raises math's ValueError and a NaN gives NaN in M."""
+def _augmented(a, g, drift, f) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (M, b) of the block layout from A's 10 entries, G's 25 (row by
+    row), the drift's 2 and f's 5: the one place that knows where each goes."""
     import numpy as np
 
-    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _constraint_entries(1.0, st, ct, sp, cp)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = a
     (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12,
-     g13, g14, g15, g16, g17, g18, g19, g20, g21, g22, g23, g24) = _mass_entries(st)
+     g13, g14, g15, g16, g17, g18, g19, g20, g21, g22, g23, g24) = g
     M = np.empty((7, 7))
     _pack_49(M, 0, 0.0, 0.0, a0, a1, a2, a3, a4,
              0.0, 0.0, a5, a6, a7, a8, a9,
@@ -156,8 +149,18 @@ def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[n
              -a2, -a7, g10, g11, g12, g13, g14,
              -a3, -a8, g15, g16, g17, g18, g19,
              -a4, -a9, g20, g21, g22, g23, g24)
-    drift0, drift1 = _drift_entries(st, ct, sp, cp, rates)
-    return M, np.array((-drift0, -drift1, *_force_entries(g_over_r, st, ct, math.sin(2.0 * theta), rates)))
+    return M, np.array((-drift[0], -drift[1], *f))
+
+
+def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form augmented system (M, b) of the unit disk, with rates =
+    (dphi, dtheta, dpsi), each sine and cosine taken once. theta and psi must
+    be finite, which the two solves check first; nothing here does, on the hot
+    path, so an infinite angle raises math's ValueError and a NaN gives NaN in M."""
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(psi), math.cos(psi)
+    return _augmented(_constraint_entries(1.0, st, ct, sp, cp), _mass_entries(st),
+                      _drift_entries(st, ct, sp, cp, rates),
+                      _force_entries(g_over_r, st, ct, math.sin(2.0 * theta), rates))
 
 
 def unit_disk(p: Params) -> Params:
@@ -174,27 +177,28 @@ def unit_disk(p: Params) -> Params:
 def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """Augmented unit-disk system (M, b) with G and f rebuilt from the Lagrangian.
 
-    Starts from assemble_system's system, whose contact rows, -A^T and b[0:2]
-    it keeps, and overwrites G = M[2:7, 2:7] and f = b[2:7] with values of
-    lagrangian alone, on unit_disk(p). L is quadratic in the rates, so G does
-    not depend on them and is read at rest, with q real, where T is the
-    quadratic form qdot^T G qdot / 2 and V is real: G_ij is
-    Im L(q, e_i + ih e_j) / h, one call per distinct entry, and no term holds
-    a rate that could swamp G. f is -oracle_lhs at the unit disk's rates
-    (dc/r, angle rates) and no acceleration. Used for cross-validation.
+    G and f are values of lagrangian alone, on unit_disk(p); A and the drift
+    are the closed forms'. L is quadratic in the rates, so G does not depend
+    on them and is read at rest, with q real, where T is the quadratic form
+    qdot^T G qdot / 2 and V is real: G_ij is Im L(q, e_i + ih e_j) / h, one
+    call per distinct entry, and no term holds a rate that could swamp G. f
+    is -oracle_lhs at the unit disk's rates (dc/r, angle rates) and no
+    acceleration. Used for cross-validation.
 
-    Raises unit_disk's ValueError. theta and psi must be finite, as in assemble_system.
+    Raises unit_disk's ValueError. theta and psi must be finite, which only the solves check.
     """
     unit = unit_disk(p)
-    M, b = assemble_system(q[3], q[4], v[2:5], unit.g)
+    st, ct, sp, cp = math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4])
+    g = [0.0] * 25
     for i in range(5):
         for j in range(i, 5):
             probe = [0.0] * 5
             probe[j] = complex(0.0, _COMPLEX_STEP)
             probe[i] += 1.0
-            M[2 + i, 2 + j] = M[2 + j, 2 + i] = lagrangian(q, probe, unit).imag / _COMPLEX_STEP
-    b[2:7] = -oracle_lhs(q, (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4]), (0.0,) * 5, unit)
-    return M, b
+            g[5 * i + j] = g[5 * j + i] = lagrangian(q, probe, unit).imag / _COMPLEX_STEP
+    lhs = oracle_lhs(q, (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4]), (0.0,) * 5, unit)
+    return _augmented(_constraint_entries(1.0, st, ct, sp, cp), g,
+                      _drift_entries(st, ct, sp, cp, v[2:5]), [-x for x in lhs])
 
 
 def _checked_angles(q) -> None:

@@ -1,12 +1,12 @@
 """Command-line front end: run scenarios to CSV, cross-validate the algebra.
 
-Exit codes: 0 success, 1 usage problem, or a CSV or plot script that simulate
+Exit codes: 0 success, 1 usage problem, a CSV or plot script that simulate
 cannot write (after the run; "cannot write <path>: <reason>" on stderr, no
-traceback), 2 run aborted on a singular configuration, 3 validation sweep
-over threshold (an error that is not finite reads inf) or parameters at which
-the model cannot be evaluated (the reason in one line on stderr, no
-traceback), 4 run aborted on a non-finite state (a rate or an energy that
-overflowed).
+traceback) or a validate without numpy (one line on stderr), 2 run aborted
+on a singular configuration, 3 validation sweep over threshold (an error
+that is not finite reads inf) or parameters at which the model cannot be
+evaluated (the reason in one line on stderr, no traceback), 4 run aborted
+on a non-finite state (a rate or an energy that overflowed).
 
 CSV output is deterministic byte for byte for a given configuration: fixed
 column order, every float at 17 significant digits, no locale involvement.
@@ -225,8 +225,8 @@ def _disk_outline(x0, p: Params):
     for k in range(OUTLINE_POINTS + 1):
         u = 2.0 * math.pi * k / OUTLINE_POINTS
         rim_body = (0.0, p.r * math.cos(u), p.r * math.sin(u))
-        wx = x0.c1 + rot[0, 1] * rim_body[1] + rot[0, 2] * rim_body[2]
-        wy = x0.c2 + rot[1, 1] * rim_body[1] + rot[1, 2] * rim_body[2]
+        wx = x0.c1 + rot[0][1] * rim_body[1] + rot[0][2] * rim_body[2]
+        wy = x0.c2 + rot[1][1] * rim_body[1] + rot[1][2] * rim_body[2]
         points.append((wx, wy))
     return points
 
@@ -304,7 +304,8 @@ def run_simulate(cfg: RunConfig) -> int:
 
 def run_validate(cfg: RunConfig) -> int:
     """Random-state cross-check sweep; exit 3 when an error is over its
-    threshold, or when the model cannot be evaluated at the parameters."""
+    threshold, or when the model cannot be evaluated at the parameters, and
+    1 when numpy cannot be imported."""
     p = cfg.params
     try:
         worst = validation.validation_sweep(p, cfg.samples, cfg.seed)
@@ -312,6 +313,9 @@ def run_validate(cfg: RunConfig) -> int:
         print(f"validate: cannot evaluate the model at g={p.g:g}, r={p.r:g}: "
               f"{type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    except ImportError as err:
+        print(f"validate needs numpy, which cannot be imported: {err}", file=sys.stderr)
+        return 1
     print(f"validate: {cfg.samples} samples, seed {cfg.seed}")
     failed = False
     for route, (err, (q, v)) in worst.items():

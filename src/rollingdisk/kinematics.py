@@ -35,21 +35,15 @@ def euler_rotation(angles):
 
     Returns
     -------
-    ndarray, shape (3, 3)
+    tuple of three rows, each a tuple of three floats
         Proper orthogonal matrix mapping body coordinates to world coordinates.
     """
-    import numpy as np  # on first use: only simulate --emit-plot reads the matrix
-
     sf, cf = math.sin(angles[0]), math.cos(angles[0])
     st, ct = math.sin(angles[1]), math.cos(angles[1])
     sp, cp = math.sin(angles[2]), math.cos(angles[2])
-    return np.array(
-        [
-            [ct * cp, -cf * sp + st * cp * sf, sp * sf + st * cp * cf],
-            [ct * sp, cp * cf + st * sp * sf, -cp * sf + st * cf * sp],
-            [-st, ct * sf, ct * cf],
-        ]
-    )
+    return ((ct * cp, -cf * sp + st * cp * sf, sp * sf + st * cp * cf),
+            (ct * sp, cp * cf + st * sp * sf, -cp * sf + st * cf * sp),
+            (-st, ct * sf, ct * cf))
 
 
 def rotation_vector(angles, rates: tuple[float, float, float]) -> tuple:

@@ -16,8 +16,8 @@ the eliminated unknowns do not depend on the center rates, so unconstrained
 velocities exercise the algebra on a strictly larger domain than rolling
 states would.
 
-The cli imports this module, and simulate runs none of it, so numpy is
-imported in the functions that use it, on first use.
+The cli imports this module, and simulate runs none of it, so numpy, which
+only draws the states, is imported when a sweep runs.
 """
 
 from __future__ import annotations
@@ -46,15 +46,12 @@ def sample_state(rng) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def max_rel_diff(a, b) -> float:
-    """Normwise relative difference max|a-b| / max(1, max|b|); inf when
-    either side holds inf or NaN, so an unmeasurable error fails every bar."""
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    """Normwise relative difference max|a-b| / max(1, max|b|) of two equally long
+    sequences; inf when either holds inf or NaN, so it fails every bar."""
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    if not all(map(math.isfinite, a + b)):
         return math.inf
-    return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
+    return max(abs(x - y) for x, y in zip(a, b, strict=True)) / max(1.0, max(map(abs, b)))
 
 
 def closed_form_seven(q, rates, p: Params) -> tuple[float, ...]:

@@ -210,7 +210,7 @@ def test_09_rotation_matrix_quality_and_rate_consistency():
     rng = np.random.default_rng(1009)
     worst_orth = worst_det = 0.0
     for _ in range(10_000):
-        R = euler_rotation(rng.uniform(-math.pi, math.pi, 3))
+        R = np.asarray(euler_rotation(rng.uniform(-math.pi, math.pi, 3)))
         worst_orth = max(worst_orth, float(np.max(np.abs(R.T @ R - np.eye(3)))))
         worst_det = max(worst_det, abs(float(np.linalg.det(R)) - 1.0))
 
@@ -221,10 +221,10 @@ def test_09_rotation_matrix_quality_and_rate_consistency():
         rates = tuple(rng.uniform(-3.0, 3.0, 3))
 
         def at(s):
-            return euler_rotation([a + s * da for a, da in zip(angles, rates)])
+            return np.asarray(euler_rotation([a + s * da for a, da in zip(angles, rates)]))
 
         dR = (at(h) - at(-h)) / (2.0 * h)
-        W = euler_rotation(angles).T @ dR
+        W = np.asarray(euler_rotation(angles)).T @ dR
         worst_skew = max(worst_skew, float(np.max(np.abs(W + W.T))))
         fd = np.array([-W[1, 2], W[0, 2], -W[0, 1]])
         worst_rate = max(worst_rate, float(np.max(np.abs(fd - rotation_vector(angles, rates)))))

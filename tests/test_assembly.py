@@ -311,6 +311,19 @@ def test_validation_sweep_needs_a_sample():
         validation_sweep(Params(), 0, 1)
 
 
+def test_max_rel_diff_keeps_the_bits_of_the_numpy_formula():
+    # The normwise error is plain Python; the numpy formula it replaced is the
+    # reference, on 7-vectors across 1e+-300, half of them near-equal pairs.
+    rng = np.random.default_rng(60)
+    for k in range(2000):
+        a = rng.standard_normal(7) * 10.0 ** rng.uniform(-300.0, 300.0)
+        b = (a if k % 2 else 0.0) + rng.standard_normal(7) * 10.0 ** rng.uniform(-300.0, 300.0)
+        want = float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
+        assert max_rel_diff(tuple(a.tolist()), tuple(b.tolist())).hex() == want.hex()
+    for bad in (math.inf, -math.inf, math.nan):
+        assert max_rel_diff((1.0, bad), (0.0, 0.0)) == max_rel_diff((0.0, 0.0), (1.0, bad)) == math.inf
+
+
 def test_validation_sweep_is_the_same_at_every_mass():
     # The sweep runs on the unit disk of p, which has no m.
     reports = [validation_sweep(Params(m=m), 25, 42) for m in (1e-3, 5.0, 1e16)]
@@ -395,14 +408,17 @@ def test_assembled_system_is_the_frozen_block_layout():
 
 
 def test_each_assembly_returns_fresh_arrays():
+    # Both systems come out of one layout helper; neither may hand out an
+    # array that a later call writes into, or one that it read back.
     q, v = sample_state(np.random.default_rng(56))
-    first = assemble_system(q[3], q[4], v[2:5], UNIT.g)
-    want = [part.tobytes() for part in first]
-    second = assemble_system(q[3], q[4], v[2:5], UNIT.g)
-    assert not any(np.shares_memory(x, y) for x in first for y in second)
-    for part in first:
-        part.fill(np.nan)
-    assert [part.tobytes() for part in assemble_system(q[3], q[4], v[2:5], UNIT.g)] == want
+    for build in (lambda: assemble_system(q[3], q[4], v[2:5], UNIT.g), lambda: oracle_system(q, v, P)):
+        first = build()
+        want = [part.tobytes() for part in first]
+        second = build()
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
+        for part in first:
+            part.fill(np.nan)
+        assert [part.tobytes() for part in build()] == want
 
 
 def test_plain_sequences_give_the_same_bits():

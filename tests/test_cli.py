@@ -518,8 +518,10 @@ def test_cli_imports_without_scipy():
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_simulate_runs_without_numpy(tmp_path, name):
     # numpy is imported on first use: with its import blocked, simulate runs
-    # each preset whole; validate and the unreduced route then load numpy in
-    # the same process.
+    # each preset whole and writes the CSV and plot script of a run with
+    # numpy, and validate, whose generator needs numpy, exits 1 with one
+    # stderr line; unblocked, validate and the unreduced route then load
+    # numpy in the same process.
     code = (
         "import sys\n"
         "from dataclasses import replace\n"
@@ -529,16 +531,26 @@ def test_simulate_runs_without_numpy(tmp_path, name):
         "            raise ImportError('numpy is blocked')\n"
         "sys.meta_path.insert(0, NoNumpy())\n"
         "from rollingdisk import cli, simulator\n"
-        "assert cli.main(['simulate', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert cli.main(['simulate', '--scenario', sys.argv[1], '--out', sys.argv[2], '--emit-plot']) == 0\n"
+        "assert cli.main(['validate', '--samples', '5']) == 1\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         "del sys.meta_path[0]\n"
         "assert cli.main(['validate', '--samples', '5']) == 0\n"
         "cfg = replace(simulator.scenario_preset(sys.argv[1]), t_end=0.01)\n"
         "assert len(simulator.integrate_10dim(cfg).samples) == cfg.n_steps() + 1\n"
     )
-    proc = _python("-c", code, name, str(tmp_path / "s.csv"))
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    blocked.mkdir()
+    free.mkdir()
+    proc = _python("-c", code, name, str(blocked / "s.csv"))
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout and "PASS" in proc.stdout
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("validate needs numpy"), line
+    assert main(["simulate", "--scenario", name, "--out", str(free / "s.csv"), "--emit-plot"]) == 0
+    for artifact in ("s.csv", "s.gp"):
+        assert (blocked / artifact).read_bytes() == (free / artifact).read_bytes(), artifact
 
 
 def test_cli_module_runs_as_a_script(tmp_path):

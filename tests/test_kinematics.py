@@ -10,13 +10,13 @@ def random_angles(rng) -> tuple:
 
 
 def test_zero_angles_is_identity():
-    assert np.array_equal(euler_rotation((0.0, 0.0, 0.0)), np.eye(3))
+    assert np.array_equal(np.asarray(euler_rotation((0.0, 0.0, 0.0))), np.eye(3))
 
 
 def test_rotation_is_proper_orthogonal():
     rng = np.random.default_rng(12)
     for _ in range(10_000):
-        R = euler_rotation(random_angles(rng))
+        R = np.asarray(euler_rotation(random_angles(rng)))
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
@@ -26,7 +26,7 @@ def test_angles_are_not_wrapped():
     # (-pi, pi] are legitimate.
     a = (0.4, -0.9, 2.0)
     b = (0.4 + 2.0 * math.pi, -0.9 - 2.0 * math.pi, 2.0 + 4.0 * math.pi)
-    assert np.allclose(euler_rotation(a), euler_rotation(b), atol=1e-12)
+    assert np.allclose(np.asarray(euler_rotation(a)), np.asarray(euler_rotation(b)), atol=1e-12)
 
 
 class TestRotationVector:
