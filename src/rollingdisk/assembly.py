@@ -107,8 +107,11 @@ def oracle_lhs(q, v, a, p: Params) -> tuple[float, ...]:
     s = ih, as Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h).
     L is quadratic in the rates, so this unit central difference in qdot_i is
     exact; the imaginary parts are differenced before the division, so a term
-    common to both, however large, cancels instead of overflowing. Nothing of
-    the closed-form expressions is used.
+    common to both cancels instead of overflowing. That holds while
+    h^2 |v| |a| << 1: beyond it the cross terms of the complex path and the
+    complex rates reach the real parts, and at h = 1e-30 an acceleration of
+    1e100 loses its term silently and one of 1e200 gives NaN. oracle_system
+    passes a = 0. Nothing of the closed-form expressions is used.
 
     Returns
     -------

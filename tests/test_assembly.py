@@ -68,9 +68,11 @@ class TestEulerLagrangeLhs:
 
     def test_matches_complex_step_rebuild(self):
         rng = np.random.default_rng(41)
+        triples = [random_triple(rng) for _ in range(300)]
+        # An acceleration of 1e50: far beyond any rate, yet h^2 |v| |a| << 1 at h = 1e-30.
+        triples.append(((0.1, 0.2, 0.3, 0.4, 0.5), (0.1, -0.2, 0.3, 1.1, -0.7), (0.0, 0.0, 0.0, 1e50, 0.0)))
         worst = 0.0
-        for _ in range(300):
-            q, v, a = random_triple(rng)
+        for q, v, a in triples:
             err = max_rel_diff(oracle_lhs(q, v, a, UNIT), closed_lhs(q, v, a))
             worst = max(worst, err)
         assert worst < 1e-12, f"closed form vs complex-step Lagrangian: {worst:.3e}"

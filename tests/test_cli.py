@@ -63,9 +63,15 @@ def test_usage_errors(argv):
         parse_args(argv)
 
 
-def test_usage_errors_exit_code_1(capsys):
+def test_usage_errors_exit_code_1(tmp_path, capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err
+    # An --out that the plot script would overwrite: one line, nothing run or written.
+    gp = tmp_path / "p.gp"
+    assert main(["simulate", "--scenario", "straight", "--t-end", "0.01", "--out", str(gp), "--emit-plot"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --emit-plot would overwrite") and err.count("\n") == 1, err
+    assert not gp.exists()
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -297,7 +303,7 @@ def test_overflowing_rates_exit_4_with_partial_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[CSV_COLUMNS.index("dpsi")]) == 1e100
-    assert "run aborted: non-finite state at t=0 s" in capsys.readouterr().err
+    assert capsys.readouterr().err == "run aborted: non-finite state at t=0 s; partial trajectory written\n"
 
 
 def test_overflowing_initial_energy_is_a_usage_error(tmp_path, capsys):
