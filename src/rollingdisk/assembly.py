@@ -25,23 +25,24 @@ unchanged.
 
 The motion rows come from the split d/dt(dL/dqdot) - dL/dq = G(q) qddot - f(q, qdot)
 into the generalized mass G and force f, so every velocity term lives in b.
-_augmented alone knows the block layout: it writes M row by row into a fresh
-array, each contact row (0, 0, A row) and each motion row (-A column, G row),
-so negating A's zeros gives the -0.0 at M[2, 1] and M[3, 0], and b is
+_augmented alone knows the block layout: it lays out M's 49 floats row by
+row, each contact row (0, 0, A row) and each motion row (-A column, G row),
+so negating A's zeros gives the -0.0 at M[2, 1] and M[3, 0], and b's 7 as
 (-drift, f). assemble_system hands it the closed-form entries, each written
 once in a helper returning plain floats. det M = (15/32) cos^2(theta), so the
 cos(theta) band of the singularity guard is the exact rank test.
 
-Both solves hand (M, b) straight to LAPACK's gesv through the gufunc that
-np.linalg.solve itself runs, _umath_linalg.solve1, and so get the same bits
-without the wrapper's argument conversion and errstate. M's LU pivots are
-about cos^2(theta) / 4, at least 2.5e-13 outside the band, so for finite
-theta and psi LAPACK meets no zero pivot and numpy emits no warning; a
+Both solves pack (M, b) into fresh float64 arrays for LAPACK's gesv, called
+through the gufunc that np.linalg.solve itself runs, _umath_linalg.solve1,
+so they get the same bits without the wrapper's argument conversion and
+errstate. M's LU pivots are about cos^2(theta) / 4, at least 2.5e-13 outside
+the band, so for finite theta and psi LAPACK meets no zero pivot; a
 non-finite theta or psi raises ValueError first. An inf or NaN in b gives a
-non-finite solution, which is returned as it is. The scaling back runs on
-Python floats, which overflow to inf without a warning, and they are what
-both solves return. numpy is imported inside the functions that build or
-solve a system, not at import, so simulate's reduced route never loads it.
+non-finite solution, returned as it is with no warning, as the gufunc clears
+the floating-point flags it raises. The scaling back runs on Python floats,
+which overflow to inf silently. _solve_unit alone imports numpy, on first
+use: building a system needs none beyond the oracle's complex dot, and
+simulate's reduced route never loads it.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
 lagrangian, E_kin - E_pot built from omega's definition, the inertia and
@@ -58,14 +59,10 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import TYPE_CHECKING
 
 from .constraints import _constraint_entries
 from .energetics import Params, lagrangian
 from .singularity import checked_cos_theta
-
-if TYPE_CHECKING:  # numpy is imported where a system is built or solved
-    import numpy as np
 
 # Step of the oracle's complex-step derivatives: Im f(x + ih) / h = f'(x) +
 # O(h^2) takes no difference of nearby values, so h can sit far below
@@ -131,31 +128,23 @@ def oracle_lhs(q, v, a, p: Params) -> tuple[float, ...]:
     return tuple(lhs)
 
 
-# Packing M's 49 Python floats costs about 1 us less per call than np.array on
-# them, and the unreduced route assembles four times per step.
-_pack_49 = struct.Struct("49d").pack_into
-
-
-def _augmented(a, g, drift, f) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh (M, b) of the block layout from A's 10 entries, G's 25 (row by
+def _augmented(a, g, drift, f) -> tuple[tuple, tuple]:
+    """(M's 49 floats row by row, b's 7) from A's 10 entries, G's 25 (row by
     row), the drift's 2 and f's 5: the one place that knows where each goes."""
-    import numpy as np
-
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = a
     (g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12,
      g13, g14, g15, g16, g17, g18, g19, g20, g21, g22, g23, g24) = g
-    M = np.empty((7, 7))
-    _pack_49(M, 0, 0.0, 0.0, a0, a1, a2, a3, a4,
+    return ((0.0, 0.0, a0, a1, a2, a3, a4,
              0.0, 0.0, a5, a6, a7, a8, a9,
              -a0, -a5, g0, g1, g2, g3, g4,
              -a1, -a6, g5, g6, g7, g8, g9,
              -a2, -a7, g10, g11, g12, g13, g14,
              -a3, -a8, g15, g16, g17, g18, g19,
-             -a4, -a9, g20, g21, g22, g23, g24)
-    return M, np.array((-drift[0], -drift[1], *f))
+             -a4, -a9, g20, g21, g22, g23, g24),
+            (-drift[0], -drift[1], *f))
 
 
-def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(theta: float, psi: float, rates, g_over_r: float) -> tuple[tuple, tuple]:
     """Closed-form augmented system (M, b) of the unit disk, with rates =
     (dphi, dtheta, dpsi), each sine and cosine taken once. theta and psi must
     be finite, which the two solves check first; nothing here does, on the hot
@@ -177,7 +166,7 @@ def unit_disk(p: Params) -> Params:
     return Params(1.0, g_over_r, 1.0)
 
 
-def oracle_system(q, v, p: Params) -> tuple[np.ndarray, np.ndarray]:
+def oracle_system(q, v, p: Params) -> tuple[tuple, tuple]:
     """Augmented unit-disk system (M, b) with G and f rebuilt from the Lagrangian.
 
     G and f are values of lagrangian alone, on unit_disk(p); A and the drift
@@ -211,11 +200,20 @@ def _checked_angles(q) -> None:
     checked_cos_theta(q[3])
 
 
-def _solve_unit(system: tuple[np.ndarray, np.ndarray], p: Params) -> tuple[float, ...]:
-    """Solve a unit-disk system with gesv and scale its solution back to the disk p."""
+# Packing M's 49 Python floats costs about 1 us less per call than np.array on
+# them, and the unreduced route solves four times per step.
+_pack_49 = struct.Struct("49d").pack_into
+
+
+def _solve_unit(system: tuple[tuple, tuple], p: Params) -> tuple[float, ...]:
+    """Solve a unit-disk system (M's 49 floats, b's 7) with gesv and scale its
+    solution back to the disk p."""
     import numpy as np
 
-    y0, y1, y2, y3, y4, y5, y6 = np.linalg._umath_linalg.solve1(*system).tolist()
+    entries, b = system
+    M = np.empty((7, 7))
+    _pack_49(M, 0, *entries)
+    y0, y1, y2, y3, y4, y5, y6 = np.linalg._umath_linalg.solve1(M, np.array(b)).tolist()
     mr, r = p.m * p.r, p.r
     return mr * y0, mr * y1, r * y2, r * y3, y4, y5, y6
 

@@ -16,8 +16,8 @@ the reduced route's eight floats, returning a State, and _step_10dim over the
 unreduced route's ten, handing each stage's coordinates and rates to
 solve_system as 5-tuples. c1, c2 and phi are cyclic: no slope reads them, so
 the inner stages hand them on at the step's start values, and the steps keep
-textbook RK4's bits. Samples and the summary hold plain floats; the reduced
-route runs no numpy, and the unreduced route only in the 7x7 solve.
+textbook RK4's bits. Samples and the summary hold plain floats. This module
+imports no numpy; only the unreduced route's 7x7 solve runs it.
 
 A trajectory holds the ScenarioConfig it ran and per-step diagnostics (total
 energy with reconstructed center rates, contact slip residual). On a singular
@@ -172,10 +172,10 @@ def _run(cfg: ScenarioConfig, y, advance, split) -> Trajectory:
     """Step y with advance(y, dt, p) and sample every step. A step that hits
     the flat-disk band, or whose state, energy or residual is not finite,
     ends the run; the partial trajectory ends at the start of the failed step
-    and carries the reason. Nothing warns inside: the reduced route runs no
-    numpy, and integrate_10dim silences numpy's flags around the 7x7 solves. A
-    value they would flag is inf or NaN, which ends the run as NON_FINITE under
-    any warnings filter."""
+    and carries the reason. Nothing warns inside: the steps run on Python
+    floats, which overflow to inf silently, and the gufunc behind the 7x7
+    solves clears the floating-point flags it raises. An overflow is inf or
+    NaN, which ends the run as NON_FINITE under any warnings filter."""
     p, dt = cfg.params, cfg.dt
     reason = None
     samples = [_sample(0.0, y, split, p)]
@@ -249,12 +249,9 @@ def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
     linear solve. The per-sample residual now measures genuine constraint
     drift rather than holding at rounding level by construction.
     """
-    import numpy as np  # the 7x7 solves run in it; see _run
-
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run(cfg, y0, _step_10dim, _split_10dim)
+    return _run(cfg, y0, _step_10dim, _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

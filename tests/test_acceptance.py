@@ -22,6 +22,7 @@ from rollingdisk.kinematics import euler_rotation, rotation_vector
 from rollingdisk.simulator import diagnostics_summary, integrate, integrate_10dim, scenario_preset
 from rollingdisk.singularity import SingularConfiguration
 from rollingdisk.validation import max_rel_diff, sample_state
+from test_assembly import arrays
 
 P = Params()
 
@@ -34,6 +35,11 @@ def check(name: str, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def precession():
     return integrate(scenario_preset("precession"))
+
+
+@pytest.fixture(scope="module")
+def circle():
+    return integrate(scenario_preset("circle"))
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ def test_02_variational_lhs_matches_differenced_lagrangian():
         v = tuple(rng.uniform(-3.0, 3.0, 5))
         a = rng.uniform(-3.0, 3.0, 5)
         # assemble_system builds the system of the unit disk under gravity g/r.
-        M, b = assemble_system(q[3], q[4], v[2:5], P.g / P.r)
+        M, b = arrays(assemble_system(q[3], q[4], v[2:5], P.g / P.r))
         closed = M[2:7, 2:7] @ a - b[2:7]
         worst = max(worst, max_rel_diff(oracle_lhs(q, v, a, Params(m=1.0, g=P.g / P.r, r=1.0)), closed))
     elapsed = time.perf_counter() - start
@@ -102,13 +108,12 @@ def test_03_precession_energy_and_wandering_turn(precession):
     )
 
 
-def test_04_circle_scenario_stays_on_its_circle():
-    traj = integrate(scenario_preset("circle"))
-    theta = np.array([s.state.theta for s in traj.samples])
-    dpsi = np.array([s.state.dpsi for s in traj.samples])
+def test_04_circle_scenario_stays_on_its_circle(circle):
+    theta = np.array([s.state.theta for s in circle.samples])
+    dpsi = np.array([s.state.dpsi for s in circle.samples])
     theta_err = float(np.max(np.abs(theta - 0.5)))
     dpsi_err = float(np.max(np.abs(dpsi - 1.0)))
-    path = np.array([[s.state.c1, s.state.c2] for s in traj.samples])
+    path = np.array([[s.state.c1, s.state.c2] for s in circle.samples])
     design = np.column_stack([path[:, 0], path[:, 1], np.ones(len(path))])
     target = path[:, 0] ** 2 + path[:, 1] ** 2
     sol, *_ = np.linalg.lstsq(design, target, rcond=None)
@@ -330,6 +335,23 @@ def theta_dot_squared(cfg):
     return at
 
 
+def nutation(at):
+    """(theta0, theta_max, rate, period) of a nutation from rest in theta, at
+    mpmath's working precision: the simple roots of at = theta_dot^2(theta)
+    the motion starts at and rises to, the integrand rate(u) = dt/du of the
+    time t(u) = integral of dtheta / sqrt(theta_dot^2) taken with
+    theta = mid - half cos(u), which is smooth on [0, pi], and twice its
+    integral there."""
+    low = mpmath.findroot(at, (0.05, 0.2), solver="anderson")
+    high = mpmath.findroot(at, (0.2, 0.4), solver="anderson")
+    mid, half = (high + low) / 2, (high - low) / 2
+
+    def rate(u):
+        return half * mpmath.sin(u) / mpmath.sqrt(at(mid - half * mpmath.cos(u)))
+
+    return low, high, rate, 2 * mpmath.quad(rate, [0, mpmath.pi], method="gauss-legendre")
+
+
 def test_11_steady_circle_is_a_double_root_of_theta_dot_squared():
     # The steady circle sits at a double root of theta_dot^2(theta), and
     # theta_ddot = (theta_dot^2)'/2 linearizes to -omega_n^2 (theta - theta0).
@@ -364,12 +386,8 @@ def test_12_precession_nutation_matches_the_quadrature(precession):
     # 4.8e-11 of the period over the run's five maxima. The bars are 10x those.
     at = theta_dot_squared(scenario_preset("precession"))
     with mpmath.workdps(30):
-        low = mpmath.findroot(at, (0.05, 0.2), solver="anderson")
-        high = mpmath.findroot(at, (0.2, 0.4), solver="anderson")
-        mid, half = (high + low) / 2, (high - low) / 2
-        period = float(2 * mpmath.quad(lambda u: half * mpmath.sin(u) / mpmath.sqrt(at(mid - half * mpmath.cos(u))),
-                                       [0, mpmath.pi], method="gauss-legendre"))
-        low, high = float(low), float(high)
+        low, high, _, period = nutation(at)
+        low, high, period = float(low), float(high), float(period)
     t = np.array([s.t for s in precession.samples])
     theta = np.array([s.state.theta for s in precession.samples])
     dtheta = np.array([s.state.dtheta for s in precession.samples])
@@ -389,4 +407,63 @@ def test_12_precession_nutation_matches_the_quadrature(precession):
         f"turning points {low:.15f}, {high:.15f} (0.1 to 1e-14, 0.2979733 to 1e-7), "
         f"period {period:.12f} s (2.16034 to 1e-5); RK4 run: {len(peaks)} maxima within {theta_err:.1e} "
         f"of theta_max (< 3e-12), period off by {period_err:.1e} s (< 5e-10)",
+    )
+
+
+def test_13_circle_follows_its_closed_form(circle):
+    # The steady circle in closed form over the whole preset: theta, phi_dot
+    # and psi_dot keep their start values, phi and psi grow linearly, and the
+    # center, whose rate is k (sin psi, -cos psi) with k = r (phi_dot -
+    # psi_dot sin theta), runs round its circle of radius |k / psi_dot| in
+    # step with psi. The RK4 run's largest errors over the 6 s read 2.01e-12
+    # in c1, 4.96e-13 in c2, 1.85e-12 in phi, 3.38e-13 in psi and 2.0e-15 in
+    # theta_dot, all roundoff; theta, phi_dot and psi_dot keep their start
+    # bits, as their slopes move them by less than half an ulp a step. Each
+    # bar is 10x its error.
+    measured = {"c1": 2.01e-12, "c2": 4.96e-13, "phi": 1.85e-12, "theta": 0.0,
+                "psi": 3.38e-13, "dphi": 0.0, "dtheta": 2.0e-15, "dpsi": 0.0}
+    x0, r = circle.config.x0, circle.config.params.r
+    k, w = r * (x0.dphi - x0.dpsi * math.sin(x0.theta)), x0.dpsi
+    errors = dict.fromkeys(measured, 0.0)
+    for s in circle.samples:
+        psi = x0.psi + w * s.t
+        exact = State(x0.c1 + k * (math.cos(x0.psi) - math.cos(psi)) / w,
+                      x0.c2 - k * (math.sin(psi) - math.sin(x0.psi)) / w,
+                      x0.phi + x0.dphi * s.t, x0.theta, psi, x0.dphi, 0.0, w)
+        for name, got, want in zip(State._fields, s.state, exact):
+            errors[name] = max(errors[name], abs(got - want))
+    check(
+        "13 circle follows its closed form",
+        all(errors[name] <= 10.0 * measured[name] for name in measured) and len(circle.samples) == 6001,
+        ", ".join(f"{name} {errors[name]:.2e} (<= {10.0 * measured[name]:.1e})" for name in measured),
+    )
+
+
+def test_14_precession_theta_follows_the_inverted_quadrature(precession):
+    # theta(t) at four times in the first nutation period, exactly: t(u) of
+    # test_12's quadrature, inverted by Newton's method in mpmath.findroot,
+    # whose slope dt/du is the integrand. theta falls back as it rose, so a
+    # time t past the half period reads u(period - t). The times are taken
+    # in order of that distance, each quadrature starting from the last root
+    # and capped at 24 nodes, all at 20 digits, which give the 30-digit
+    # floats. The RK4 run read 1.87e-14, 1.02e-13, 9.20e-14 and 2.96e-13 off
+    # at 0.25, 0.75, 1.25 and 1.75 s. Each bar is 10x its error.
+    measured = {250: 1.87e-14, 750: 1.02e-13, 1250: 9.20e-14, 1750: 2.96e-13}
+    errors = {}
+    with mpmath.workdps(20):
+        low, high, rate, period = nutation(theta_dot_squared(scenario_preset("precession")))
+        root = reached = mpmath.mpf(0)  # the last root and its time t(root)
+        for t, i in sorted((min(mpmath.mpf(precession.samples[i].t), period - precession.samples[i].t), i)
+                           for i in measured):
+            start, t_start = root, reached
+            root = mpmath.findroot(
+                lambda u: t_start + mpmath.quad(rate, [start, u], method="gauss-legendre", maxdegree=4) - t,
+                2 * mpmath.pi * t / period, solver="newton", df=rate)
+            reached = t
+            theta = float((high + low) / 2 - (high - low) / 2 * mpmath.cos(root))
+            errors[i] = abs(precession.samples[i].state.theta - theta)
+    check(
+        "14 precession theta follows the inverted quadrature",
+        all(errors[i] <= 10.0 * measured[i] for i in measured),
+        ", ".join(f"t = {i * 1e-3:g} s: {errors[i]:.2e} (<= {10.0 * measured[i]:.1e})" for i in measured),
     )

@@ -31,6 +31,12 @@ P = Params()
 UNIT = Params(m=1.0, g=P.g / P.r, r=1.0)
 
 
+def arrays(system):
+    """A build's (M, b), 49 and 7 floats, as a 7x7 matrix and a 7-vector with the same bits."""
+    M, b = system
+    return np.reshape(M, (7, 7)), np.array(b)
+
+
 def scaled_back(y, p):
     """The disk p's (lambda, ddc, angle accelerations) from the unit disk's solution y."""
     y = np.asarray(y).tolist()
@@ -46,7 +52,7 @@ def random_triple(rng):
 
 def closed_lhs(q, v, a):
     """The unit disk's closed-form left side G(q) a - f(q, v), read from assemble_system."""
-    M, b = assemble_system(q[3], q[4], v[2:5], UNIT.g)
+    M, b = arrays(assemble_system(q[3], q[4], v[2:5], UNIT.g))
     return M[2:7, 2:7] @ np.asarray(a, dtype=float) - b[2:7]
 
 
@@ -83,9 +89,9 @@ class TestEulerLagrangeLhs:
         rng = np.random.default_rng(40)
         for _ in range(100):
             q, v, _ = random_triple(rng)
-            G = assemble_system(q[3], q[4], v[2:5], UNIT.g)[0][2:7, 2:7]
+            G = arrays(assemble_system(q[3], q[4], v[2:5], UNIT.g))[0][2:7, 2:7]
             assert np.array_equal(G, G.T)
-            assert np.max(np.abs(oracle_system(q, v, P)[0][2:7, 2:7] - G)) < 1e-12
+            assert np.max(np.abs(arrays(oracle_system(q, v, P))[0][2:7, 2:7] - G)) < 1e-12
 
 
 @pytest.mark.parametrize("m, r", [(5.0, 1.0), (100.0, 0.01), (0.01, 100.0), (5.0, 0.001), (5.0, 1000.0), (0.001, 1e-4)])
@@ -97,7 +103,7 @@ def test_oracle_system_is_the_closed_form_system_to_roundoff(m, r):
     rng = np.random.default_rng(57)
     for _ in range(100):
         q, v = sample_state(rng)
-        (got_M, got_b), (want_M, want_b) = oracle_system(q, v, p), assemble_system(q[3], q[4], v[2:5], p.g / p.r)
+        (got_M, got_b), (want_M, want_b) = arrays(oracle_system(q, v, p)), arrays(assemble_system(q[3], q[4], v[2:5], p.g / p.r))
         for got, want in ((got_M[0:2], want_M[0:2]), (got_M[2:7, 2:7], want_M[2:7, 2:7]), (got_b, want_b)):
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), (q, v)
 
@@ -113,14 +119,14 @@ def test_contact_rows_match_matrix_and_drift():
         q, v = sample_state(rng)
         # both systems carry the unit disk's A on top, and its drift
         # sign-flipped at the top of b
-        for M, b in (assemble_system(q[3], q[4], v[2:5], p.g / p.r), oracle_system(q, v, p)):
+        for M, b in map(arrays, (assemble_system(q[3], q[4], v[2:5], p.g / p.r), oracle_system(q, v, p))):
             assert np.array_equal(M[0:2, 2:7], constraint_matrix(q, UNIT))
             assert np.array_equal(b[0:2], -drift(q, v))
 
 
 class TestMassMatrix:
     def test_reference_entries_upright(self):
-        M, _ = assemble_system(0.0, 0.0, (0, 0, 0), UNIT.g)
+        M, _ = arrays(assemble_system(0.0, 0.0, (0, 0, 0), UNIT.g))
         assert M[4, 4] == 0.5
         assert M[5, 5] == 0.25
         assert M[6, 6] == 0.25
@@ -145,7 +151,7 @@ class TestMassMatrix:
             if abs(math.cos(q[3])) < 0.1:
                 continue
             checked += 1
-            assert np.linalg.det(assemble_system(q[3], q[4], (0, 0, 0), UNIT.g)[0]) != 0.0
+            assert np.linalg.det(arrays(assemble_system(q[3], q[4], (0, 0, 0), UNIT.g))[0]) != 0.0
 
     @pytest.mark.parametrize("m, r", [(5.0, 1.0), (2.0, 0.37), (100.0, 0.01), (0.01, 100.0)])
     def test_determinant_is_cos_squared_theta(self, m, r):
@@ -156,14 +162,14 @@ class TestMassMatrix:
         rng = np.random.default_rng(51)
         for _ in range(200):
             q, v, _ = random_triple(rng)
-            det = np.linalg.det(assemble_system(q[3], q[4], v[2:5], p.g / p.r)[0]) / math.cos(q[3]) ** 2
+            det = np.linalg.det(arrays(assemble_system(q[3], q[4], v[2:5], p.g / p.r))[0]) / math.cos(q[3]) ** 2
             assert det == pytest.approx(15.0 / 32.0, rel=1e-8)
 
     def test_factor_solve_round_trip(self):
         rng = np.random.default_rng(48)
         for _ in range(200):
             q, _ = sample_state(rng)
-            M, _ = assemble_system(q[3], q[4], (0, 0, 0), UNIT.g)
+            M, _ = arrays(assemble_system(q[3], q[4], (0, 0, 0), UNIT.g))
             x0 = rng.uniform(-1.0, 1.0, 7)
             x = np.linalg.solve(M, M @ x0)
             assert np.max(np.abs(x - x0)) < 1e-10
@@ -175,7 +181,7 @@ class TestRhsVector:
         assert np.array_equal(b, np.zeros(7))
 
     def test_rest_tilted_loads_only_stand_row(self):
-        _, b = assemble_system(0.1, 0.0, (0, 0, 0), UNIT.g)
+        _, b = arrays(assemble_system(0.1, 0.0, (0, 0, 0), UNIT.g))
         assert b[5] == pytest.approx(P.g / P.r * math.sin(0.1), rel=1e-14)
         mask = np.ones(7, dtype=bool)
         mask[5] = False
@@ -205,7 +211,7 @@ class TestSolveSystem:
         rng = np.random.default_rng(49)
         for _ in range(300):
             q, v = sample_state(rng)
-            M, b = assemble_system(q[3], q[4], v[2:5], UNIT.g)
+            M, b = arrays(assemble_system(q[3], q[4], v[2:5], UNIT.g))
             y = solve_system(q, v, P) / scaled_back(np.ones(7), P)  # back on the unit disk
             resid = float(np.max(np.abs(M @ y - b)))
             bound = 1e-9 * (1.0 + float(np.max(np.abs(b))))
@@ -274,19 +280,26 @@ def test_direct_solve_gives_the_bits_of_numpy_solve():
         warnings.simplefilter("error")
         for q, v, p in cases:
             x = solve_system(q, v, p)
-            assert np.asarray(x).tobytes() == scaled_back(np.linalg.solve(*assemble_system(q[3], q[4], v[2:5], p.g / p.r)), p).tobytes(), (q, v, p)
+            assert np.asarray(x).tobytes() == scaled_back(np.linalg.solve(*arrays(assemble_system(q[3], q[4], v[2:5], p.g / p.r))), p).tobytes(), (q, v, p)
 
 
 def test_failed_solves_raise_without_warnings():
-    # A run whose rates overflow stops on its non-finite state with no numpy
-    # warning before it. test_non_finite_system_raises_value_error_not_singular
-    # holds the solves at a non-finite theta or psi.
+    # A solve whose b overflows returns non-finite floats, and a run whose
+    # rates overflow stops on its non-finite state, with no numpy warning
+    # before either: the gesv gufunc clears the floating-point flags it
+    # raises, so the unreduced route runs under no errstate.
+    # test_non_finite_system_raises_value_error_not_singular holds the solves
+    # at a non-finite theta or psi.
+    q, v = (0.0, 0.0, 0.0, 0.4, 0.3), (0.0, 0.0, 1e200, -1e200, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x0 = State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100)
-        traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
-    assert traj.failure_reason == NON_FINITE == "non-finite state"
-    assert traj.samples[-1].t == 0.0
+        assert not all(map(math.isfinite, assemble_system(q[3], q[4], v[2:5], UNIT.g)[1]))
+        x = solve_system(q, v, P)
+        assert all(type(e) is float for e in x) and not all(map(math.isfinite, x)), x
+        for x0 in (State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100), State(2.0, 0.0, 0.0, 0.1, 0.0, *[1e155] * 3)):
+            traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
+            assert traj.failure_reason == NON_FINITE == "non-finite state"
+            assert traj.samples[-1].t == 0.0
 
 
 def test_oracle_assembled_system_agrees_with_direct_solve():
@@ -399,28 +412,27 @@ def test_assembled_system_is_the_frozen_block_layout():
             st, ct, s2t = math.sin(q[3]), math.cos(q[3]), math.sin(2.0 * q[3])
             want_M[2:7, 2:7] = np.reshape(_mass_entries(st), (5, 5))
             want_b = np.concatenate([-resid, _force_entries(p.g / p.r, st, ct, s2t, v[2:5])])
-            M, b = assemble_system(q[3], q[4], v[2:5], p.g / p.r)
+            M, b = arrays(assemble_system(q[3], q[4], v[2:5], p.g / p.r))
             assert M.shape == (7, 7) and b.shape == (7,)
             assert M.tobytes() == want_M.tobytes(), p
             assert b.tobytes() == want_b.tobytes(), p
-            oracle_M, oracle_b = oracle_system(q, v, p)
+            oracle_M, oracle_b = arrays(oracle_system(q, v, p))
             assert oracle_M[0:2].tobytes() == M[0:2].tobytes()
             assert oracle_M[2:7, 0:2].tobytes() == M[2:7, 0:2].tobytes()
             assert oracle_b[0:2].tobytes() == b[0:2].tobytes()
 
 
-def test_each_assembly_returns_fresh_arrays():
-    # Both systems come out of one layout helper; neither may hand out an
-    # array that a later call writes into, or one that it read back.
+def test_each_assembly_returns_tuples_of_floats():
+    # Both systems come out of one layout helper as M's 49 floats, row by row,
+    # and b's 7, even from integer rates and gravity: tuples, which no caller
+    # can write into, and floats, which pack into float64 as they are.
     q, v = sample_state(np.random.default_rng(56))
-    for build in (lambda: assemble_system(q[3], q[4], v[2:5], UNIT.g), lambda: oracle_system(q, v, P)):
-        first = build()
-        want = [part.tobytes() for part in first]
-        second = build()
-        assert not any(np.shares_memory(x, y) for x in first for y in second)
-        for part in first:
-            part.fill(np.nan)
-        assert [part.tobytes() for part in build()] == want
+    builds = (lambda: assemble_system(q[3], q[4], v[2:5], UNIT.g), lambda: oracle_system(q, v, P),
+              lambda: assemble_system(0.3, 0.2, (0, 1, 2), 9))
+    for build in builds:
+        M, b = build()
+        assert type(M) is tuple and len(M) == 49 and type(b) is tuple and len(b) == 7
+        assert all(type(x) is float for x in (*M, *b))
 
 
 def test_plain_sequences_give_the_same_bits():
@@ -449,7 +461,7 @@ def test_plain_sequences_give_the_same_bits():
         for f in calls:
             assert np.asarray(f(list(q), list(v), list(a))).tobytes() == np.asarray(f(q, v, a)).tobytes()
         for system in (lambda q, v: assemble_system(q[3], q[4], v[2:5], UNIT.g), lambda q, v: oracle_system(q, v, P)):
-            for got, want in zip(system(list(q), list(v)), system(q, v)):
+            for got, want in zip(arrays(system(list(q), list(v))), arrays(system(q, v))):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -526,4 +538,4 @@ def test_oracle_mass_is_the_central_difference_bit_for_bit():
     assert min(q[3] for q, _, _ in cases) < 0.0 < max(q[3] for q, _, _ in cases)
     for q, v, p in cases:
         want = np.array([[central(q, min(i, j), max(i, j), p) for j in range(5)] for i in range(5)])
-        assert oracle_system(q, v, p)[0][2:7, 2:7].tobytes() == want.tobytes(), (q, p)
+        assert arrays(oracle_system(q, v, p))[0][2:7, 2:7].tobytes() == want.tobytes(), (q, p)

@@ -40,7 +40,7 @@ for p in (Params(), Params(m=100, r=0.01), Params(g=1e308, r=1)):
     for _ in range(500):
         q, v = sample_state(rng)
         for M, b in (assemble_system(q[3], q[4], v[2:5], p.g / p.r), oracle_system(q, v, p)):
-            digest.update(M.tobytes() + b.tobytes())
+            digest.update(struct.pack("56d", *np.ravel(M), *b))
         solve, oracle, closed = solve_system(q, v, p), solve_oracle_system(q, v, p), closed_form_solution(q, v[2:5], p)
         digest.update(struct.pack("14d", *solve, *oracle))
         digest.update(struct.pack("7d", kinetic_energy(q, v, p), potential_energy(q, p),
