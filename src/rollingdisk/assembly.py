@@ -40,9 +40,8 @@ the band, so for finite theta and psi LAPACK meets no zero pivot; a
 non-finite theta or psi raises ValueError first. An inf or NaN in b gives a
 non-finite solution, returned as it is with no warning, as the gufunc clears
 the floating-point flags it raises. The scaling back runs on Python floats,
-which overflow to inf silently. _solve_unit alone imports numpy, on first
-use: building a system needs none beyond the oracle's complex dot, and
-simulate's reduced route never loads it.
+which overflow to inf silently. Only _solve_unit imports numpy, on first use:
+building either system, or running simulate's reduced route, needs none.
 
 oracle_lhs recomputes the Euler-Lagrange left side purely from the scalar
 lagrangian, E_kin - E_pot built from omega's definition, the inertia and
@@ -106,9 +105,9 @@ def oracle_lhs(q, v, a, p: Params) -> tuple[float, ...]:
     exact; the imaginary parts are differenced before the division, so a term
     common to both cancels instead of overflowing. That holds while
     h^2 |v| |a| << 1: beyond it the cross terms of the complex path and the
-    complex rates reach the real parts, and at h = 1e-30 an acceleration of
-    1e100 loses its term silently and one of 1e200 gives NaN. oracle_system
-    passes a = 0. Nothing of the closed-form expressions is used.
+    complex rates reach the real parts: at h = 1e-30 and unit rates the theta
+    and psi rows lose an acceleration's term from about 1e75 and read NaN at
+    1e200, silently. oracle_system passes a = 0. It uses no closed form.
 
     Returns
     -------
@@ -177,7 +176,9 @@ def oracle_system(q, v, p: Params) -> tuple[tuple, tuple]:
     is -oracle_lhs at the unit disk's rates (dc/r, angle rates) and no
     acceleration. Used for cross-validation.
 
-    Raises unit_disk's ValueError. theta and psi must be finite, which only the solves check.
+    Raises unit_disk's ValueError, and cmath's OverflowError once h times a
+    phi or theta rate passes cosh's range, at about 7.1e32. theta and psi
+    must be finite, which only the solves check.
     """
     unit = unit_disk(p)
     st, ct, sp, cp = math.sin(q[3]), math.cos(q[3]), math.sin(q[4]), math.cos(q[4])
@@ -245,6 +246,6 @@ def solve_system(q, v, p: Params) -> tuple[float, ...]:
 
 
 def solve_oracle_system(q, v, p: Params) -> tuple[float, ...]:
-    """Like solve_system but on the system that oracle_system rebuilds."""
+    """solve_system on oracle_system's system; raises OverflowError past a phi or theta rate of 7.1e32."""
     _checked_angles(q)
     return _solve_unit(oracle_system(q, v, p), p)

@@ -20,10 +20,10 @@ L = E_kin - E_pot, evaluated from these definitions and never expanded.
 Each function takes complex arguments too, for the complex-step oracle of
 assembly: a complex angle takes cmath's sine and cosine, a real one math's.
 
-On floats, kinetic_energy takes each 3-term dot product as the fma chain
-fma(x2, y2, fma(x1, y1, x0*y0)), so its bits are fixed by that order and
-the platform's libm, not by a BLAS kernel. On other numbers (the oracle's
-complex ones) it takes numpy's dot, importing numpy on first use.
+kinetic_energy takes each 3-term dot product as the fma chain
+fma(x2, y2, fma(x1, y1, x0*y0)) on its factors' real parts, so its bits are
+fixed by that order and the platform's libm. A complex call takes its
+imaginary part from the plain complex sums, before any scaling.
 """
 
 from __future__ import annotations
@@ -61,26 +61,24 @@ def kinetic_energy(q, v, p: Params) -> float:
 
     Evaluates 1/2 omega . I omega + 1/2 m |dc/dt|^2 with omega from
     rotation_vector and dc/dt = (dc1, dc2, -r sin(theta) dtheta). Complex
-    for complex arguments, as the products are never conjugated.
+    for complex arguments, as the products are never conjugated, with the
+    real call's value as the real part.
     """
     w0, w1, w2 = rotation_vector(q[2:5], v[2:5])
     axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
     s0, s1, s2 = axial * w0, 0.5 * axial * w1, 0.5 * axial * w2  # I omega
     st = (cmath if isinstance(q[3], complex) else math).sin(q[3])
     dc0, dc1, dc2 = v[0], v[1], -p.r * st * v[3]
+    rotational = fma(w2.real, s2.real, fma(w1.real, s1.real, w0.real * s0.real))
+    translational = fma(dc2.real, dc2.real, fma(dc1.real, dc1.real, dc0.real * dc0.real))
+    energy = 0.5 * rotational + 0.5 * p.m * translational
     if type(w0) is type(w1) is type(w2) is type(dc0) is type(dc1) is type(dc2) is float:
-        rotational = fma(w2, s2, fma(w1, s1, w0 * s0))
-        translational = fma(dc2, dc2, fma(dc1, dc1, dc0 * dc0))
-        return 0.5 * rotational + 0.5 * p.m * translational
-    import numpy as np
-
-    # numpy's dot products, not scalar sums (they round differently); .dot costs less than @.
-    rotational = np.array((w0, w1, w2)).dot(np.array((s0, s1, s2)))
-    dc = np.array((dc0, dc1, dc2))
-    translational = dc.dot(dc)
-    # Plain Python numbers; float() of a float64 costs a tenth of .item().
-    plain = float if isinstance(rotational, float) and isinstance(translational, float) else complex
-    return 0.5 * plain(rotational) + 0.5 * p.m * plain(translational)
+        return energy
+    if not any(isinstance(x, complex) for x in (w0, w1, w2, dc0, dc1, dc2)):
+        return energy  # ints or numpy floats
+    # Imaginary parts before any scaling: 0.5 * complex(inf, y) would put inf * 0 = NaN in y.
+    return complex(energy, 0.5 * (w0 * s0 + w1 * s1 + w2 * s2).imag
+                   + 0.5 * p.m * (dc0 * dc0 + dc1 * dc1 + dc2 * dc2).imag)
 
 
 def lagrangian(q, v, p: Params) -> float:

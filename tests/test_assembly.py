@@ -244,15 +244,18 @@ class TestSolveSystem:
 
 def test_tiny_and_light_disks_solve_next_to_band():
     # m r^2 underflows to zero here, which once made M exactly singular; the
-    # unit disk's M is not, so both routes solve, with no numpy warning.
+    # unit disk's M is not, so both routes solve, with no numpy warning. In
+    # the last state dc/r = 1e160 overflows T's real part, which once carried
+    # inf * 0 = NaN into the imaginary part that the oracle reads.
+    cases = [(p, (0, 0, 0, theta, 0), (0, 0, 1, 1, 1))
+             for p in (Params(r=1e-170), Params(m=1e-200, r=1e-100)) for theta in (math.acos(4.722e-6), 0.5)]
+    cases.append((Params(r=1e-160), (0, 0, 0.3, 0.4, 0.5), (1, -1, 1.5, 0.7, -0.4)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in (Params(r=1e-170), Params(m=1e-200, r=1e-100)):
-            for theta in (math.acos(4.722e-6), 0.5):
-                q, v = (0, 0, 0, theta, 0), (0, 0, 1, 1, 1)
-                closed = closed_form_seven(q, v[2:5], p)
-                assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-12
-                assert max_rel_diff(solve_oracle_system(q, v, p), closed) < 1e-12
+        for p, q, v in cases:
+            closed = closed_form_seven(q, v[2:5], p)
+            assert max_rel_diff(solve_seven(q, v, p), closed) < 1e-12
+            assert max_rel_diff(solve_oracle_system(q, v, p), closed) < 1e-12
 
 
 def _direct_solve_states(rng):
@@ -287,7 +290,9 @@ def test_failed_solves_raise_without_warnings():
     # A solve whose b overflows returns non-finite floats, and a run whose
     # rates overflow stops on its non-finite state, with no numpy warning
     # before either: the gesv gufunc clears the floating-point flags it
-    # raises, so the unreduced route runs under no errstate.
+    # raises, so the unreduced route runs under no errstate. The oracle
+    # raises OverflowError once h times a phi or theta rate passes cosh's
+    # range, past about 7.1e32, where the direct solve still reads 1.3e-16.
     # test_non_finite_system_raises_value_error_not_singular holds the solves
     # at a non-finite theta or psi.
     q, v = (0.0, 0.0, 0.0, 0.4, 0.3), (0.0, 0.0, 1e200, -1e200, 1e200)
@@ -296,6 +301,9 @@ def test_failed_solves_raise_without_warnings():
         assert not all(map(math.isfinite, assemble_system(q[3], q[4], v[2:5], UNIT.g)[1]))
         x = solve_system(q, v, P)
         assert all(type(e) is float for e in x) and not all(map(math.isfinite, x)), x
+        for rates in (v, (0.0, 0.0, 1e33, 0.0, 0.0)):
+            with pytest.raises(OverflowError):
+                solve_oracle_system(q, rates, P)
         for x0 in (State(2.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 1e100), State(2.0, 0.0, 0.0, 0.1, 0.0, *[1e155] * 3)):
             traj = integrate_10dim(ScenarioConfig("huge", P, x0, t_end=0.01, dt=1e-3))
             assert traj.failure_reason == NON_FINITE == "non-finite state"

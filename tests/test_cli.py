@@ -526,9 +526,10 @@ def test_simulate_runs_without_numpy(tmp_path, name):
     # numpy is imported on first use: with its import blocked, simulate runs
     # each preset whole and writes the CSV and plot script of a run with
     # numpy, validate, whose generator needs numpy, exits 1 with one stderr
-    # line, and a 7x7 system is built as 56 floats while only its gesv solve
-    # raises ImportError; unblocked, validate and the unreduced route then
-    # load numpy in the same process.
+    # line, and both 7x7 systems, the closed form's and the oracle's, are
+    # built as 56 floats while only the gesv solve raises ImportError;
+    # unblocked, validate and the unreduced route then load numpy in the same
+    # process.
     code = (
         "import sys\n"
         "from dataclasses import replace\n"
@@ -540,10 +541,11 @@ def test_simulate_runs_without_numpy(tmp_path, name):
         "from rollingdisk import cli, simulator\n"
         "assert cli.main(['simulate', '--scenario', sys.argv[1], '--out', sys.argv[2], '--emit-plot']) == 0\n"
         "assert cli.main(['validate', '--samples', '5']) == 1\n"
-        "from rollingdisk.assembly import assemble_system, solve_system\n"
+        "from rollingdisk.assembly import assemble_system, oracle_system, solve_system\n"
         "from rollingdisk.energetics import Params\n"
-        "M, b = assemble_system(0.5, 0.2, (0.1, -2.5, 1.0), 9.81)\n"
-        "assert [type(x) for x in (*M, *b)] == [float] * 56\n"
+        "for M, b in (assemble_system(0.5, 0.2, (0.1, -2.5, 1.0), 9.81),\n"
+        "             oracle_system((0.0, 0.0, 0.0, 0.5, 0.2), (0.3, 0.4, 0.1, -2.5, 1.0), Params())):\n"
+        "    assert [type(x) for x in (*M, *b)] == [float] * 56\n"
         "try:\n"
         "    solve_system((0.0, 0.0, 0.0, 0.5, 0.2), (0.0, 0.0, 0.1, -2.5, 1.0), Params())\n"
         "except ImportError:\n"

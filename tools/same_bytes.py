@@ -60,9 +60,11 @@ OTHERS = {
 
 
 def _run(src, out, args, name=None):
-    """Run this interpreter on args in out, with src alone on PYTHONPATH and stdout into out/name."""
+    """Run this interpreter on args in out, with src alone on PYTHONPATH and stdout into out/name. A
+    numpy RuntimeWarning fails the run, as in the tests, even where it leaves stdout's bytes alone."""
     with open(out / name if name else os.devnull, "wb") as f:
-        code = subprocess.run([sys.executable, *args], cwd=out, stdout=f, env=dict(os.environ, PYTHONPATH=str(src))).returncode
+        argv = [sys.executable, "-W", "error::RuntimeWarning", *args]
+        code = subprocess.run(argv, cwd=out, stdout=f, env=dict(os.environ, PYTHONPATH=str(src))).returncode
     if code:
         sys.exit(f"{name or 'the import check'} from {src}: exit {code}")
 
