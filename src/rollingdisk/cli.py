@@ -1,26 +1,18 @@
-"""Command-line front end: run scenarios to CSV, cross-validate the algebra.
+"""Command-line front end: simulate scenarios to CSV, validate the closed forms.
 
-Exit codes: 0 success, 1 usage problem, a CSV or plot script that simulate
+Exit codes: 0 success; 1 a usage or config error, an output file simulate
 cannot write (after the run; "cannot write <path>: <reason>" on stderr, no
-traceback) or a validate without numpy (one line on stderr), 2 run aborted
-on a singular configuration, 3 validation sweep over threshold (an error
-that is not finite reads inf) or parameters at which the model cannot be
-evaluated (the reason in one line on stderr, no traceback), 4 run aborted
-on a non-finite state (a rate or an energy that overflowed).
+traceback), or validate without numpy; 2 a run stopped at a singular
+configuration; 3 validate over validation.THRESHOLD (an error that is not
+finite reads inf) or at parameters where the model cannot be evaluated (one
+line on stderr, no traceback); 4 a run stopped at a non-finite state. A run
+that stops early still writes its partial CSV.
 
-CSV output is deterministic byte for byte for a given configuration: fixed
-column order, every float at 17 significant digits, no locale involvement.
-Plot emission writes a gnuplot script next to the CSV, at the --out path with
-the suffix .gp, never image files; an --out that itself ends in .gp is a
-usage error with --emit-plot, as the script would overwrite the CSV.
-
-validate sweeps the unit disk of --g and --r, m = r = 1 under gravity g/r
-(see validation), so g/r is its one parameter and it has no --m. Both routes
-are held to one bar, validation.THRESHOLD = 1e-10; README lists the margins
-measured. The oracle differentiates the Lagrangian by the complex step with
-one constant step; no option sets it.
-validate certifies the equations, not the float range of the m r scale-back
-to a disk. A g/r that over- or underflows cannot be evaluated (exit 3).
+The CSV is deterministic byte for byte for a given configuration: fixed
+columns, every float at 17 significant digits, no locale. --emit-plot
+writes a gnuplot script, never an image, at the --out path with the suffix
+.gp, so an --out that ends in .gp is a usage error there. validate sweeps
+the unit disk of --g and --r (see validation), so it has no --m.
 """
 
 from __future__ import annotations

@@ -1,22 +1,12 @@
 """Closed-form state equations of the rolling disk.
 
-Eliminating the multipliers and the slaved center accelerations from the
-augmented system leaves three angle equations driven only by (theta, rates):
-
-    ddphi   = 2 dphi dtheta tan(theta) + (5/3) dtheta dpsi cos(theta)
-    ddtheta = (4/(5r)) g sin(theta) - (6/5) dphi dpsi cos(theta)
-              + (1/2) dpsi^2 sin(2 theta)
-    ddpsi   = 2 dphi dtheta / cos(theta)
-
-together with the reconstructed center rates from the contact conditions.
-The center accelerations have a closed form as well, and the center rows of
-the constrained equations give the contact reactions as lambda = m * ddc; both
-are kept here so the elimination can be checked against the direct linear
-solve: closed_form_solution returns all seven unknowns in the order of
-assembly.solve_system.
-
-Each cos(theta) here comes from singularity.checked_cos_theta, the one guard,
-so in the flat-disk band every division by it (tan included) raises instead.
+Eliminating the multipliers and the slaved center accelerations from
+assembly's system leaves the angle accelerations as closed forms in theta
+and the rates alone. closed_form_solution also gives the center
+accelerations and the reactions lambda = m ddc, in assembly's order, so the
+elimination can be checked against the linear solve. Each cos(theta) comes
+from singularity.checked_cos_theta, so in the flat-disk band every division
+by it, tan included, raises instead.
 """
 
 from __future__ import annotations
@@ -99,24 +89,15 @@ def closed_form_center_accels(q, rates: tuple[float, float, float], p: Params) -
 
 
 def closed_form_solution(q, rates: tuple[float, float, float], p: Params) -> tuple[float, ...]:
-    """All seven eliminated unknowns, ordered like the linear solve.
-
-    Returns (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi) as a tuple
-    of seven floats. The center rows of the constrained equations read
-    m * ddc = lambda, which gives the reactions.
-    """
+    """(lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi), seven floats."""
     ddc1, ddc2 = closed_form_center_accels(q, rates, p)
     return (p.m * ddc1, p.m * ddc2, ddc1, ddc2, *closed_form_accels(q, rates, p))
 
 
 def state_derivative(x: State, p: Params) -> tuple[float, ...]:
-    """Right-hand side of the reduced 8-dimensional state equation.
-
-    x is a State or any sequence of its eight numbers in the same order; the
-    derivative comes back as a plain 8-tuple in State's field order. Center
-    rates come from the rolling contact, angle accelerations from the closed
-    forms. Raises SingularConfiguration in the flat-disk band.
-    """
+    """Right-hand side of the reduced state equation: x is a State or any
+    sequence of its eight numbers, the derivative a plain 8-tuple in State's
+    field order. Raises SingularConfiguration in the flat-disk band."""
     q, rates = x[:5], x[5:]
     accels = closed_form_accels(q, rates, p)
     v = consistent_velocity(q, rates, p)
@@ -124,25 +105,9 @@ def state_derivative(x: State, p: Params) -> tuple[float, ...]:
 
 
 def circular_spin(theta: float, dpsi: float, p: Params) -> float:
-    """Spin rate that makes a tilted, turning disk trace a steady circle.
-
-    Solves ddtheta = 0 at dtheta = 0 for dphi:
-
-        dphi = 2 g tan(theta) / (3 r dpsi) + (5/6) dpsi sin(theta)
-
-    Parameters
-    ----------
-    theta : float
-        Constant stand angle of the steady motion.
-    dpsi : float
-        Heading rate; must be nonzero, otherwise no steady circle exists.
-    p : Params
-
-    Returns
-    -------
-    float
-        The required spin rate dphi.
-    """
+    """Spin rate dphi at which a disk at stand angle theta and heading rate
+    dpsi rolls a steady circle: ddtheta = 0 at dtheta = 0 solved for dphi.
+    Raises ValueError for dpsi = 0, where no steady circle exists."""
     if dpsi == 0.0:
         raise ValueError("steady circular rolling needs a nonzero heading rate dpsi")
     ct = checked_cos_theta(theta)

@@ -1,29 +1,14 @@
-"""Energies and the Lagrangian of the rolling disk.
+"""Energies and the Lagrangian of the rolling disk, from their definitions.
 
-Generalized coordinates are q = (c1, c2, phi, theta, psi): the horizontal
-position of the disk center, spin, stand angle, and heading. Generalized
-velocities are their rates v = (dc1, dc2, dphi, dtheta, dpsi). Every function
-takes q and v as plain sequences of five numbers in these orders. The center
-height is slaved to the stand angle while the rim touches the plane,
-
-    c = (c1, c2, r*cos(theta))
-
-so the center velocity is (dc1, dc2, -r*sin(theta)*dtheta). With principal
-body inertia diag(m r^2/2, m r^2/4, m r^2/4) (axial moment first) the
-energies are
-
-    E_kin = 1/2 omega . I omega + 1/2 m |dc/dt|^2
-    E_pot = m g r cos(theta)
-
-with omega from kinematics.rotation_vector, and the Lagrangian is
-L = E_kin - E_pot, evaluated from these definitions and never expanded.
-Each function takes complex arguments too, for the complex-step oracle of
-assembly: a complex angle takes cmath's sine and cosine, a real one math's.
-
-kinetic_energy takes each 3-term dot product as the fma chain
-fma(x2, y2, fma(x1, y1, x0*y0)) on its factors' real parts, so its bits are
-fixed by that order and the platform's libm. A complex call takes its
-imaginary part from the plain complex sums, before any scaling.
+Every function takes q = (c1, c2, phi, theta, psi), the center's position
+over the plane, spin, stand angle and heading, and v = (dc1, dc2, dphi,
+dtheta, dpsi), as plain sequences of five numbers. While the rim touches
+the plane the center is c = (c1, c2, r cos(theta)); the principal inertia
+is diag(m r^2/2, m r^2/4, m r^2/4), axial moment first. L is never
+expanded, as assembly's oracle differentiates it to check the closed forms.
+Each function takes complex arguments too, for that oracle: a complex angle
+takes cmath's sine and cosine, a real one math's, so a real call keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -57,12 +42,14 @@ def potential_energy(q, p: Params) -> float:
 
 
 def kinetic_energy(q, v, p: Params) -> float:
-    """Rotational plus translational kinetic energy, built from definitions.
+    """1/2 omega . I omega + 1/2 m |dc/dt|^2, with omega from rotation_vector
+    and dc/dt = (dc1, dc2, -r sin(theta) dtheta).
 
-    Evaluates 1/2 omega . I omega + 1/2 m |dc/dt|^2 with omega from
-    rotation_vector and dc/dt = (dc1, dc2, -r sin(theta) dtheta). Complex
-    for complex arguments, as the products are never conjugated, with the
-    real call's value as the real part.
+    Each dot product is the fma chain fma(x2, y2, fma(x1, y1, x0*y0)) on its
+    factors' real parts, so its bits are fixed by that order and libm, and a
+    complex call's real part is the real call's value. The imaginary part
+    comes from the plain complex sums, never conjugated, taken before the
+    factors 1/2 and m.
     """
     w0, w1, w2 = rotation_vector(q[2:5], v[2:5])
     axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
@@ -82,17 +69,6 @@ def kinetic_energy(q, v, p: Params) -> float:
 
 
 def lagrangian(q, v, p: Params) -> float:
-    """L = E_kin - E_pot, from the definitions of kinetic_energy and potential_energy.
-
-    Parameters
-    ----------
-    q, v : sequences of the five coordinates and the five velocities
-    p : Params
-        q and v may hold complex numbers, as assembly.oracle_lhs passes them.
-
-    Returns
-    -------
-    float, or complex for complex arguments
-        Lagrangian value in joules.
-    """
+    """L = kinetic_energy - potential_energy in joules; complex for complex
+    arguments, as assembly's oracle passes them."""
     return kinetic_energy(q, v, p) - potential_energy(q, p)

@@ -1,13 +1,10 @@
-"""Fused multiply-add a*b + c, rounded once, on Python floats, so that the
-program, not a BLAS kernel, fixes how the energy and slip sums round.
+"""Fused multiply-add on Python floats, so that the program, not a BLAS
+kernel, fixes how the energy and slip sums round.
 
 For |a|, |b| in (1e-125, 1e125) Veltkamp's split makes a*b four exact
 partial products (Dekker 1971) below 1e250, and math.fsum rounds their sum
 with c once and cannot overflow. Elsewhere _fma_exact divides one integer
-ratio, which CPython rounds correctly. Both give math.fma's bits (3.13 on).
-Every branch is IEEE 754's fma and never raises: an infinite or NaN a or b
-gives a*b + c, a finite product leaves a non-finite c as it is, an overflow
-gives the signed inf, and a zero is signed as a*b + c.
+ratio, which CPython rounds correctly.
 """
 
 from __future__ import annotations
@@ -35,7 +32,9 @@ def _fma_exact(a: float, b: float, c: float) -> float:
 
 
 def fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once: math.fsum of c and the four exact partial products of Dekker's split."""
+    """a*b + c rounded once, with math.fma's bits (3.13 on) wherever that returns,
+    on every Python. It never raises: inf, NaN, overflow and signed zeros are
+    IEEE 754 fma's."""
     if 1e-125 < abs(a) < 1e125 and 1e-125 < abs(b) < 1e125:
         t = _SPLIT * a
         ah = t - (t - a)

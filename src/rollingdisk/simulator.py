@@ -1,29 +1,17 @@
-"""Fixed-step simulation of the rolling disk.
+"""Fixed-step simulation of the rolling disk: classical RK4 on plain floats,
+the one stepper either route runs.
 
-Both routes below always step with the classical fourth-order Runge-Kutta
-method, on plain Python floats; no setting selects another. Both steps are
-deterministic: identical configuration in, bit-identical trajectory out.
+integrate steps the reduced state and rebuilds the center rates from the
+contact at every evaluation, so the rolling constraint holds by
+construction. integrate_10dim integrates the center rates too, with
+accelerations from assembly.solve_system, so its residual measures how far
+the unreduced formulation drifts off the constraint. The same configuration
+gives the same bits. Samples and the summary hold plain floats, and this
+module imports no numpy.
 
-Two integration routes are provided. integrate propagates the reduced state
-and reconstructs the center rates from the contact at every evaluation, so
-the rolling constraint holds by construction. integrate_10dim instead
-integrates the center rates as unknowns, obtaining accelerations from the
-augmented linear solve; comparing the two routes measures how far the
-unreduced formulation drifts off the constraint surface.
-
-Both routes write their RK4 step out in one operation order: step_rk4 over
-the reduced route's eight floats, returning a State, and _step_10dim over the
-unreduced route's ten, handing each stage's coordinates and rates to
-solve_system as 5-tuples. c1, c2 and phi are cyclic: no slope reads them, so
-the inner stages hand them on at the step's start values, and the steps keep
-textbook RK4's bits. Samples and the summary hold plain floats. This module
-imports no numpy; only the unreduced route's 7x7 solve runs it.
-
-A trajectory holds the ScenarioConfig it ran and per-step diagnostics (total
-energy with reconstructed center rates, contact slip residual). On a singular
-configuration, or a step that leaves a non-finite state, the partial
-trajectory is returned with the failure reason set instead of raising; its
-last sample is the stop time. Overflow is such a stop, never a warning.
+A run that meets the flat-disk band, or a step that leaves a non-finite
+state, energy or residual, returns the partial trajectory with its
+failure_reason set instead of raising.
 """
 
 from __future__ import annotations
@@ -128,8 +116,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Summary:
-    """Headline diagnostics of a trajectory. What the Trajectory holds
-    (config, samples, failure) is read from it, not copied."""
+    """Headline diagnostics of a trajectory."""
 
     max_energy_drift: float
     mean_energy_drift: float
@@ -138,12 +125,11 @@ class Summary:
 
 
 def step_rk4(x: State, dt: float, p: Params) -> State:
-    """One classical Runge-Kutta step of size dt on the reduced state, written
-    out over its eight floats in the RK4 operation order _step_10dim shares
-    (stages xi + half * ki, xi + dt * ki; xi + sixth * (a + 2.0 * (b + c) + d)).
-    No slope reads c1, c2 or phi, so each inner stage hands them on at the
-    step's start values; the result keeps textbook RK4's bits. state_derivative
-    is looked up here at each call, where a tracer patches it."""
+    """One classical RK4 step of size dt on the reduced state, written out over
+    its eight floats in the operation order _step_10dim shares. No slope reads
+    c1, c2 or phi, so the inner stages hand them on at the step's start
+    values and the result keeps textbook RK4's bits. state_derivative is
+    looked up at each call, so a tracer can patch it."""
     half, sixth = 0.5 * dt, dt / 6
     x0, x1, x2, x3, x4, x5, x6, x7 = x
     a0, a1, a2, a3, a4, a5, a6, a7 = state_derivative(x, p)
@@ -169,13 +155,9 @@ def _sample(t: float, y, split, p: Params) -> TrajectorySample:
 
 
 def _run(cfg: ScenarioConfig, y, advance, split) -> Trajectory:
-    """Step y with advance(y, dt, p) and sample every step. A step that hits
-    the flat-disk band, or whose state, energy or residual is not finite,
-    ends the run; the partial trajectory ends at the start of the failed step
-    and carries the reason. Nothing warns inside: the steps run on Python
-    floats, which overflow to inf silently, and the gufunc behind the 7x7
-    solves clears the floating-point flags it raises. An overflow is inf or
-    NaN, which ends the run as NON_FINITE under any warnings filter."""
+    """Step y with advance(y, dt, p) and sample every step. Nothing warns: Python
+    floats overflow to inf silently and the 7x7 solve raises no warning, so
+    an overflow ends the run as NON_FINITE under any warnings filter."""
     p, dt = cfg.params, cfg.dt
     reason = None
     samples = [_sample(0.0, y, split, p)]
@@ -201,23 +183,15 @@ def _split_reduced(x: State, p: Params):
 
 
 def integrate(cfg: ScenarioConfig) -> Trajectory:
-    """Run the reduced-state simulation described by cfg with step_rk4.
-
-    Returns the full trajectory sampled at every step. If a step hits the
-    flat-disk band, integration stops; the partial trajectory ends with the
-    last sample before the failed step, at its start time, and carries
-    failure_reason.
-    """
+    """Run cfg on the reduced state with step_rk4, sampled at every step."""
     return _run(cfg, cfg.x0, step_rk4, _split_reduced)
 
 
 def _step_10dim(y: list, dt: float, p: Params) -> list:
-    """One classical Runge-Kutta step of the five coordinates and five rates,
-    written out over the ten floats in step_rk4's operation order. A coordinate's
-    slope is its stage rate, a rate's the acceleration solve_system gives; that
-    is looked up here at each call, where a tracer patches it. The solve reads
-    no c1, c2 or phi, so each inner stage hands them on at the step's start
-    values; the result keeps textbook RK4's bits."""
+    """One classical RK4 step of the five coordinates and five rates, in
+    step_rk4's operation order, with the accelerations from solve_system,
+    looked up at each call so a tracer can patch it. The solve reads no c1,
+    c2 or phi, so the inner stages hand them on as step_rk4's do."""
     half, sixth = 0.5 * dt, dt / 6
     x0, x1, x2, x3, x4, u0, u1, u2, u3, u4 = y
     _, _, a0, a1, a2, a3, a4 = solve_system((x0, x1, x2, x3, x4), (u0, u1, u2, u3, u4), p)
@@ -242,29 +216,20 @@ def _split_10dim(y: list, p: Params):
 
 
 def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
-    """Run the unreduced formulation with integrated center rates.
-
-    The initial center rates are reconstructed from the contact once, then
-    integrated as ordinary unknowns with accelerations from the augmented
-    linear solve. The per-sample residual now measures genuine constraint
-    drift rather than holding at rounding level by construction.
-    """
+    """Run cfg with the center rates integrated as unknowns: they start from
+    the contact, then take their accelerations from solve_system."""
     q0 = cfg.x0.coords()
     y0 = [float(v) for v in (*q0, *consistent_velocity(q0, cfg.x0.rates(), cfg.params))]
     return _run(cfg, y0, _step_10dim, _split_10dim)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:
-    """Named reference scenario built from PRESETS, with the standard
-    constants m=5, g=9.81, r=1.
+    """The preset run of PRESETS by name; an unknown name raises ValueError.
 
-    Presets: "precession" (tilted fast-spinning disk, wandering turning
-    radius), "circle" (spin rate matched by circular_spin, at import, to the
-    tilt 0.5, heading rate 1.0, g=9.81 and r=1, so the center traces a circle;
-    a g or r override keeps that spin and the disk nutates, theta 0.5 to 0.767
-    within 2 s at g=20), "straight" (upright disk rolling a line), "spin"
-    (disk turning in place). Unknown names raise ValueError.
-    """
+    "precession" is a tilted, fast-spinning disk, "straight" an upright disk
+    rolling a line, "spin" a disk turning in place. "circle" takes its spin
+    from circular_spin at import, for its own g and r, so it rolls a circle;
+    a g or r override keeps that spin, and the disk nutates."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(PRESET_NAMES)}")
     return ScenarioConfig.from_values(name, PRESETS[name])

@@ -1,23 +1,13 @@
-"""Cross-validation sweeps: closed forms against the linear solve and the
-complex-step rebuild of the equations of motion from the Lagrangian.
+"""Cross-validation sweeps: the closed forms against assembly's linear solve
+and against its complex-step rebuild from the Lagrangian, on random states.
 
-A sweep runs on the unit disk of its Params, assembly.unit_disk: m = r = 1
-under gravity g/r. The disk's L is m r^2 times that disk's, so g/r is the
-sweep's one parameter; there lambda = ddc and all seven unknowns share one
-scale of 1/s^2, so the normwise error sees each of them. The sweep certifies
-the equations, not the float range of the m r scale-back to the disk; the
-unit-disk scaling test of test_symbolic and the benchmark's route checks at
-m = 5 cover that. Sampled states, and the worst ones reported, hold center
-positions and rates in units of r.
-
-Sampling stays clear of the flat-disk band (|stand angle| <= 1.2 keeps
-cos(theta) >= 0.36). The five velocity components are drawn independently;
-the eliminated unknowns do not depend on the center rates, so unconstrained
-velocities exercise the algebra on a strictly larger domain than rolling
-states would.
-
-The cli imports this module, and simulate runs none of it, so numpy, which
-only draws the states, is imported when a sweep runs.
+A sweep runs on assembly.unit_disk(p), m = r = 1 under gravity g/r, so g/r
+is its one parameter. There lambda = ddc and all seven unknowns share one
+scale of 1/s^2, so the normwise error sees each of them. A sweep certifies
+the equations, not the float range of the m r scale-back to the disk;
+test_symbolic's unit-disk scaling test and the benchmark's route checks at
+m = 5 cover that. numpy, which only draws the states, is imported when a
+sweep runs.
 """
 
 from __future__ import annotations
@@ -27,13 +17,15 @@ import math
 from . import assembly, dynamics
 from .energetics import Params
 
-# Max relative error allowed between the closed forms and either route, on
-# the unit disk at g/r; README's CLI section lists the margins measured.
+# Max relative error allowed between the closed forms and either route.
 THRESHOLD = 1e-10
 
 
 def sample_state(rng) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One random nonsingular (coordinates, velocity) pair of 5-tuples, drawn from rng, a numpy Generator."""
+    """One random (coordinates, velocity) pair of 5-tuples, drawn from rng, a
+    numpy Generator. |theta| <= 1.2 keeps |cos theta| >= 0.36, clear of the
+    flat-disk band. The five velocities are independent: the unknowns do not
+    depend on the center rates, so this covers more than rolling states."""
     q = (
         rng.uniform(-2.0, 2.0),
         rng.uniform(-2.0, 2.0),
@@ -55,7 +47,8 @@ def max_rel_diff(a, b) -> float:
 
 
 def closed_form_seven(q, rates, p: Params) -> tuple[float, ...]:
-    """Closed-form (lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi)."""
+    """dynamics.closed_form_solution, looked up in the module at each call so a
+    fault injected there is caught."""
     return dynamics.closed_form_solution(q, rates, p)
 
 
@@ -72,16 +65,11 @@ ROUTES = {"linear solve": solve_seven, "complex step": oracle_seven}
 
 
 def validation_sweep(p: Params, n_samples: int, seed: int) -> dict:
-    """Compare the closed forms against both independent routes on n samples
-    of the unit disk of p. Returns, per route name, the largest error and the
-    unit-disk (q, v) at which it occurred; an error of THRESHOLD or more fails.
-
-    Route one: the direct LU solve of the closed-form augmented system.
-    Route two: the solve of the system rebuilt from complex-step derivatives
-    of the Lagrangian. Calls through the dynamics module namespace so a fault
-    injected there is caught. A route that over- or underflows to inf or NaN
-    has an infinite error. Raises assembly.unit_disk's ValueError when g/r is
-    not a positive finite float.
+    """The closed forms against each route of ROUTES on n samples of the unit
+    disk of p: per route name, the largest error and the unit-disk (q, v),
+    center in units of r, where it occurred. An error of THRESHOLD or more
+    fails; a route that over- or underflows has an infinite error. Raises
+    assembly.unit_disk's ValueError when g/r is not a positive finite float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

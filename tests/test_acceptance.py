@@ -1,6 +1,6 @@
 """End-to-end acceptance checks.
 
-Each test prints one PASS/FAIL line (visible with pytest -s or in failure
+Each check prints one PASS/FAIL line (visible with pytest -s or in failure
 output) and enforces the corresponding tolerance. Tolerances here are the
 package's external quality bars; unit tests cover the fine-grained pieces.
 """
@@ -45,6 +45,11 @@ def circle():
 @pytest.fixture(scope="module")
 def precession_10dim():
     return integrate_10dim(scenario_preset("precession"))
+
+
+@pytest.fixture(scope="module")
+def circle_10dim():
+    return integrate_10dim(scenario_preset("circle"))
 
 
 def test_01_closed_forms_match_direct_solve():
@@ -410,60 +415,67 @@ def test_12_precession_nutation_matches_the_quadrature(precession):
     )
 
 
-def test_13_circle_follows_its_closed_form(circle):
+def test_13_circle_follows_its_closed_form(circle, circle_10dim):
     # The steady circle in closed form over the whole preset: theta, phi_dot
     # and psi_dot keep their start values, phi and psi grow linearly, and the
     # center, whose rate is k (sin psi, -cos psi) with k = r (phi_dot -
     # psi_dot sin theta), runs round its circle of radius |k / psi_dot| in
-    # step with psi. The RK4 run's largest errors over the 6 s read 2.01e-12
-    # in c1, 4.96e-13 in c2, 1.85e-12 in phi, 3.38e-13 in psi and 2.0e-15 in
-    # theta_dot, all roundoff; theta, phi_dot and psi_dot keep their start
-    # bits, as their slopes move them by less than half an ulp a step. Each
-    # bar is 10x its error.
-    measured = {"c1": 2.01e-12, "c2": 4.96e-13, "phi": 1.85e-12, "theta": 0.0,
-                "psi": 3.38e-13, "dphi": 0.0, "dtheta": 2.0e-15, "dpsi": 0.0}
-    x0, r = circle.config.x0, circle.config.params.r
-    k, w = r * (x0.dphi - x0.dpsi * math.sin(x0.theta)), x0.dpsi
-    errors = dict.fromkeys(measured, 0.0)
-    for s in circle.samples:
-        psi = x0.psi + w * s.t
-        exact = State(x0.c1 + k * (math.cos(x0.psi) - math.cos(psi)) / w,
-                      x0.c2 - k * (math.sin(psi) - math.sin(x0.psi)) / w,
-                      x0.phi + x0.dphi * s.t, x0.theta, psi, x0.dphi, 0.0, w)
-        for name, got, want in zip(State._fields, s.state, exact):
-            errors[name] = max(errors[name], abs(got - want))
-    check(
-        "13 circle follows its closed form",
-        all(errors[name] <= 10.0 * measured[name] for name in measured) and len(circle.samples) == 6001,
-        ", ".join(f"{name} {errors[name]:.2e} (<= {10.0 * measured[name]:.1e})" for name in measured),
-    )
+    # step with psi. measured holds each route's largest errors over the 6 s,
+    # all roundoff; theta, phi_dot and psi_dot keep their start bits, as their
+    # slopes move them by less than half an ulp a step. Each bar is 10x its
+    # error: the routes get one dict each, as the reduced route's c2 bar would
+    # leave the unreduced one a margin of only 1.16x.
+    for route, run, measured in (
+        ("integrate", circle, {"c1": 2.01e-12, "c2": 4.96e-13, "phi": 1.85e-12, "theta": 0.0,
+                               "psi": 3.38e-13, "dphi": 0.0, "dtheta": 2.0e-15, "dpsi": 0.0}),
+        ("integrate_10dim", circle_10dim, {"c1": 8.14e-13, "c2": 4.26e-12, "phi": 1.85e-12, "theta": 0.0,
+                                           "psi": 3.38e-13, "dphi": 0.0, "dtheta": 2.64e-15, "dpsi": 0.0}),
+    ):
+        x0, r = run.config.x0, run.config.params.r
+        k, w = r * (x0.dphi - x0.dpsi * math.sin(x0.theta)), x0.dpsi
+        errors = dict.fromkeys(measured, 0.0)
+        for s in run.samples:
+            psi = x0.psi + w * s.t
+            exact = State(x0.c1 + k * (math.cos(x0.psi) - math.cos(psi)) / w,
+                          x0.c2 - k * (math.sin(psi) - math.sin(x0.psi)) / w,
+                          x0.phi + x0.dphi * s.t, x0.theta, psi, x0.dphi, 0.0, w)
+            for name, got, want in zip(State._fields, s.state, exact):
+                errors[name] = max(errors[name], abs(got - want))
+        check(
+            f"13 circle follows its closed form ({route})",
+            all(errors[name] <= 10.0 * measured[name] for name in measured) and len(run.samples) == 6001,
+            ", ".join(f"{name} {errors[name]:.2e} (<= {10.0 * measured[name]:.1e})" for name in measured),
+        )
 
 
-def test_14_precession_theta_follows_the_inverted_quadrature(precession):
+def test_14_precession_theta_follows_the_inverted_quadrature(precession, precession_10dim):
     # theta(t) at four times in the first nutation period, exactly: t(u) of
     # test_12's quadrature, inverted by Newton's method in mpmath.findroot,
     # whose slope dt/du is the integrand. theta falls back as it rose, so a
     # time t past the half period reads u(period - t). The times are taken
     # in order of that distance, each quadrature starting from the last root
     # and capped at 24 nodes, all at 20 digits, which give the 30-digit
-    # floats. The RK4 run read 1.87e-14, 1.02e-13, 9.20e-14 and 2.96e-13 off
-    # at 0.25, 0.75, 1.25 and 1.75 s. Each bar is 10x its error.
-    measured = {250: 1.87e-14, 750: 1.02e-13, 1250: 9.20e-14, 1750: 2.96e-13}
-    errors = {}
+    # floats. Both routes are held to these references; measured holds each
+    # route's errors at 0.25, 0.75, 1.25 and 1.75 s. Each bar is 10x its error.
+    thetas = {}
     with mpmath.workdps(20):
         low, high, rate, period = nutation(theta_dot_squared(scenario_preset("precession")))
         root = reached = mpmath.mpf(0)  # the last root and its time t(root)
         for t, i in sorted((min(mpmath.mpf(precession.samples[i].t), period - precession.samples[i].t), i)
-                           for i in measured):
+                           for i in (250, 750, 1250, 1750)):
             start, t_start = root, reached
             root = mpmath.findroot(
                 lambda u: t_start + mpmath.quad(rate, [start, u], method="gauss-legendre", maxdegree=4) - t,
                 2 * mpmath.pi * t / period, solver="newton", df=rate)
             reached = t
-            theta = float((high + low) / 2 - (high - low) / 2 * mpmath.cos(root))
-            errors[i] = abs(precession.samples[i].state.theta - theta)
-    check(
-        "14 precession theta follows the inverted quadrature",
-        all(errors[i] <= 10.0 * measured[i] for i in measured),
-        ", ".join(f"t = {i * 1e-3:g} s: {errors[i]:.2e} (<= {10.0 * measured[i]:.1e})" for i in measured),
-    )
+            thetas[i] = float((high + low) / 2 - (high - low) / 2 * mpmath.cos(root))
+    for route, run, measured in (
+        ("integrate", precession, {250: 1.87e-14, 750: 1.02e-13, 1250: 9.20e-14, 1750: 2.96e-13}),
+        ("integrate_10dim", precession_10dim, {250: 1.87e-14, 750: 1.02e-13, 1250: 9.22e-14, 1750: 2.97e-13}),
+    ):
+        errors = {i: abs(run.samples[i].state.theta - thetas[i]) for i in measured}
+        check(
+            f"14 precession theta follows the inverted quadrature ({route})",
+            all(errors[i] <= 10.0 * measured[i] for i in measured),
+            ", ".join(f"t = {i * 1e-3:g} s: {errors[i]:.2e} (<= {10.0 * measured[i]:.1e})" for i in measured),
+        )

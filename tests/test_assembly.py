@@ -497,8 +497,9 @@ def test_complex_angles_take_cmath_and_keep_the_real_value():
                 assert np.max(np.abs(got.real - want)) <= 4e-16 * max(1.0, np.max(np.abs(want)))
 
 
-# README's margin points of validate: the default disk, r = 1e-160, r = 1e-8,
-# g = 1e300 and g/r = 1.79e308.
+# Five of the validate points README lists, each run by test_cli's
+# test_validate_oracle_has_margin_on_hard_seeds: the default disk,
+# r = 1e-160, r = 1e-8, g = 1e300 and g/r = 1.79e308.
 MARGIN_POINTS = [Params(), Params(r=1e-160), Params(r=1e-8), Params(g=1e300), Params(g=1.79e308, r=1.0)]
 
 
