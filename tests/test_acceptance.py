@@ -455,27 +455,63 @@ def test_14_precession_theta_follows_the_inverted_quadrature(precession, precess
     # time t past the half period reads u(period - t). The times are taken
     # in order of that distance, each quadrature starting from the last root
     # and capped at 24 nodes, all at 20 digits, which give the 30-digit
-    # floats. Both routes are held to these references; measured holds each
-    # route's errors at 0.25, 0.75, 1.25 and 1.75 s. Each bar is 10x its error.
-    thetas = {}
+    # floats. psi_dot and phi_dot depend on theta alone, through
+    # integral_system and test_10's integrals at x0, so at the same roots
+    # psi(t) - psi0 = I(u(t)), the integral of psi_dot(theta(u')) rate(u')
+    # from 0, and past the half period Delta psi - I(u(period - t)), where
+    # Delta psi = 2 I(pi) is the advance over a whole period; phi alike. One
+    # complex quadrature carries psi in its real part and phi in its
+    # imaginary part, so each node calls integral_system once. Both routes
+    # are held to these references; measured holds each route's errors at
+    # 0.25, 0.75, 1.25 and 1.75 s. Each bar is 10x its error.
+    cfg = scenario_preset("precession")
+    x0 = cfg.x0
+    integrals = mpmath.matrix(first_integrals(x0.theta, x0.dphi, x0.dpsi))
+    times = (250, 750, 1250, 1750)
+    thetas, advances = {}, {}
     with mpmath.workdps(20):
-        low, high, rate, period = nutation(theta_dot_squared(scenario_preset("precession")))
+        low, high, rate, period = nutation(theta_dot_squared(cfg))
+        mid, half = (high + low) / 2, (high - low) / 2
+
+        def quad(f, a, b):
+            return mpmath.quad(f, [a, b], method="gauss-legendre", maxdegree=4)
+
+        def advance(u):  # (psi_dot + i phi_dot) dt/du at theta(u)
+            dpsi, dphi = integral_system(mid - half * mpmath.cos(u)) * integrals
+            return mpmath.mpc(dpsi, dphi) * rate(u)
+
         root = reached = mpmath.mpf(0)  # the last root and its time t(root)
+        advanced = mpmath.mpc(0)  # I(root)
         for t, i in sorted((min(mpmath.mpf(precession.samples[i].t), period - precession.samples[i].t), i)
-                           for i in (250, 750, 1250, 1750)):
+                           for i in times):
             start, t_start = root, reached
-            root = mpmath.findroot(
-                lambda u: t_start + mpmath.quad(rate, [start, u], method="gauss-legendre", maxdegree=4) - t,
-                2 * mpmath.pi * t / period, solver="newton", df=rate)
+            root = mpmath.findroot(lambda u: t_start + quad(rate, start, u) - t,
+                                   2 * mpmath.pi * t / period, solver="newton", df=rate)
             reached = t
-            thetas[i] = float((high + low) / 2 - (high - low) / 2 * mpmath.cos(root))
+            thetas[i] = float(mid - half * mpmath.cos(root))
+            advanced += quad(advance, start, root)
+            advances[i] = advanced
+        whole = 2 * (advanced + quad(advance, root, mpmath.pi))
+        for i in times:
+            if precession.samples[i].t > period / 2:
+                advances[i] = whole - advances[i]
+    want = {"theta": thetas,
+            "psi": {i: x0.psi + float(mpmath.re(advances[i])) for i in times},
+            "phi": {i: x0.phi + float(mpmath.im(advances[i])) for i in times}}
     for route, run, measured in (
-        ("integrate", precession, {250: 1.87e-14, 750: 1.02e-13, 1250: 9.20e-14, 1750: 2.96e-13}),
-        ("integrate_10dim", precession_10dim, {250: 1.87e-14, 750: 1.02e-13, 1250: 9.22e-14, 1750: 2.97e-13}),
+        ("integrate", precession, {"theta": (1.87e-14, 1.02e-13, 9.20e-14, 2.96e-13),
+                                   "psi": (4.63e-14, 6.41e-14, 3.98e-13, 2.63e-13),
+                                   "phi": (1.67e-15, 3.95e-14, 2.26e-13, 4.53e-14)}),
+        ("integrate_10dim", precession_10dim, {"theta": (1.87e-14, 1.02e-13, 9.22e-14, 2.97e-13),
+                                               "psi": (4.63e-14, 6.42e-14, 3.98e-13, 2.63e-13),
+                                               "phi": (1.67e-15, 3.95e-14, 2.25e-13, 4.53e-14)}),
     ):
-        errors = {i: abs(run.samples[i].state.theta - thetas[i]) for i in measured}
+        errors = {name: [abs(getattr(run.samples[i].state, name) - want[name][i]) for i in times]
+                  for name in measured}
         check(
-            f"14 precession theta follows the inverted quadrature ({route})",
-            all(errors[i] <= 10.0 * measured[i] for i in measured),
-            ", ".join(f"t = {i * 1e-3:g} s: {errors[i]:.2e} (<= {10.0 * measured[i]:.1e})" for i in measured),
+            f"14 precession theta, psi and phi follow the inverted quadrature ({route})",
+            all(error <= 10.0 * bar for name in measured for error, bar in zip(errors[name], measured[name])),
+            "; ".join(f"{name} " + ", ".join(f"{error:.2e} (<= {10.0 * bar:.1e})"
+                                             for error, bar in zip(errors[name], measured[name]))
+                      for name in measured) + " at t = 0.25, 0.75, 1.25, 1.75 s",
         )
