@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -129,6 +128,7 @@ def _build_parser() -> _Parser:
 
 def _load_config_file(path: str) -> dict:
     """The file's JSON object, unchecked: ScenarioConfig.from_values checks it once the flags merge in."""
+    import json  # imported on first use, as numpy is
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:

@@ -45,27 +45,23 @@ def kinetic_energy(q, v, p: Params) -> float:
     """1/2 omega . I omega + 1/2 m |dc/dt|^2, with omega from rotation_vector
     and dc/dt = (dc1, dc2, -r sin(theta) dtheta).
 
-    Each dot product is the fma chain fma(x2, y2, fma(x1, y1, x0*y0)) on its
-    factors' real parts, so its bits are fixed by that order and libm, and a
-    complex call's real part is the real call's value. The imaginary part
-    comes from the plain complex sums, never conjugated, taken before the
-    factors 1/2 and m.
+    Each dot product is the fma chain fma(x2, y2, fma(x1, y1, x0*y0)), its bits
+    fixed by that order and libm. One complex test per call: a real call runs
+    the chains on its factors; a complex call takes its imaginary part from the
+    plain complex sums, never conjugated, before the factors 1/2 and m, then
+    runs the chains on the real parts, so its real part is the real call's value.
     """
     w0, w1, w2 = rotation_vector(q[2:5], v[2:5])
     axial = 0.5 * p.m * p.r * p.r  # each transverse moment is half of it
     s0, s1, s2 = axial * w0, 0.5 * axial * w1, 0.5 * axial * w2  # I omega
     st = (cmath if isinstance(q[3], complex) else math).sin(q[3])
     dc0, dc1, dc2 = v[0], v[1], -p.r * st * v[3]
-    rotational = fma(w2.real, s2.real, fma(w1.real, s1.real, w0.real * s0.real))
-    translational = fma(dc2.real, dc2.real, fma(dc1.real, dc1.real, dc0.real * dc0.real))
-    energy = 0.5 * rotational + 0.5 * p.m * translational
-    if type(w0) is type(w1) is type(w2) is type(dc0) is type(dc1) is type(dc2) is float:
-        return energy
-    if not any(isinstance(x, complex) for x in (w0, w1, w2, dc0, dc1, dc2)):
-        return energy  # ints or numpy floats
-    # Imaginary parts before any scaling: 0.5 * complex(inf, y) would put inf * 0 = NaN in y.
-    return complex(energy, 0.5 * (w0 * s0 + w1 * s1 + w2 * s2).imag
-                   + 0.5 * p.m * (dc0 * dc0 + dc1 * dc1 + dc2 * dc2).imag)
+    if complex_call := isinstance(w0 + w1 + w2 + dc0 + dc1 + dc2, complex):
+        # Imaginary parts before any scaling: 0.5 * complex(inf, y) would put inf * 0 = NaN in y.
+        imag = 0.5 * (w0 * s0 + w1 * s1 + w2 * s2).imag + 0.5 * p.m * (dc0 * dc0 + dc1 * dc1 + dc2 * dc2).imag
+        w0, w1, w2, s0, s1, s2, dc0, dc1, dc2 = (x.real for x in (w0, w1, w2, s0, s1, s2, dc0, dc1, dc2))
+    energy = 0.5 * fma(w2, s2, fma(w1, s1, w0 * s0)) + 0.5 * p.m * fma(dc2, dc2, fma(dc1, dc1, dc0 * dc0))
+    return complex(energy, imag) if complex_call else energy
 
 
 def lagrangian(q, v, p: Params) -> float:

@@ -27,13 +27,11 @@ def euler_rotation(angles):
 def rotation_vector(angles, rates: tuple[float, float, float]) -> tuple:
     """Body-frame angular velocity omega, the three independent entries of the
     skew matrix R^T dR/dt, at angles (phi, theta, psi) and rates (dphi,
-    dtheta, dpsi). A complex angle takes cmath's sine and cosine, a real one
-    math's; an entry is complex where an input it reads is."""
+    dtheta, dpsi). Both angles take cmath's sine and cosine when either is
+    complex, and every entry is complex then; otherwise math's."""
     dphi, dtheta, dpsi = rates
     phi, theta = angles[0], angles[1]
-    trig_phi = cmath if isinstance(phi, complex) else math
-    trig_theta = cmath if isinstance(theta, complex) else math
-    sf, cf = trig_phi.sin(phi), trig_phi.cos(phi)
-    st, ct = trig_theta.sin(theta), trig_theta.cos(theta)
+    trig = cmath if isinstance(phi + theta, complex) else math
+    sf, cf, st, ct = trig.sin(phi), trig.cos(phi), trig.sin(theta), trig.cos(theta)
     return dphi - dpsi * st, dtheta * cf + dpsi * sf * ct, -dtheta * sf + dpsi * ct * cf
 

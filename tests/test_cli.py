@@ -368,6 +368,15 @@ def test_overflowing_step_count_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_step_count_over_max_steps_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "spin.csv"
+    argv = ["simulate", "--scenario", "spin", "--t-end", "1e300", "--dt", "1e-3", "--out", str(out)]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "usage error: t_end=1e+300 / dt=0.001 exceeds MAX_STEPS=10000000 steps"
+    assert not out.exists()
+
+
 def test_emit_plot_writes_script(tmp_path):
     out = tmp_path / "circle.csv"
     code = main(
@@ -519,6 +528,14 @@ def test_cli_imports_without_scipy():
     code = "import sys, rollingdisk.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_neither_json_nor_numpy():
+    # Each is imported on first use: json by a config file's reader, numpy by validate and the 7x7 solve.
+    code = "import sys, rollingdisk.cli; print(sorted({'json', 'numpy'} & sys.modules.keys()))"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", list(PRESETS))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rollingdisk.energetics import (
     lagrangian,
     potential_energy,
 )
+from rollingdisk.fma import fma
 
 P = Params()  # m=5, g=9.81, r=1
 
@@ -67,6 +69,25 @@ def test_kinetic_energy_definite_on_sample_domain():
         assert kinetic_energy(q, v, P) > 0.0
     q, _ = random_sample(rng)
     assert kinetic_energy(q, (0, 0, 0, 0, 0), P) == 0.0
+
+
+@pytest.mark.parametrize("kind", [float, int, np.float64])
+def test_kinetic_energy_real_call_is_the_two_fma_chains(kind):
+    # A real call, of floats, ints or numpy scalars, runs the fma chains on
+    # the factors themselves and returns a float with their bits.
+    p = Params(m=3.0, r=0.7)
+    q = tuple(map(kind, (1, -2, 3, 1, 2)))
+    v = tuple(map(kind, (2, -1, 3, -2, 1)))
+    (dc1, dc2, dphi, dtheta, dpsi), r = v, p.r
+    sf, cf, st, ct = math.sin(q[2]), math.cos(q[2]), math.sin(q[3]), math.cos(q[3])
+    w0, w1, w2 = dphi - dpsi * st, dtheta * cf + dpsi * sf * ct, -dtheta * sf + dpsi * ct * cf
+    axial = 0.5 * p.m * r * r
+    s0, s1, s2 = axial * w0, 0.5 * axial * w1, 0.5 * axial * w2
+    dc3 = -r * st * dtheta
+    want = 0.5 * fma(w2, s2, fma(w1, s1, w0 * s0)) + 0.5 * p.m * fma(dc3, dc3, fma(dc2, dc2, dc1 * dc1))
+    got = kinetic_energy(q, v, p)
+    assert isinstance(got, float)
+    assert struct.pack("d", got) == struct.pack("d", want)
 
 
 def test_lagrangian_upright_spinning_value():

@@ -1,6 +1,8 @@
 import math
+import struct
 
 import numpy as np
+import pytest
 
 from rollingdisk.kinematics import euler_rotation, rotation_vector
 
@@ -57,3 +59,14 @@ class TestRotationVector:
         assert type(w) is tuple and [type(x) for x in w] == [float] * 3
         w = rotation_vector((complex(0.6, 1e-30), complex(0.2, 1e-30), 1.1), (0.3, -1.5, 0.8))
         assert type(w) is tuple and [type(x) for x in w] == [complex] * 3
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_complex_angle_makes_every_entry_complex(self, k):
+        # One cmath-or-math choice per call: a complex phi or theta alone makes
+        # all three entries complex, and their real parts keep the real call's bits.
+        angles, rates = (0.6, 0.2, 1.1), (0.3, -1.5, 0.8)
+        probe = list(angles)
+        probe[k] = complex(angles[k], 1e-30)
+        w = rotation_vector(probe, rates)
+        assert [type(x) for x in w] == [complex] * 3
+        assert struct.pack("3d", *(x.real for x in w)) == struct.pack("3d", *rotation_vector(angles, rates))

@@ -45,3 +45,15 @@ def test_one_differing_file_reads_diff(tmp_path, capsys):
         (tree / "moved.csv").write_bytes(b"t\n" + last)
     assert same_bytes.compare(base, head) != 0
     assert capsys.readouterr().out == "equal kept.csv\nDIFF moved.csv\n"
+
+
+def test_differing_digest_lines_are_named(tmp_path, capsys):
+    # Under a digest file's DIFF, each tree's lines that the other lacks follow, so the cases read off.
+    base, head = tmp_path / "base", tmp_path / "head"
+    for tree, digest in ((base, "aa"), (head, "bb")):
+        tree.mkdir()
+        (tree / "samples.sha256").write_text(f"integrate spin 00\nintegrate_10dim spin {digest}\n")
+    assert same_bytes.compare(base, head) != 0
+    assert capsys.readouterr().out == ("DIFF samples.sha256\n"
+                                       "  - integrate_10dim spin aa\n"
+                                       "  + integrate_10dim spin bb\n")

@@ -18,6 +18,7 @@ from rollingdisk.dynamics import (
 )
 from rollingdisk.energetics import Params
 from rollingdisk.simulator import (
+    MAX_STEPS,
     NON_FINITE,
     PRESET_NAMES,
     SINGULAR,
@@ -156,6 +157,14 @@ class TestScenarioConfig:
             ScenarioConfig("bad", P, x0, t_end=1.0, dt=0.3)
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig("bad", P, x0._replace(theta=math.nan), t_end=1.0, dt=1e-3)
+
+    def test_step_count_is_bounded(self):
+        # A run holds every sample, so its step count is capped; the cap itself is allowed.
+        assert ScenarioConfig("cap", P, UPRIGHT_REST, t_end=MAX_STEPS * 1e-3, dt=1e-3).n_steps() == MAX_STEPS
+        with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+            ScenarioConfig("over", P, UPRIGHT_REST, t_end=(MAX_STEPS + 1) * 1e-3, dt=1e-3)
+        with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+            replace(scenario_preset("spin"), t_end=1e300)
 
     def test_presets_carry_standard_constants(self):
         for name in PRESET_NAMES:

@@ -1,7 +1,8 @@
 """Check that the working tree writes the same bytes as a base commit.
 
 python tools/same_bytes.py --against REV: subprocesses of this interpreter write 17 files from REV's src
-(via git archive) and the working tree's; prints equal or DIFF each; exits nonzero on a difference or failure.
+(via git archive) and the working tree's; prints equal or DIFF each, and under a digest file's DIFF the lines
+that differ; exits nonzero on a difference or failure.
 """
 
 import argparse
@@ -84,12 +85,24 @@ def write_all(src, out):
         _run(src, out, args, name)
 
 
+def _lines(path):
+    return path.read_text().splitlines() if path.exists() else []
+
+
 def compare(base, head):
-    """Print equal or DIFF for each file in either directory; 1 if any differs."""
+    """Print equal or DIFF for each file in either directory, and under a DIFF of a *.sha256 file its lines
+    that differ, base's as "- line" and head's as "+ line", so each names its route and preset or disk;
+    1 if any differs."""
     names = sorted({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()})
     equal = filecmp.cmpfiles(base, head, names, shallow=False)[0]
     for name in names:
         print("equal" if name in equal else "DIFF", name)
+        if name not in equal and name.endswith(".sha256"):
+            old, new = _lines(base / name), _lines(head / name)
+            for sign, lines, other in (("-", old, new), ("+", new, old)):
+                for line in lines:
+                    if line not in other:
+                        print(f"  {sign} {line}")
     return int(len(equal) < len(names))
 
 
