@@ -4,9 +4,9 @@ Eliminating the multipliers and the slaved center accelerations from
 assembly's system leaves the angle accelerations as closed forms in theta
 and the rates alone. closed_form_solution also gives the center
 accelerations and the reactions lambda = m ddc, in assembly's order, so the
-elimination can be checked against the linear solve. Each cos(theta) comes
-from singularity.checked_cos_theta, so in the flat-disk band every division
-by it, tan included, raises instead.
+elimination can be checked against the linear solve. Each function runs
+singularity.checked_cos_theta once, before any division by cos(theta), so
+in the flat-disk band it raises instead.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def closed_form_accels(q, rates: tuple[float, float, float], p: Params) -> tuple
     return ddphi, ddtheta, ddpsi
 
 
-def closed_form_center_accels(q, rates: tuple[float, float, float], p: Params) -> tuple[float, float]:
-    """Center accelerations (ddc1, ddc2) in closed form."""
+def closed_form_solution(q, rates: tuple[float, float, float], p: Params) -> tuple[float, ...]:
+    """(lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi), seven floats."""
+    accels = closed_form_accels(q, rates, p)
     dphi, dtheta, dpsi = rates
-    ct = checked_cos_theta(q[3])
-    st = math.sin(q[3])
+    st, ct = math.sin(q[3]), math.cos(q[3])
     sp, cp = math.sin(q[4]), math.cos(q[4])
     s2t = 2.0 * st * ct
     g, r = p.g, p.r
@@ -85,13 +85,7 @@ def closed_form_center_accels(q, rates: tuple[float, float, float], p: Params) -
     swing = (r / 3.0) * dtheta * dpsi * ct
     ddc1 = common * cp - swing * sp
     ddc2 = common * sp + swing * cp
-    return ddc1, ddc2
-
-
-def closed_form_solution(q, rates: tuple[float, float, float], p: Params) -> tuple[float, ...]:
-    """(lambda1, lambda2, ddc1, ddc2, ddphi, ddtheta, ddpsi), seven floats."""
-    ddc1, ddc2 = closed_form_center_accels(q, rates, p)
-    return (p.m * ddc1, p.m * ddc2, ddc1, ddc2, *closed_form_accels(q, rates, p))
+    return (p.m * ddc1, p.m * ddc2, ddc1, ddc2, *accels)
 
 
 def state_derivative(x: State, p: Params) -> tuple[float, ...]:

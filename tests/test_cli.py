@@ -615,13 +615,13 @@ def test_validate_catches_injected_fault(monkeypatch, capsys):
 def test_validate_catches_a_center_fault_on_a_tiny_disk(monkeypatch, capsys):
     # Compared in disk units, ddc = r y[2:4] vanished beside the angle
     # accelerations: at r = 1e-12 this 1 % error read 5.0e-14 and passed.
-    true_center = rollingdisk.dynamics.closed_form_center_accels
+    true_solution = rollingdisk.dynamics.closed_form_solution
 
     def warped(q, rates, p):
-        ddc1, ddc2 = true_center(q, rates, p)
-        return 1.01 * ddc1, ddc2
+        lambda1, lambda2, ddc1, *rest = true_solution(q, rates, p)
+        return (1.01 * lambda1, lambda2, 1.01 * ddc1, *rest)
 
-    monkeypatch.setattr(rollingdisk.dynamics, "closed_form_center_accels", warped)
+    monkeypatch.setattr(rollingdisk.dynamics, "closed_form_solution", warped)
     assert main(["validate", "--samples", "20", "--r", "1e-12"]) == 3
     err = capsys.readouterr().err
     assert "FAIL vs linear solve" in err

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from rollingdisk import dynamics, singularity
 from rollingdisk.assembly import solve_system
 from rollingdisk.constraints import consistent_velocity
 from rollingdisk.dynamics import (
@@ -73,6 +74,17 @@ class TestClosedFormAccels:
 
 
 class TestClosedFormMultipliers:
+    def test_runs_the_flat_disk_guard_once(self, monkeypatch):
+        thetas = []
+
+        def counted(theta):
+            thetas.append(theta)
+            return singularity.checked_cos_theta(theta)
+
+        monkeypatch.setattr(dynamics, "checked_cos_theta", counted)
+        closed_form_solution((0, 0, 0, 0.3, 0.2), (1.0, 0.5, -1.0), P)
+        assert thetas == [0.3]
+
     def test_rest_tilted_reference(self):
         lam = closed_form_solution((0, 0, 0, 0.3, 0.0), (0.0, 0.0, 0.0), P)[0:2]
         assert lam[0] == pytest.approx(P.m * 6.0 * P.g * math.sin(0.6) / 15.0, rel=1e-14)

@@ -12,7 +12,6 @@ from rollingdisk.dynamics import (
     State,
     circular_spin,
     closed_form_accels,
-    closed_form_center_accels,
     closed_form_solution,
     state_derivative,
 )
@@ -304,7 +303,6 @@ def test_every_route_reads_the_one_cutoff(monkeypatch, theta):
     for call in (
         lambda: closed_form_accels(q, rates, P),
         lambda: state_derivative(x, P),
-        lambda: closed_form_center_accels(q, rates, P),
         lambda: closed_form_solution(q, rates, P),
         lambda: circular_spin(theta, 1.0, P),
         lambda: solve_system(q, v, P),

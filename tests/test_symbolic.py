@@ -18,13 +18,18 @@ holds exactly when the numerator of the difference reduces to zero modulo
 sin^2 + cos^2 = 1 of each angle; that reduction is a normal form, and it is
 the test of every exact assertion below. The package's entry helpers are
 plain arithmetic, so they are called with the symbols themselves, and their
-float coefficients are read as the exact binary fractions they are. The
-functions that call math are compared with the lambdified derivation at
-sample_state draws instead, and closed_form_solution with the derived system
-solved in 50-digit mpmath, down to the flat-disk cutoff.
+float coefficients are read as the exact binary fractions they are.
+dynamics' closed forms are called on the symbols too, with its sine and
+cosine patched to return the symbols, and their float literals read as the
+simplest fractions they round. The other functions that call math are
+compared with the lambdified derivation at sample_state draws instead, and
+closed_form_solution with the derived system solved in 50-digit mpmath, down
+to the flat-disk cutoff.
 """
 
+import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -32,10 +37,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from rollingdisk import dynamics
 from rollingdisk.assembly import (
     _drift_entries, _force_entries, _mass_entries, oracle_lhs, solve_oracle_system, solve_system)
 from rollingdisk.constraints import _constraint_entries, consistent_velocity
-from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_center_accels, closed_form_solution
+from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_solution
 from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
 from rollingdisk.kinematics import euler_rotation, rotation_vector
 from rollingdisk.validation import max_rel_diff, sample_state
@@ -81,6 +87,27 @@ def cleared(expr):
 def exact(value):
     """A helper's output with every float read as the binary fraction it holds."""
     return sp.sympify(value).replace(lambda e: e.is_Float, sp.Rational)
+
+
+def simplest(x: float) -> sp.Rational:
+    """The fraction of least denominator within 8 ulps of x; sympy's float
+    arithmetic can move a literal by an ulp or so, -6/5 to -1.1999999999999997."""
+    tolerance = 8 * math.ulp(x)
+    for d in itertools.count(1):
+        n = round(x * d)
+        if abs(Fraction(n, d) - Fraction(x)) <= tolerance:
+            return sp.Rational(n, d)
+
+
+def on_symbols(kernel, *args):
+    """A kernel of rollingdisk.dynamics called on symbols, with its sines and
+    cosines the model's symbols, each float literal of its result read by simplest."""
+    trig = SimpleNamespace(sin=lambda angle: TRIG[angle][0], cos=lambda angle: TRIG[angle][1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "math", trig)
+        patch.setattr(dynamics, "checked_cos_theta", trig.cos)
+        result = kernel(*args, SimpleNamespace(m=m, g=g, r=r))
+    return sp.sympify(result).replace(lambda e: e.is_Float, lambda e: simplest(float(e)))
 
 
 def partial(expr, x):
@@ -141,10 +168,10 @@ def complex_step_gradient(f, x):
     return gradient
 
 
-def residual(model, accels, rates) -> sp.Matrix:
-    """M x - b on rolling velocities, for x holding the angle accelerations
-    accels and the multipliers and center accelerations that the contact and
-    center rows give them; zero exactly when accels solve the system."""
+def completed(model, accels, rates):
+    """(x, v): x holds the angle accelerations accels and the multipliers and
+    center accelerations that the contact and center rows give them, v the
+    rolling velocities with angle rates rates."""
     center_rates = model.center_rates.xreplace(dict(zip(DQ[2:], rates)))
     v = dict(zip(DQ, (*center_rates, *rates)))
     accels = sp.Matrix(accels)
@@ -153,16 +180,24 @@ def residual(model, accels, rates) -> sp.Matrix:
     multipliers = A_center.T.LUsolve(
         model.G[:2, :2] * center_accels + model.G[:2, 2:] * accels - model.f[:2, :].xreplace(v)
     )
-    return model.M * sp.Matrix([*multipliers, *center_accels, *accels]) - model.b.xreplace(v)
+    return sp.Matrix([*multipliers, *center_accels, *accels]), v
 
 
-def circular_rates(spin=None):
-    """(dphi, 0, dpsi): no stand rate, and the spin rate of the steady circle
-    from the docstring of dynamics.circular_spin unless spin is given."""
-    dpsi = DQ[4]
-    if spin is None:
-        spin = 2 * g * (s_th / c_th) / (3 * r * dpsi) + sp.Rational(5, 6) * dpsi * s_th
-    return (spin, 0, dpsi)
+def residual(model, accels, rates) -> sp.Matrix:
+    """M x - b for completed's x; zero exactly when accels solve the system."""
+    x, v = completed(model, accels, rates)
+    return model.M * x - model.b.xreplace(v)
+
+
+def circular_rates(spin):
+    """(dphi, 0, dpsi) with spin rate dphi = spin: no stand rate."""
+    return (spin, 0, DQ[4])
+
+
+@pytest.fixture(scope="module")
+def closed_forms():
+    """dynamics.closed_form_solution on the symbols, in its order."""
+    return on_symbols(closed_form_solution, Q, DQ[2:])
 
 
 def test_rotation_rate_is_skew_and_contact_stays_on_the_plane(model):
@@ -214,27 +249,20 @@ def test_determinant_of_the_augmented_matrix(model):
     assert canonical(det - sp.Rational(15, 32) * m**3 * r**6 * c_th**2) == 0
 
 
-def closed_form_angle_accels():
-    """(ddphi, ddtheta, ddpsi) as the docstring of dynamics writes them."""
-    dphi, dtheta, dpsi = DQ[2:]
-    return (
-        2 * dphi * dtheta * s_th / c_th + sp.Rational(5, 3) * dtheta * dpsi * c_th,
-        sp.Rational(4, 5) * g * s_th / r - sp.Rational(6, 5) * dphi * dpsi * c_th
-        + dpsi**2 * s_th * c_th,
-        2 * dphi * dtheta / c_th,
-    )
+def test_closed_form_solution_solves_the_derived_system(model, closed_forms):
+    # Its angle accelerations solve M x = b, and its multipliers and center
+    # accelerations are the ones the contact and center rows give them.
+    x, v = completed(model, closed_forms[4:], DQ[2:])
+    assert all(vanishes(a - b) for a, b in zip(closed_forms[:4], x))
+    assert all(vanishes(e) for e in model.M * x - model.b.xreplace(v))
 
 
-def test_closed_forms_of_the_dynamics_docstring_solve_the_derived_system(model):
-    assert all(vanishes(x) for x in residual(model, closed_form_angle_accels(), DQ[2:]))
-
-
-def test_the_rates_follow_a_hypergeometric_equation_in_the_sine_of_the_stand_angle():
+def test_the_rates_follow_a_hypergeometric_equation_in_the_sine_of_the_stand_angle(closed_forms):
     # ddphi and ddpsi are both proportional to dtheta, so along any motion
     # (dphi, dpsi) solves a linear ODE in theta. Put dpsi = y(x), x = sin(theta),
     # with y0, y1, y2 = y, y', y''; then d/dtheta = cos(theta) d/dx.
     dphi, dtheta, dpsi = DQ[2:]
-    ddphi, _, ddpsi = closed_form_angle_accels()
+    ddphi, _, ddpsi = closed_forms[4:]
     dphi_dtheta, dpsi_dtheta = sp.cancel(ddphi / dtheta), sp.cancel(ddpsi / dtheta)
     assert dtheta not in dphi_dtheta.free_symbols | dpsi_dtheta.free_symbols
     y0, y1, y2, x = sp.symbols("y0 y1 y2 x", real=True)
@@ -264,7 +292,8 @@ def test_the_rates_follow_a_hypergeometric_equation_in_the_sine_of_the_stand_ang
 def test_circular_spin_keeps_the_stand_angle_steady(model):
     # No angle accelerates at the spin of dynamics.circular_spin: det M is
     # nonzero, so that is the solution, and theta stays put.
-    assert all(vanishes(x) for x in residual(model, (0, 0, 0), circular_rates()))
+    spin = on_symbols(circular_spin, theta, DQ[4])
+    assert all(vanishes(x) for x in residual(model, (0, 0, 0), circular_rates(spin)))
 
 @pytest.fixture(scope="module")
 def lambdified_errors(model):
@@ -303,7 +332,7 @@ def lambdified_errors(model):
             "potential_energy": (potential_energy(q, p), gravity(q, params)),
             "consistent_velocity": (consistent_velocity(q, rates, p)[:2], center_rates(q, rates, params)),
             "closed_form_accels": (closed_form_accels(q, rates, p), solution[4:7]),
-            "closed_form_center_accels": (closed_form_center_accels(q, rates, p), solution[2:4]),
+            "closed_form_solution": (closed_form_solution(q, rates, p), solution),
             "circular_spin": (circular_spin(q[3], v[4], p), steady_spin(q[3], v[4], params)),
             "oracle_lhs": (oracle_lhs(q, v, a, p), lhs(q, v, a, params)),
         }
@@ -322,7 +351,7 @@ def lambdified_errors(model):
 
 @pytest.mark.parametrize("name", [
     "lagrangian", "kinetic_energy", "kinetic_energy_gradient", "potential_energy", "rotation_vector", "euler_rotation",
-    "consistent_velocity", "closed_form_accels", "closed_form_center_accels", "circular_spin", "oracle_lhs",
+    "consistent_velocity", "closed_form_accels", "closed_form_solution", "circular_spin", "oracle_lhs",
 ])
 def test_math_calling_function_matches_the_lambdified_derivation(lambdified_errors, name):
     assert lambdified_errors[name] <= LAMBDIFIED_BAR, f"{name}: {lambdified_errors[name]:.3e}"

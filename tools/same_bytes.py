@@ -26,8 +26,8 @@ for route in (integrate, integrate_10dim):
             digest.update(struct.pack("11d", s.t, *s.state, s.energy, s.residual))
         print(route.__name__, name, digest.hexdigest())
 '''
-# Per disk over 500 states: both 7x7 systems and solves and what they rest on. struct packs an
-# array's entries and a tuple's alike, so a kernel may return either but keeps every bit of its values.
+# Per disk over 500 states: both 7x7 systems, their solves, the closed forms and what they rest on. struct
+# packs an array's entries and a tuple's alike, so a kernel may return either but keeps every bit of its values.
 SYSTEMS = '''import hashlib, struct
 import numpy as np
 from rollingdisk.assembly import assemble_system, oracle_lhs, oracle_system, solve_oracle_system, solve_system, unit_disk
@@ -43,7 +43,7 @@ for p in (Params(), Params(m=100, r=0.01), Params(g=1e308, r=1)):
         for M, b in (assemble_system(q[3], q[4], v[2:5], p.g / p.r), oracle_system(q, v, p)):
             digest.update(struct.pack("56d", *np.ravel(M), *b))
         solve, oracle, closed = solve_system(q, v, p), solve_oracle_system(q, v, p), closed_form_solution(q, v[2:5], p)
-        digest.update(struct.pack("14d", *solve, *oracle))
+        digest.update(struct.pack("21d", *solve, *oracle, *closed))
         digest.update(struct.pack("7d", kinetic_energy(q, v, p), potential_energy(q, p),
                                   *constraint_residual(q, v, p), *rotation_vector(q[2:5], v[2:5])))
         digest.update(struct.pack("16d", *oracle_lhs(q, v, v, unit_disk(p)),
