@@ -3,10 +3,11 @@
 Exit codes: 0 success; 1 a usage or config error, an output file simulate
 cannot write (after the run; "cannot write <path>: <reason>" on stderr, no
 traceback), or validate without numpy; 2 a run stopped at a singular
-configuration; 3 validate over validation.THRESHOLD (an error that is not
-finite reads inf) or at parameters where the model cannot be evaluated (one
-line on stderr, no traceback); 4 a run stopped at a non-finite state. A run
-that stops early still writes its partial CSV.
+configuration, the disk at or through flat; 3 validate over
+validation.THRESHOLD (an error that is not finite reads inf) or at
+parameters where the model cannot be evaluated (one line on stderr, no
+traceback); 4 a run stopped at a non-finite state. A run that stops early
+still writes its partial CSV.
 
 The CSV is deterministic byte for byte for a given configuration: fixed
 columns, every float at 17 significant digits, no locale. --emit-plot

@@ -6,18 +6,25 @@ contact at every evaluation, so the rolling constraint holds by
 construction. integrate_10dim integrates the center rates too, with
 accelerations from assembly.solve_system, so its residual measures how far
 the unreduced formulation drifts off the constraint. The same configuration
-gives the same bits. Samples and the summary hold plain floats, and this
-module imports no numpy.
+gives the same bits, and this module imports no numpy.
 
-A run that meets the flat-disk band, or a step that leaves a non-finite
-state, energy or residual, returns the partial trajectory with its
-failure_reason set instead of raising.
+A run keeps each sample as SAMPLE_WIDTH floats in one flat buffer,
+Trajectory.columns: t, the eight of State, energy, residual. Its samples
+are a read-only view that builds a TrajectorySample on access, so no
+program path holds an object per sample; diagnostics_summary reads the
+columns through strided slices.
+
+A run that meets the flat-disk band, carries the disk through it within one
+step, or leaves a non-finite state, energy or residual, returns the partial
+trajectory with its failure_reason set instead of raising.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -39,8 +46,11 @@ PRESETS = MappingProxyType({name: MappingProxyType({**vars(Params()), "x0": x0, 
     ("spin", State(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 5.0))})
 PRESET_NAMES = tuple(PRESETS)
 
-# A run holds every sample, 464 bytes each (tracemalloc, CPython 3.11, x86_64): 10**7 steps hold 4.6 GB.
+# A run holds every sample, about 88 bytes each (tracemalloc, CPython 3.11, x86_64): 10**7 steps hold 0.9 GB.
 MAX_STEPS = 10**7
+
+# Floats a sample holds in Trajectory.columns: t, the eight of State (theta at 4), energy at 9, residual at 10.
+SAMPLE_WIDTH = 11
 
 # Why a run stopped early, as Trajectory.failure_reason records it.
 SINGULAR = "singular configuration"
@@ -104,15 +114,53 @@ class TrajectorySample(NamedTuple):
     residual: float
 
 
+class Samples(Sequence):
+    """Read-only sequence of the samples in columns, each a TrajectorySample of
+    plain floats built on access; a slice gives a tuple of them."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns) // SAMPLE_WIDTH
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._at, range(len(self))[i]))
+        return self._at(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+    def _at(self, i: int) -> TrajectorySample:
+        row = self._columns[i * SAMPLE_WIDTH:(i + 1) * SAMPLE_WIDTH].tolist()
+        return tuple.__new__(TrajectorySample, (row[0], State._make(row[1:9]), row[9], row[10]))
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Immutable result of running config. failure_reason is None iff the run
-    completed, else SINGULAR or NON_FINITE; a failed run stopped at the time
-    of its last sample, samples[-1].t."""
+    """Immutable result of running config. columns holds SAMPLE_WIDTH floats a
+    sample, in TrajectorySample's order with the state spread out, as a
+    read-only memoryview of the buffer passed in; samples views them.
+    failure_reason is None iff the run completed, else SINGULAR or
+    NON_FINITE; a failed run stopped at the time of its last sample,
+    samples[-1].t."""
 
     config: ScenarioConfig
-    samples: tuple[TrajectorySample, ...]
+    columns: memoryview
     failure_reason: str | None = None
+
+    def __post_init__(self):
+        columns = memoryview(self.columns).toreadonly()
+        if columns.format != "d" or columns.ndim != 1 or len(columns) % SAMPLE_WIDTH:
+            raise ValueError(f"columns must be flat doubles, {SAMPLE_WIDTH} a sample")
+        object.__setattr__(self, "columns", columns)
+
+    @property
+    def samples(self) -> Samples:
+        return Samples(self.columns)
 
     @property
     def failed(self) -> bool:
@@ -151,35 +199,43 @@ def step_rk4(x: State, dt: float, p: Params) -> State:
         x6 + sixth * (a6 + 2.0 * (b6 + c6) + d6), x7 + sixth * (a7 + 2.0 * (b7 + c7) + d7)))
 
 
-def _sample(t: float, y, split, p: Params) -> TrajectorySample:
-    """Total energy and contact slip at one time; split(y, p) gives (State, q, v)."""
+def _sample(t: float, y, split, p: Params) -> list:
+    """The row of columns at one time, with total energy and contact slip;
+    split(y, p) gives (the eight floats of State, q, v)."""
     state, q, v = split(y, p)
     energy = kinetic_energy(q, v, p) + potential_energy(q, p)
     r1, r2 = constraint_residual(q, v, p)
-    return tuple.__new__(TrajectorySample, (t, state, energy, max(abs(r1), abs(r2))))
+    return [t, *state, energy, max(abs(r1), abs(r2))]
 
 
 def _run(cfg: ScenarioConfig, y, advance, split) -> Trajectory:
     """Step y with advance(y, dt, p) and sample every step. Nothing warns: Python
     floats overflow to inf silently and the 7x7 solve raises no warning, so
-    an overflow ends the run as NON_FINITE under any warnings filter."""
+    an overflow ends the run as NON_FINITE under any warnings filter.
+
+    The guard sees only the stage points, so a step can carry the disk through
+    the flat band; a sample whose cos(theta) has the other sign from the
+    start's (all kept samples share it) ends the run as SINGULAR."""
     p, dt = cfg.params, cfg.dt
     reason = None
-    samples = [_sample(0.0, y, split, p)]
+    row = _sample(0.0, y, split, p)
+    columns, above = array("d", row), math.cos(row[4]) > 0.0  # the center above the plane
     for i in range(cfg.n_steps()):
         try:
             y = advance(y, dt, p)
-            sample = _sample((i + 1) * dt, y, split, p)
-            if not all(map(math.isfinite, (*y, sample.energy, sample.residual))):
+            row = _sample((i + 1) * dt, y, split, p)
+            if not all(map(math.isfinite, (*y, row[9], row[10]))):  # y: the center rates too
                 reason = NON_FINITE
+            elif (math.cos(row[4]) > 0.0) != above:
+                reason = SINGULAR
         except SingularConfiguration:
             reason = SINGULAR
         except ValueError:  # math.sin/cos of an infinite angle, or a solve on inf or NaN
             reason = NON_FINITE
         if reason is not None:
             break
-        samples.append(sample)
-    return Trajectory(cfg, tuple(samples), reason)
+        columns.fromlist(row)
+    return Trajectory(cfg, columns, reason)
 
 
 def _split_reduced(x: State, p: Params):
@@ -217,7 +273,7 @@ def _step_10dim(y: list, dt: float, p: Params) -> list:
 
 
 def _split_10dim(y: list, p: Params):
-    return State._make(y[0:5] + y[7:10]), y[0:5], y[5:10]
+    return y[0:5] + y[7:10], y[0:5], y[5:10]
 
 
 def integrate_10dim(cfg: ScenarioConfig) -> Trajectory:
@@ -243,10 +299,11 @@ def scenario_preset(name: str) -> ScenarioConfig:
 def diagnostics_summary(traj: Trajectory) -> Summary:
     """Aggregate per-sample diagnostics into headline numbers; the mean drift
     is correctly rounded. An infinite first energy gives NaN drift."""
-    energies = [s.energy for s in traj.samples]
+    columns = traj.columns
+    energies = columns[9::SAMPLE_WIDTH]
     e0 = energies[0]
     denom = abs(e0) if e0 != 0.0 else 1.0
-    drift = [abs(e - e0) / denom for e in energies]
+    drift = array("d", (abs(e - e0) / denom for e in energies))
     try:  # no drift is negative, so fsum meets no inf - inf
         mean = math.fsum(drift) / len(drift)
     except OverflowError:  # a sum past the float maximum, which np.mean also rounds to inf
@@ -255,6 +312,6 @@ def diagnostics_summary(traj: Trajectory) -> Summary:
         # The mean is NaN exactly when a drift is, and then so is np.max.
         max_energy_drift=mean if math.isnan(mean) else max(drift),
         mean_energy_drift=mean,
-        max_residual=max(s.residual for s in traj.samples),
-        min_abs_cos_theta=min(abs(math.cos(s.state.theta)) for s in traj.samples),
+        max_residual=max(columns[10::SAMPLE_WIDTH]),
+        min_abs_cos_theta=min(abs(math.cos(theta)) for theta in columns[4::SAMPLE_WIDTH]),
     )

@@ -285,14 +285,27 @@ def test_x0_override_and_singular_abort(tmp_path, capsys):
 
 
 def test_abort_reports_the_last_sample_time(tmp_path, capsys):
-    # Nearly flat and tipping on, the disk reaches the flat band in step 2639.
+    # Nearly flat and tipping on, the disk passes through flat in step 6: the run keeps five steps.
     out = tmp_path / "tipping.csv"
     x0 = ["2", "0", "0", "1.5706", "0", "0", "0.01", "0"]
     argv = ["simulate", "--scenario", "precession", "--x0", *x0, "--t-end", "3", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "run aborted: singular configuration at t=2.638 s; partial trajectory written\n"
-    assert float(out.read_text().splitlines()[-1].split(",")[0]) == 2638 * 1e-3
+    assert err == "run aborted: singular configuration at t=0.005 s; partial trajectory written\n"
+    assert float(out.read_text().splitlines()[-1].split(",")[0]) == 5 * 1e-3
+
+
+def test_a_step_through_the_flat_disk_exits_2(tmp_path, capsys):
+    # Released at rest, the disk falls through flat between t = 0.134 s and 0.135 s.
+    out = tmp_path / "fall.csv"
+    x0 = ["2", "0", "0", "1.5", "0", "0", "0", "0"]
+    argv = ["simulate", "--scenario", "spin", "--x0", *x0, "--t-end", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "run aborted: singular configuration at t=0.134 s; partial trajectory written\n"
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 15 and float(rows[-1].split(",")[0]) == 0.134
+    assert min(float(row.split(",")[CSV_COLUMNS.index("c3")]) for row in rows) > 0.0
 
 
 def test_overflowing_rates_exit_4_with_partial_csv(tmp_path, capsys):

@@ -50,6 +50,7 @@ HELD_ELSEWHERE = {
     "simulator.step_rk4": "tests/test_simulator.py::TestSteppers::test_rk4_matches_textbook_rk4_bitwise",
     "simulator.integrate": "tests/test_acceptance.py::test_03_precession_energy_and_wandering_turn",
     "simulator._run": "tests/test_simulator.py::TestIntegrate::test_singular_start_returns_partial_trajectory",
+    "simulator.__post_init__": "tests/test_simulator.py::test_columns_are_read_only_flat_doubles",
     "simulator._sample": "tests/test_simulator.py::TestIntegrate::test_energy_and_residual_diagnostics",
     "simulator._split_reduced": "tests/test_simulator.py::TestIntegrate::test_energy_and_residual_diagnostics",
     "simulator.n_steps": "tests/test_simulator.py::TestIntegrate::test_sample_grid",

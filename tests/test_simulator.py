@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -326,6 +328,72 @@ def test_samples_hold_plain_floats(route):
         assert all(type(v) is float for v in (*s.state, s.energy, s.residual)), s
 
 
+# Released at rest from theta = +-1.5, the disk falls flat: between samples 134
+# and 135 |theta| steps from 1.57033 to 1.57138, over the band that the guard
+# tests at the RK4 stage points only.
+def _released_at_rest(theta):
+    return ScenarioConfig("fall", P, State(2.0, 0.0, 0.0, theta, 0.0, 0.0, 0.0, 0.0), t_end=1.0, dt=1e-3)
+
+
+@pytest.mark.parametrize("route", [integrate, integrate_10dim])
+@pytest.mark.parametrize("theta", [1.5, -1.5])
+def test_a_step_through_the_flat_disk_stops_the_run(route, theta):
+    traj = route(_released_at_rest(theta))
+    assert traj.failure_reason == SINGULAR
+    assert len(traj.samples) == 135 and traj.samples[-1].t == 0.134
+    assert min(math.cos(s.state.theta) for s in traj.samples) > 0.0
+    assert abs(traj.samples[-1].state.theta) == pytest.approx(1.57033, abs=1e-5)
+
+
+@pytest.mark.parametrize("route", [integrate, integrate_10dim])
+def test_a_run_holds_at_most_96_bytes_a_sample(route):
+    cfg = replace(scenario_preset("precession"), t_end=2.0)
+    route(replace(cfg, t_end=0.01))  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        traj = route(cfg)
+        held = tracemalloc.get_traced_memory()[0]  # while traj is alive
+    finally:
+        tracemalloc.stop()
+    assert len(traj.samples) == 2001 and not traj.failed
+    assert held / len(traj.samples) <= 96, held / len(traj.samples)
+
+
+@pytest.mark.parametrize("route", [integrate, integrate_10dim])
+@pytest.mark.parametrize("cfg, n, reason", [
+    (replace(scenario_preset("precession"), t_end=0.05), 51, None),
+    (_released_at_rest(1.5), 135, SINGULAR),
+])
+def test_samples_view_the_columns(route, cfg, n, reason):
+    traj = route(cfg)
+    samples = traj.samples
+    assert traj.failure_reason == reason and len(samples) == n
+    listed = list(samples)
+    assert samples[0] == listed[0] == samples[-n] and samples[0].t == 0.0
+    assert samples[-1] == listed[-1] == samples[n - 1] and samples[-1].t == (n - 1) * 1e-3
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            samples[past]
+    for part in (slice(None), slice(None, None, 10), slice(-3, None), slice(None, None, -7), slice(n, None)):
+        assert samples[part] == tuple(listed[part])
+    for s in samples:
+        assert type(s) is TrajectorySample and type(s.state) is State
+        assert all(type(v) is float for v in (s.t, *s.state, s.energy, s.residual)), s
+    assert [v for s in listed for v in (s.t, *s.state, s.energy, s.residual)] == traj.columns.tolist()
+
+
+def test_columns_are_read_only_flat_doubles():
+    traj = integrate(replace(scenario_preset("spin"), t_end=0.01))
+    with pytest.raises(TypeError):
+        traj.columns[0] = 1.0
+    mine = array("d", traj.columns)
+    with pytest.raises(TypeError):
+        Trajectory(traj.config, mine).columns[-1] = 1.0
+    for bad in (array("d", mine[:-1]), array("f", mine), bytes(88)):
+        with pytest.raises(ValueError, match="flat doubles, 11 a sample"):
+            Trajectory(traj.config, bad)
+
+
 @pytest.mark.parametrize("route", [integrate, integrate_10dim])
 @pytest.mark.parametrize("rates", [
     (0.0, 0.0, 1e100),  # a stage overflows to an infinite angle
@@ -356,8 +424,8 @@ def test_summary_of_a_run_with_infinite_energy_reports_non_finite_drift(route):
 
 
 def test_summary_of_single_sample_trajectory():
-    sample = TrajectorySample(0.0, UPRIGHT_REST, 49.05, 0.0)
-    traj = Trajectory(ScenarioConfig("frozen", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), (sample,))
+    columns = array("d", (0.0, *UPRIGHT_REST, 49.05, 0.0))
+    traj = Trajectory(ScenarioConfig("frozen", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), columns)
     summary = diagnostics_summary(traj)
     assert summary.max_energy_drift == 0.0
     assert summary.mean_energy_drift == 0.0
@@ -365,8 +433,8 @@ def test_summary_of_single_sample_trajectory():
 
 
 def _summary_of_energies(energies) -> simulator.Summary:
-    samples = tuple(TrajectorySample(1e-3 * i, UPRIGHT_REST, e, 0.0) for i, e in enumerate(energies))
-    return diagnostics_summary(Trajectory(ScenarioConfig("e", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), samples))
+    columns = array("d", (v for i, e in enumerate(energies) for v in (1e-3 * i, *UPRIGHT_REST, e, 0.0)))
+    return diagnostics_summary(Trajectory(ScenarioConfig("e", P, UPRIGHT_REST, t_end=1e-3, dt=1e-3), columns))
 
 
 def _numpy_drift(energies):

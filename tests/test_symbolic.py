@@ -19,12 +19,12 @@ sin^2 + cos^2 = 1 of each angle; that reduction is a normal form, and it is
 the test of every exact assertion below. The package's entry helpers are
 plain arithmetic, so they are called with the symbols themselves, and their
 float coefficients are read as the exact binary fractions they are.
-dynamics' closed forms are called on the symbols too, with its sine and
-cosine patched to return the symbols, and their float literals read as the
-simplest fractions they round. The other functions that call math are
-compared with the lambdified derivation at sample_state draws instead, and
-closed_form_solution with the derived system solved in 50-digit mpmath, down
-to the flat-disk cutoff.
+dynamics' closed forms, consistent_velocity and rotation_vector are called
+on the symbols too, with the sine and cosine of their modules patched to
+return the symbols, and their float literals read as the simplest fractions
+they round. The functions that call math are also compared with the
+lambdified derivation at sample_state draws, and closed_form_solution with
+the derived system solved in 50-digit mpmath, down to the flat-disk cutoff.
 """
 
 import itertools
@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from rollingdisk import dynamics
+from rollingdisk import constraints, dynamics, kinematics
 from rollingdisk.assembly import (
     _drift_entries, _force_entries, _mass_entries, oracle_lhs, solve_oracle_system, solve_system)
 from rollingdisk.constraints import _constraint_entries, consistent_velocity
@@ -100,11 +100,13 @@ def simplest(x: float) -> sp.Rational:
 
 
 def on_symbols(kernel, *args):
-    """A kernel of rollingdisk.dynamics called on symbols, with its sines and
-    cosines the model's symbols, each float literal of its result read by simplest."""
+    """kernel(*args, p) called on symbols, with (m, g, r) for p and the sines and
+    cosines that dynamics, constraints and kinematics take the model's symbols,
+    each float literal of its result read by simplest."""
     trig = SimpleNamespace(sin=lambda angle: TRIG[angle][0], cos=lambda angle: TRIG[angle][1])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "math", trig)
+        for module in (dynamics, constraints, kinematics):
+            patch.setattr(module, "math", trig)
         patch.setattr(dynamics, "checked_cos_theta", trig.cos)
         result = kernel(*args, SimpleNamespace(m=m, g=g, r=r))
     return sp.sympify(result).replace(lambda e: e.is_Float, lambda e: simplest(float(e)))
@@ -204,6 +206,17 @@ def test_rotation_rate_is_skew_and_contact_stays_on_the_plane(model):
     assert all(vanishes(x) for x in model.W + model.W.T)
     # c3 = r cos(theta) is the height at which the rolling rim point has no vertical velocity.
     assert vanishes(model.slip[2])
+
+
+def test_rotation_vector_is_the_axial_vector_of_the_rotation_rate(model):
+    omega = on_symbols(lambda angles, rates, _: rotation_vector(angles, rates), Q[2:], DQ[2:])
+    assert all(vanishes(a - b) for a, b in zip(omega, model.omega))
+
+
+def test_consistent_velocity_gives_the_center_rates_of_the_no_slip_rows(model):
+    v = on_symbols(consistent_velocity, Q, DQ[2:])
+    assert list(v[2:]) == list(DQ[2:])
+    assert all(vanishes(a - b) for a, b in zip(v[:2], model.center_rates))
 
 
 def test_constraint_entries_are_the_no_slip_rows(model):
