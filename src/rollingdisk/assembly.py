@@ -61,32 +61,6 @@ def _drift_entries(st: float, ct: float, sp: float, cp: float, rates) -> tuple:
             -sp * dphi * dpsi - 2.0 * cp * ct * dtheta * dpsi + sp * st * sq_rates)
 
 
-def oracle_lhs(q, v, a, p: Params) -> tuple[float, ...]:
-    """Euler-Lagrange left side, five floats, from complex-step derivatives of lagrangian alone.
-
-    dL/dq_i is Im L(q + ih e_i, qdot) / h. d/dt dL/dqdot_i is taken along the
-    path q(s) = q + s v, qdot(s) = v + s a at s = ih, as
-    Im[L(q(ih), qdot(ih) + e_i) - L(q(ih), qdot(ih) - e_i)] / (2h): a unit
-    central difference, exact as L is quadratic in the rates. The imaginary
-    parts are differenced before the division, so a term common to both
-    cancels instead of overflowing. Valid while h^2 |v| |a| << 1, past which
-    the complex path's cross terms reach the real parts silently;
-    oracle_system passes a = 0.
-    """
-    path_q = [complex(x, _COMPLEX_STEP * dx) for x, dx in zip(q, v)]
-    path_v = [complex(dx, _COMPLEX_STEP * ddx) for dx, ddx in zip(v, a)]
-    lhs = []
-    for i in range(5):
-        ahead, behind, probe = list(path_v), list(path_v), list(q)
-        ahead[i] += 1.0
-        behind[i] -= 1.0
-        probe[i] = complex(q[i], _COMPLEX_STEP)
-        momentum_rate = (lagrangian(path_q, ahead, p).imag
-                         - lagrangian(path_q, behind, p).imag) / (2.0 * _COMPLEX_STEP)
-        lhs.append(momentum_rate - lagrangian(probe, v, p).imag / _COMPLEX_STEP)
-    return tuple(lhs)
-
-
 def _augmented(a, g, drift, f) -> tuple[tuple, tuple]:
     """(M's 49 floats row by row, b's 7) from A's 10 entries, G's 25 (row by
     row), the drift's 2 and f's 5: the one place that knows the block layout.
@@ -131,8 +105,12 @@ def oracle_system(q, v, p: Params) -> tuple[tuple, tuple]:
 
     L is quadratic in the rates, so G is read at rest, where T is
     qdot^T G qdot / 2 and V is real: G_ij = Im L(q, e_i + ih e_j) / h, one
-    call per distinct entry, with no rate term to swamp G. f is -oracle_lhs
-    at the unit disk's rates (dc/r, angle rates) and no acceleration.
+    call per distinct entry, with no rate term to swamp G. f_i is dL/dq_i,
+    Im L(q + ih e_i, u) / h, less d/dt dL/dqdot_i, taken along q + s u at the
+    unit disk's rates u = (dc/r, angle rates) and no acceleration as
+    Im[L(q + ih u, u + e_i) - L(q + ih u, u - e_i)] / (2h): a unit central
+    difference in the rates, exact as L is quadratic in them, whose imaginary
+    parts are differenced before the division, so a common term cancels.
 
     Raises unit_disk's ValueError, and cmath's OverflowError once h times a
     phi or theta rate passes cosh's range, at about 7.1e32. theta and psi
@@ -147,9 +125,19 @@ def oracle_system(q, v, p: Params) -> tuple[tuple, tuple]:
             probe[j] = complex(0.0, _COMPLEX_STEP)
             probe[i] += 1.0
             g[5 * i + j] = g[5 * j + i] = lagrangian(q, probe, unit).imag / _COMPLEX_STEP
-    lhs = oracle_lhs(q, (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4]), (0.0,) * 5, unit)
+    rates = (v[0] / p.r, v[1] / p.r, v[2], v[3], v[4])
+    path = [complex(x, _COMPLEX_STEP * dx) for x, dx in zip(q, rates)]
+    f = []
+    for i in range(5):
+        ahead, behind, probe = [complex(x) for x in rates], [complex(x) for x in rates], list(q)
+        ahead[i] += 1.0
+        behind[i] -= 1.0
+        probe[i] = complex(q[i], _COMPLEX_STEP)
+        momentum_rate = (lagrangian(path, ahead, unit).imag
+                         - lagrangian(path, behind, unit).imag) / (2.0 * _COMPLEX_STEP)
+        f.append(-(momentum_rate - lagrangian(probe, rates, unit).imag / _COMPLEX_STEP))
     return _augmented(_constraint_entries(1.0, st, ct, sp, cp), g,
-                      _drift_entries(st, ct, sp, cp, v[2:5]), [-x for x in lhs])
+                      _drift_entries(st, ct, sp, cp, v[2:5]), f)
 
 
 def _checked_angles(q) -> None:

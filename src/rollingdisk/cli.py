@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a usage or config error, an output file simulate
 cannot write (after the run; "cannot write <path>: <reason>" on stderr, no
-traceback), or validate without numpy; 2 a run stopped at a singular
+traceback), a stdout that cannot be written ("cannot write stdout:
+<reason>"), or validate without numpy; 2 a run stopped at a singular
 configuration, the disk at or through flat; 3 validate over
 validation.THRESHOLD (an error that is not finite reads inf) or at
 parameters where the model cannot be evaluated (one line on stderr, no
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -286,6 +288,7 @@ def run_simulate(cfg: RunConfig) -> int:
     )
     print(wrote)
     if traj.failed:
+        sys.stdout.flush()  # the report before the reason, and an unwritable stdout reported alone
         print(
             f"run aborted: {traj.failure_reason} at t={traj.samples[-1].t:g} s; "
             "partial trajectory written",
@@ -325,11 +328,17 @@ def run_validate(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv if argv is not None else sys.argv[1:])
-        if cfg.mode == "simulate":
-            return run_simulate(cfg)
-        return run_validate(cfg)
+        code = run_simulate(cfg) if cfg.mode == "simulate" else run_validate(cfg)
+        sys.stdout.flush()
+        return code
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # a print or the flush: run_simulate reports its own files
+        print(f"cannot write stdout: {err.strerror or err}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # what is left unwritten goes there, not to an error at exit
+        os.close(devnull)
         return 1
 
 

@@ -529,12 +529,12 @@ def test_validate_evaluates_extreme_disks(params, code, capsys):
     assert "cannot evaluate" not in captured.err
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's package."""
+def _python(*args, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's package, with env's variables set."""
     src = str(Path(rollingdisk.dynamics.__file__).parents[1])
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_cli_imports_without_scipy():
@@ -609,6 +609,32 @@ def test_cli_module_runs_as_a_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert f"wrote {out} (2 rows)" in proc.stdout
     assert out.read_text().startswith(",".join(CSV_COLUMNS) + "\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("mode", ["validate", "simulate", "simulate-flat"])
+def test_a_closed_stdout_exits_1_in_one_line(tmp_path, mode, unbuffered):
+    # stdout is a pipe whose read end is closed: unbuffered, the first print
+    # fails; buffered, main's flush does. Either way one stderr line and no
+    # second error from the interpreter's exit flush. A flat start reports
+    # the stdout failure alone, and the CSV is written before any print.
+    out = tmp_path / "s.csv"
+    argv = {
+        "validate": ["validate", "--samples", "5"],
+        "simulate": ["simulate", "--scenario", "straight", "--t-end", "0.01", "--out", str(out)],
+        "simulate-flat": ["simulate", "--scenario", "precession", "--x0", "2", "0", "0", "1.5707958", "0", "0",
+                          "0", "0", "--t-end", "0.01", "--out", str(out)],
+    }[mode]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "rollingdisk.cli", *argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == ["cannot write stdout: Broken pipe"]
+    if mode != "validate":
+        assert out.read_text().startswith(",".join(CSV_COLUMNS) + "\n")
 
 
 def test_validate_catches_injected_fault(monkeypatch, capsys):

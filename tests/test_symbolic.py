@@ -39,7 +39,7 @@ import sympy as sp
 
 from rollingdisk import constraints, dynamics, kinematics
 from rollingdisk.assembly import (
-    _drift_entries, _force_entries, _mass_entries, oracle_lhs, solve_oracle_system, solve_system)
+    _drift_entries, _force_entries, _mass_entries, oracle_system, solve_oracle_system, solve_system, unit_disk)
 from rollingdisk.constraints import _constraint_entries, consistent_velocity
 from rollingdisk.dynamics import circular_spin, closed_form_accels, closed_form_solution
 from rollingdisk.energetics import Params, kinetic_energy, lagrangian, potential_energy
@@ -334,6 +334,9 @@ def lambdified_errors(model):
     def pairs(q, v, a, p):
         params, angles, rates = (p.m, p.g, p.r), q[2:], v[2:]
         solution = np.linalg.solve(matrix(q, params), np.ravel(vector(q, v, params)))
+        # The oracle's system is the unit disk's, at the center rates v[0:2] / r; a is its acceleration.
+        unit, (oracle_M, oracle_b) = unit_disk(p), oracle_system(q, v, p)
+        unit_rates = (v[0] / p.r, v[1] / p.r, *rates)
         return {
             "euler_rotation": (euler_rotation(angles), rotation(angles)),
             "rotation_vector": (rotation_vector(angles, rates), omega(angles, rates)),
@@ -347,7 +350,8 @@ def lambdified_errors(model):
             "closed_form_accels": (closed_form_accels(q, rates, p), solution[4:7]),
             "closed_form_solution": (closed_form_solution(q, rates, p), solution),
             "circular_spin": (circular_spin(q[3], v[4], p), steady_spin(q[3], v[4], params)),
-            "oracle_lhs": (oracle_lhs(q, v, a, p), lhs(q, v, a, params)),
+            "oracle_system": (np.reshape(oracle_M, (7, 7))[2:7, 2:7] @ a - np.array(oracle_b[2:7]),
+                              lhs(q, unit_rates, a, (unit.m, unit.g, unit.r))),
         }
 
     rng = np.random.default_rng(2311)
@@ -364,7 +368,7 @@ def lambdified_errors(model):
 
 @pytest.mark.parametrize("name", [
     "lagrangian", "kinetic_energy", "kinetic_energy_gradient", "potential_energy", "rotation_vector", "euler_rotation",
-    "consistent_velocity", "closed_form_accels", "closed_form_solution", "circular_spin", "oracle_lhs",
+    "consistent_velocity", "closed_form_accels", "closed_form_solution", "circular_spin", "oracle_system",
 ])
 def test_math_calling_function_matches_the_lambdified_derivation(lambdified_errors, name):
     assert lambdified_errors[name] <= LAMBDIFIED_BAR, f"{name}: {lambdified_errors[name]:.3e}"

@@ -17,20 +17,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CLI = ["-m", "rollingdisk.cli"]
 # Every sample of both routes and presets, which the thinned CSV does not show.
-SAMPLES = '''import hashlib, struct
+SAMPLES = '''import hashlib
 from rollingdisk.simulator import PRESET_NAMES, integrate, integrate_10dim, scenario_preset
 for route in (integrate, integrate_10dim):
     for name in PRESET_NAMES:
-        digest = hashlib.sha256()
-        for s in route(scenario_preset(name)).samples:
-            digest.update(struct.pack("11d", s.t, *s.state, s.energy, s.residual))
-        print(route.__name__, name, digest.hexdigest())
+        print(route.__name__, name, hashlib.sha256(route(scenario_preset(name)).columns).hexdigest())
 '''
 # Per disk over 500 states: both 7x7 systems, their solves, the closed forms and what they rest on. struct
 # packs an array's entries and a tuple's alike, so a kernel may return either but keeps every bit of its values.
 SYSTEMS = '''import hashlib, struct
 import numpy as np
-from rollingdisk.assembly import assemble_system, oracle_lhs, oracle_system, solve_oracle_system, solve_system, unit_disk
+from rollingdisk.assembly import assemble_system, oracle_system, solve_oracle_system, solve_system
 from rollingdisk.constraints import constraint_residual
 from rollingdisk.dynamics import closed_form_solution
 from rollingdisk.energetics import Params, kinetic_energy, potential_energy
@@ -46,8 +43,7 @@ for p in (Params(), Params(m=100, r=0.01), Params(g=1e308, r=1)):
         digest.update(struct.pack("21d", *solve, *oracle, *closed))
         digest.update(struct.pack("7d", kinetic_energy(q, v, p), potential_energy(q, p),
                                   *constraint_residual(q, v, p), *rotation_vector(q[2:5], v[2:5])))
-        digest.update(struct.pack("16d", *oracle_lhs(q, v, v, unit_disk(p)),
-                                  *(x for row in euler_rotation(q[2:5]) for x in row),
+        digest.update(struct.pack("11d", *(x for row in euler_rotation(q[2:5]) for x in row),
                                   max_rel_diff(closed, solve), max_rel_diff(closed, oracle)))
     print(p, digest.hexdigest())
 '''
